@@ -5,16 +5,20 @@ index based with a separate parent adjacency list so the backward pass can
 accumulate edge flows in O(1) per edge.  Sum edges are globally indexed by
 (owning node id, child slot) in sorted order; that order is stable across
 serialization round-trips and is the coordinate system for gradients,
-Hessians and traces.
+Hessians and traces.  The edges of one sum node form a contiguous run of that
+order, and :class:`Segments` holds the vectorized per-run operations that
+both sum weights and categorical leaves use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import CyclicGraph, MalformedFile, NotATree
+from .errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
 SUM = "sum"
 PRODUCT = "product"
@@ -39,6 +43,8 @@ class LeafSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown leaf family {self.family!r}")
         p = np.asarray(self.params, dtype=float)
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"{self.family} parameters must be finite, got {p}")
         if self.family == "bern":
             if p.shape != (1,) or not (0.0 <= p[0] <= 1.0):
                 raise ValueError(f"Bernoulli parameter must lie in [0, 1], got {p}")
@@ -96,6 +102,44 @@ class SumEdge:
     slot: int
 
 
+class Segments:
+    """Contiguous non-empty runs of a flat vector, such as the sum edges of
+    each sum node or the probabilities of each categorical leaf.
+
+    Run r covers [starts[r], starts[r] + lengths[r]); ids maps every element
+    to its run.  The reductions run along the first axis.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.ids = np.repeat(np.arange(self.lengths.size), self.lengths)
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(x, self.starts, axis=0)
+
+    def normalize(self, x: np.ndarray) -> np.ndarray:
+        return x / self.sum(x)[self.ids]
+
+    def norm(self, x: np.ndarray) -> np.ndarray:
+        return np.sqrt(self.sum(x * x))
+
+    def softmax(self, z: np.ndarray) -> np.ndarray:
+        """Per-run softmax, floored at 1e-12 so every entry stays in (0, 1]."""
+        w = np.exp(z - np.maximum.reduceat(z, self.starts)[self.ids])
+        return self.normalize(np.maximum(self.normalize(w), 1e-12))
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """Views of the runs of x."""
+        return np.split(x, self.starts[1:])
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x = x.view()
+    x.flags.writeable = False
+    return x
+
+
 @dataclass
 class _LevelEdges:
     """Edges bucketed by the level of their parent node (used by both passes).
@@ -127,7 +171,6 @@ class _TreeIndex:
 
     parent: np.ndarray  # parent node id, -1 at root
     parent_slot: np.ndarray
-    depth: np.ndarray
     dfs_to_global: np.ndarray
     global_to_dfs: np.ndarray
     edge_sub_lo: np.ndarray
@@ -151,6 +194,7 @@ class Circuit:
         self.num_nodes = len(nodes)
         self._index_sum_edges()
         self._index_levels()
+        self._index_leaves()
         self.is_tree = all(
             len(parents[n]) == (0 if n == root else 1) for n in range(self.num_nodes)
         )
@@ -202,21 +246,12 @@ class Circuit:
     # -- derived indexes ----------------------------------------------------
 
     def _index_sum_edges(self) -> None:
-        owners, children, slots = [], [], []
-        offset: dict[int, int] = {}
-        for i, node in enumerate(self.nodes):
-            if node.kind == SUM:
-                offset[i] = len(owners)
-                for slot, c in enumerate(node.children):
-                    owners.append(i)
-                    children.append(c)
-                    slots.append(slot)
-        self.sum_edge_owner = np.asarray(owners, dtype=np.int64)
-        self.sum_edge_child = np.asarray(children, dtype=np.int64)
-        self.sum_edge_slot = np.asarray(slots, dtype=np.int64)
-        self.sum_edge_offset = offset  # node id -> first global edge index
-        self.num_sum_edges = len(owners)
-        self.sum_nodes = sorted(offset)
+        self.sum_nodes = [i for i, node in enumerate(self.nodes) if node.kind == SUM]
+        seg = self.sum_segments = Segments([len(self.nodes[n].children) for n in self.sum_nodes])
+        self.num_sum_edges = int(seg.ids.size)
+        self.sum_edge_owner = np.asarray(self.sum_nodes, dtype=np.int64)[seg.ids]
+        self.sum_edge_slot = np.arange(self.num_sum_edges) - seg.starts[seg.ids]
+        self.sum_edge_offset = dict(zip(self.sum_nodes, seg.starts.tolist()))  # node id -> first edge
 
         # Layer of an edge = number of sum nodes strictly between its owner
         # and the root, taking the minimum over root paths in a DAG.
@@ -232,64 +267,48 @@ class Circuit:
         self.edge_layer = sdepth[self.sum_edge_owner]
 
     def _index_levels(self) -> None:
-        buckets: dict[int, list[list]] = {}
-        for i, node in enumerate(self.nodes):
-            if node.kind == LEAF:
-                continue
-            lv = int(self._levels[i])
-            b = buckets.setdefault(lv, [[], [], [], [], [], []])
-            if node.kind == SUM:
-                base = self.sum_edge_offset[i]
-                b[5].append((len(b[0]), i))  # run start: edges stay grouped by parent
-                for slot, c in enumerate(node.children):
-                    b[0].append(i)
-                    b[1].append(c)
-                    b[2].append(base + slot)
-            else:
-                for c in node.children:
-                    b[3].append(i)
-                    b[4].append(c)
+        # sum edges keep the global order, so each level's sum edges are the
+        # runs of its sum nodes, back to back
+        seg = self.sum_segments
+        sum_nodes = np.asarray(self.sum_nodes, dtype=np.int64)
+        node_level = self._levels[sum_nodes]
+        edge_level = node_level[seg.ids]
+        edge_child = np.array([c for n in self.sum_nodes for c in self.nodes[n].children], dtype=np.int64)
+        prods = [(i, c) for i, nd in enumerate(self.nodes) if nd.kind == PRODUCT for c in nd.children]
+        prod_parent, prod_child = np.array(prods, dtype=np.int64).reshape(-1, 2).T
+        prod_level = self._levels[prod_parent]
         self.level_edges: list[tuple[int, _LevelEdges]] = []
-        for lv, cols in sorted(buckets.items()):
-            starts = np.asarray([s for s, _ in cols[5]], dtype=np.int64)
-            parents = np.asarray([p for _, p in cols[5]], dtype=np.int64)
-            self.level_edges.append(
-                (
-                    lv,
-                    _LevelEdges(
-                        *(np.asarray(col, dtype=np.int64) for col in cols[:5]),
-                        sum_starts=starts,
-                        sum_parent_nodes=parents,
-                    ),
-                )
+        for lv in np.unique(np.concatenate([edge_level, prod_level])):
+            edges = np.flatnonzero(edge_level == lv)
+            runs = np.flatnonzero(node_level == lv)
+            lengths = seg.lengths[runs]
+            sel = prod_level == lv
+            level = _LevelEdges(
+                self.sum_edge_owner[edges], edge_child[edges], edges, prod_parent[sel], prod_child[sel],
+                sum_starts=np.cumsum(lengths) - lengths,
+                sum_parent_nodes=sum_nodes[runs],
             )
-        self.node_level = self._levels
+            self.level_edges.append((int(lv), level))
 
-    def leaf_groups(self) -> dict:
-        """Leaf ids/variables grouped by family, cached (structure is immutable)."""
-        groups = getattr(self, "_leaf_groups", None)
-        if groups is None:
-            bern_ids, bern_var = [], []
-            gauss_ids, gauss_var = [], []
-            cat = []
-            for i, node in enumerate(self.nodes):
-                if node.kind != LEAF:
-                    continue
-                if node.leaf.family == "bern":
-                    bern_ids.append(i)
-                    bern_var.append(node.leaf.variable)
-                elif node.leaf.family == "gauss":
-                    gauss_ids.append(i)
-                    gauss_var.append(node.leaf.variable)
-                else:
-                    cat.append((i, node.leaf.variable))
-            groups = {
-                "bern": (np.asarray(bern_ids, dtype=np.int64), np.asarray(bern_var, dtype=np.int64)),
-                "gauss": (np.asarray(gauss_ids, dtype=np.int64), np.asarray(gauss_var, dtype=np.int64)),
-                "cat": cat,
-            }
-            self._leaf_groups = groups
-        return groups
+    def _index_leaves(self) -> None:
+        leaves = [i for i, node in enumerate(self.nodes) if node.kind == LEAF]
+        ids = {f: [i for i in leaves if self.nodes[i].leaf.family == f] for f in FAMILIES}
+        spec = {f: [self.nodes[i].leaf for i in ids[f]] for f in FAMILIES}
+        self._leaf_groups = {
+            f: (np.array(ids[f], dtype=np.int64), np.array([s.variable for s in spec[f]], dtype=np.int64))
+            for f in FAMILIES
+        }
+        self.cat_segments = Segments([len(s.params) for s in spec["cat"]])
+        self._leaf_spec_params = (
+            np.array([s.params for s in spec["bern"]], dtype=float).reshape(-1),
+            np.array([s.params for s in spec["gauss"]], dtype=float).reshape(-1, 2),
+            np.array([x for s in spec["cat"] for x in s.params], dtype=float),
+        )
+
+    def leaf_groups(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per family, the leaf node ids and their variables, in the order of
+        ParamSet's leaf arrays."""
+        return self._leaf_groups
 
     # -- tree structure ------------------------------------------------------
 
@@ -301,60 +320,48 @@ class Circuit:
 
         parent = np.full(self.num_nodes, -1, dtype=np.int64)
         pslot = np.full(self.num_nodes, -1, dtype=np.int64)
-        depth = np.zeros(self.num_nodes, dtype=np.int64)
-        for i in range(self.num_nodes):
-            for p, slot in self.parents[i]:
-                parent[i] = p
-                pslot[i] = slot
-        for v in self.topo_order[::-1]:
-            if parent[v] >= 0:
-                depth[v] = depth[parent[v]] + 1
-
         E = self.num_sum_edges
         dfs_to_global = np.empty(E, dtype=np.int64)
         global_to_dfs = np.empty(E, dtype=np.int64)
         sub_lo = np.empty(E, dtype=np.int64)
         sub_hi = np.empty(E, dtype=np.int64)
+        start = np.empty(self.num_nodes, dtype=np.int64)
+        end = np.empty(self.num_nodes, dtype=np.int64)
         prod_nodes: list[int] = []
         prod_blocks: list[list[tuple[int, int]]] = []
         counter = 0
 
-        import sys
-
-        needed = int(depth.max()) + 100
-        if needed > sys.getrecursionlimit():
-            sys.setrecursionlimit(needed)
-
-        # DFS assigning each sum edge its index right before descending, so
-        # the edges inside any subtree form one contiguous DFS range.
-        def visit(v: int) -> tuple[int, int]:
-            nonlocal counter
+        # Iterative DFS assigning each sum edge its index right before
+        # descending, so the edges inside any subtree form one contiguous DFS
+        # range.  Stack entries: (node, global edge into it or -1, leaving).
+        stack = [(self.root, -1, False)]
+        while stack:
+            v, g, leaving = stack.pop()
             node = self.nodes[v]
-            start = counter
-            if node.kind == SUM:
-                base = self.sum_edge_offset[v]
-                for slot, c in enumerate(node.children):
-                    d = counter
-                    counter += 1
-                    g = base + slot
-                    dfs_to_global[d] = g
-                    global_to_dfs[g] = d
-                    lo, hi = visit(c)
-                    sub_lo[d] = lo
-                    sub_hi[d] = hi
-            elif node.kind == PRODUCT:
-                blocks = []
-                for c in node.children:
-                    blocks.append(visit(c))
-                prod_nodes.append(v)
-                prod_blocks.append(blocks)
-            return start, counter
+            if leaving:
+                end[v] = counter
+                if g >= 0:
+                    sub_hi[global_to_dfs[g]] = counter
+                if node.kind == PRODUCT:
+                    prod_nodes.append(v)
+                    prod_blocks.append([(int(start[c]), int(end[c])) for c in node.children])
+                continue
+            if g >= 0:
+                dfs_to_global[counter] = g
+                global_to_dfs[g] = counter
+                sub_lo[counter] = counter + 1
+                counter += 1
+            start[v] = counter
+            stack.append((v, g, True))
+            base = self.sum_edge_offset[v] if node.kind == SUM else None
+            for slot in reversed(range(len(node.children))):
+                c = node.children[slot]
+                parent[c], pslot[c] = v, slot
+                stack.append((c, -1 if base is None else base + slot, False))
 
-        visit(self.root)
         self._tree = _TreeIndex(
             parent,
             pslot,
-            depth,
             dfs_to_global,
             global_to_dfs,
             sub_lo,
@@ -388,67 +395,102 @@ class Circuit:
         return self.sum_edge_offset[edge.node] + edge.slot
 
 
-@dataclass
+@dataclass(eq=False)
 class ParamSet:
-    """Per-sum-node weight vectors plus per-leaf distribution parameters.
+    """All circuit parameters in one flat layout.
+
+    theta holds every sum weight in global sum-edge order.  Leaf parameters
+    are stored per family in the order of ``circuit.leaf_groups()``: bern[j]
+    is a Bernoulli mean, gauss[j] a (mean, stddev) row, and cat the
+    probabilities of all categorical leaves back to back, split into one run
+    per leaf by ``circuit.cat_segments``.
 
     Weights live on the probability simplex during training; finite-difference
     probes may hold slightly off-simplex values, so nothing here renormalizes
     implicitly.
     """
 
-    sum_weights: dict[int, np.ndarray]
-    leaf_params: dict[int, np.ndarray]
+    circuit: Circuit = field(repr=False)
+    theta: np.ndarray
+    bern: np.ndarray
+    gauss: np.ndarray
+    cat: np.ndarray
 
     @staticmethod
     def uniform(circuit: Circuit, rng: np.random.Generator | None = None) -> "ParamSet":
-        weights = {
-            n: np.full(len(circuit.nodes[n].children), 1.0 / len(circuit.nodes[n].children))
-            for n in circuit.sum_nodes
-        }
-        leaves = {
-            i: np.asarray(node.leaf.params, dtype=float)
-            for i, node in enumerate(circuit.nodes)
-            if node.kind == LEAF
-        }
-        ps = ParamSet(weights, leaves)
+        """Uniform sum weights (seeded Dirichlet draws floored at 1e-3 when
+        rng is given) and the leaf parameters of the circuit's LeafSpecs."""
+        seg = circuit.sum_segments
+        theta = 1.0 / seg.lengths[seg.ids]
         if rng is not None:
-            for n, w in ps.sum_weights.items():
-                d = rng.dirichlet(np.ones_like(w))
-                ps.sum_weights[n] = np.maximum(d, 1e-3)
-                ps.sum_weights[n] /= ps.sum_weights[n].sum()
-        return ps
+            for lo, k in zip(seg.starts, seg.lengths):
+                d = np.maximum(rng.dirichlet(np.ones(k)), 1e-3)
+                theta[lo : lo + k] = d / d.sum()
+        return ParamSet(circuit, theta, *(a.copy() for a in circuit._leaf_spec_params))
 
     def copy(self) -> "ParamSet":
-        return ParamSet(
-            {n: w.copy() for n, w in self.sum_weights.items()},
-            {n: p.copy() for n, p in self.leaf_params.items()},
-        )
+        arrays = (self.theta, self.bern, self.gauss, self.cat)
+        return ParamSet(self.circuit, *(a.copy() for a in arrays))
+
+    @property
+    def sum_weights(self) -> Mapping[int, np.ndarray]:
+        """Read-only views: sum node id -> its weights, a slice of theta.
+        Built on each access, so take it once outside a loop over nodes."""
+        c = self.circuit
+        return MappingProxyType(dict(zip(c.sum_nodes, c.sum_segments.split(_read_only(self.theta)))))
+
+    @property
+    def leaf_params(self) -> Mapping[int, np.ndarray]:
+        """Read-only views, in node order: leaf node id -> its parameters
+        ([p], [mean, stddev] or categorical probabilities), a slice of the
+        family arrays.  Built on each access like sum_weights."""
+        c = self.circuit
+        rows = {
+            "bern": _read_only(self.bern)[:, None],
+            "gauss": _read_only(self.gauss),
+            "cat": c.cat_segments.split(_read_only(self.cat)),
+        }
+        views = [pair for f, r in rows.items() for pair in zip(c.leaf_groups()[f][0].tolist(), r)]
+        return MappingProxyType(dict(sorted(views)))
 
     def edge_vector(self, circuit: Circuit) -> np.ndarray:
-        """All sum weights gathered into the global edge order."""
-        if not circuit.sum_nodes:
-            return np.zeros(0)
-        return np.concatenate([self.sum_weights[n] for n in circuit.sum_nodes])
+        """A copy of all sum weights in the global edge order."""
+        return self.theta.copy()
 
     def set_edge_vector(self, circuit: Circuit, vec: np.ndarray) -> None:
-        for n in circuit.sum_nodes:
-            base = circuit.sum_edge_offset[n]
-            k = len(circuit.nodes[n].children)
-            self.sum_weights[n] = np.asarray(vec[base : base + k], dtype=float).copy()
+        vec = np.array(vec, dtype=float)
+        if vec.shape != (circuit.num_sum_edges,):
+            raise ValueError(f"{vec.size} weights for {circuit.num_sum_edges} sum edges")
+        self.theta = vec
 
     def check(self, circuit: Circuit, tol: float = 1e-10) -> None:
-        for n in circuit.sum_nodes:
-            w = self.sum_weights[n]
-            if len(w) != len(circuit.nodes[n].children):
-                raise ValueError(f"weight vector length mismatch at node {n}")
-            if np.any(w <= 0) or np.any(w > 1):
-                raise ValueError(f"weights at node {n} leave (0, 1]: {w}")
-            if abs(w.sum() - 1.0) > tol:
-                raise ValueError(f"weights at node {n} sum to {w.sum()}")
-        for i, node in enumerate(circuit.nodes):
-            if node.kind == LEAF:
-                LeafSpec(node.leaf.variable, node.leaf.family, tuple(self.leaf_params[i])).check()
+        """Raise InvalidParameters unless every sum node's weights lie in
+        (0, 1] and sum to 1 within tol, and every leaf parameter is finite and
+        inside its family's domain.  NaN fails every comparison below."""
+        seg, cat_seg, groups = circuit.sum_segments, circuit.cat_segments, circuit.leaf_groups()
+        shapes = {
+            "theta": seg.ids.shape, "bern": groups["bern"][0].shape,
+            "gauss": (groups["gauss"][0].size, 2), "cat": cat_seg.ids.shape,
+        }
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise InvalidParameters(f"{name} has shape {getattr(self, name).shape}, not {shape}")
+        theta, bern, (mean, sd), cat = self.theta, self.bern, self.gauss.T, self.cat
+        rules = (
+            (circuit.sum_nodes, "weights must lie in (0, 1] and sum to 1",
+             np.logical_and.reduceat((theta > 0) & (theta <= 1), seg.starts)
+             & (np.abs(seg.sum(theta) - 1.0) <= tol)),
+            (groups["bern"][0], "Bernoulli mean must lie in [0, 1]", (bern >= 0) & (bern <= 1)),
+            (groups["gauss"][0], "Gaussian needs a finite mean and stddev > 0",
+             np.isfinite(mean) & np.isfinite(sd) & (sd > 0)),
+            (groups["cat"][0], "categorical probabilities must be >= 0 and sum to 1",
+             np.logical_and.reduceat(cat >= 0, cat_seg.starts) & (np.abs(cat_seg.sum(cat) - 1.0) <= 1e-12)),
+        )
+        for ids, rule, ok in rules:
+            if not ok.all():
+                node = int(ids[np.argmin(ok)])
+                values = (self.sum_weights if circuit.kind(node) == SUM else self.leaf_params)[node]
+                raise InvalidParameters(f"node {node}: {rule}, got {values}")
 
 
 # -- structural validation ----------------------------------------------------
@@ -601,13 +643,14 @@ def classify_pair(circuit: Circuit, e1: SumEdge, e2: SumEdge) -> PairClass:
 def serialize(circuit: Circuit, params: ParamSet) -> bytes:
     """Line-oriented text format; floats at full precision (repr round-trip)."""
     lines = [f"pc v1 {circuit.num_nodes} {circuit.root}"]
+    leaf_params, sum_weights = params.leaf_params, params.sum_weights
     for i, node in enumerate(circuit.nodes):
         if node.kind == SUM:
             lines.append(f"{i} S " + " ".join(map(str, node.children)))
         elif node.kind == PRODUCT:
             lines.append(f"{i} P " + " ".join(map(str, node.children)))
         else:
-            p = params.leaf_params[i]
+            p = leaf_params[i]
             if node.leaf.family == "bern":
                 lines.append(f"{i} L {node.leaf.variable} bern {float(p[0])!r}")
             elif node.leaf.family == "cat":
@@ -616,7 +659,7 @@ def serialize(circuit: Circuit, params: ParamSet) -> bytes:
             else:
                 lines.append(f"{i} L {node.leaf.variable} gauss {float(p[0])!r} {float(p[1])!r}")
     for n in circuit.sum_nodes:
-        lines.append(f"w {n} " + " ".join(repr(float(x)) for x in params.sum_weights[n]))
+        lines.append(f"w {n} " + " ".join(repr(float(x)) for x in sum_weights[n]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -683,9 +726,6 @@ def deserialize(data: bytes) -> tuple[Circuit, ParamSet]:
             raise MalformedFile(f"missing weights for sum node {n}")
         if len(weights[n]) != len(circuit.nodes[n].children):
             raise MalformedFile(f"weight count mismatch for sum node {n}")
-    leaf_params = {
-        i: np.asarray(node.leaf.params, dtype=float)
-        for i, node in enumerate(circuit.nodes)
-        if node.kind == LEAF
-    }
-    return circuit, ParamSet(weights, leaf_params)
+    params = ParamSet.uniform(circuit)
+    params.set_edge_vector(circuit, np.concatenate([np.zeros(0)] + [weights[n] for n in circuit.sum_nodes]))
+    return circuit, params

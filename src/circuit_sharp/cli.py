@@ -178,6 +178,7 @@ def _load_model(path: str) -> tuple[Circuit, ParamSet]:
     report = validate(circuit)
     if not report.ok:
         raise CircuitError(f"model failed validation:\n{report}")
+    params.check(circuit)
     return circuit, params
 
 
@@ -189,7 +190,7 @@ def _load_table(path: str) -> np.ndarray:
         skip = 0
     except ValueError:
         skip = 1  # header row
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=skip, dtype=float))
+    return np.loadtxt(path, delimiter=",", skiprows=skip, dtype=float, ndmin=2)
 
 
 def cmd_trace(args) -> int:

@@ -34,8 +34,7 @@ DENSE_EDGE_CAP = 5000
 def edge_gradients(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, FlowTable]:
     """Per-sample d log P / d theta for every sum edge, plus the flow table."""
     flows = backward(circuit, params, forward(circuit, params, batch))
-    theta = params.edge_vector(circuit)
-    return flows.edge_flow / theta, flows
+    return flows.edge_flow / params.theta, flows
 
 
 def hessian_trace(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> float:
@@ -72,7 +71,7 @@ def full_hessian_tree(
 
     g, flows = edge_gradients(circuit, params, batch)
     g_dfs = g[:, tree.dfs_to_global]
-    theta_dfs = params.edge_vector(circuit)[tree.dfs_to_global]
+    theta_dfs = params.theta[tree.dfs_to_global]
 
     hess = np.zeros((e, e))
     for i in range(g.shape[0]):
@@ -164,7 +163,7 @@ def trace_penalty_gradient(
     lp = trace.log_p.T
     fnode = flows.node_flow.T
     fedge = flows.edge_flow.T
-    theta = params.edge_vector(circuit)
+    theta = params.theta
     w = np.ones_like(theta) if edge_weights is None else np.asarray(edge_weights, dtype=float)
 
     th_col = theta[:, None]

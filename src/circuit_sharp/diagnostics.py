@@ -60,28 +60,12 @@ class LandscapeGrid:
 
 def _block_normalized_direction(circuit: Circuit, theta: np.ndarray, rng) -> np.ndarray:
     u = rng.standard_normal(theta.size)
-    for node in circuit.sum_nodes:
-        base = circuit.sum_edge_offset[node]
-        k = len(circuit.nodes[node].children)
-        blk = u[base : base + k]
-        norm = np.linalg.norm(blk)
-        if norm > 0:
-            u[base : base + k] = blk * (np.linalg.norm(theta[base : base + k]) / norm)
+    seg = circuit.sum_segments
+    norm = seg.norm(u)
+    scale = seg.norm(theta) / np.where(norm > 0, norm, 1.0)
+    u = u * scale[seg.ids]
     total = np.linalg.norm(u)
     return u / total if total > 0 else u
-
-
-def _softmax_params(circuit: Circuit, params: ParamSet, logits: np.ndarray) -> ParamSet:
-    out = params.copy()
-    for node in circuit.sum_nodes:
-        base = circuit.sum_edge_offset[node]
-        k = len(circuit.nodes[node].children)
-        z = logits[base : base + k]
-        z = z - z.max()
-        w = np.exp(z)
-        w = np.maximum(w / w.sum(), 1e-12)  # weights must stay in (0, 1]
-        out.sum_weights[node] = w / w.sum()
-    return out
 
 
 def landscape(
@@ -101,7 +85,7 @@ def landscape(
     if mode not in ("1d", "2d"):
         raise ValueError("mode must be '1d' or '2d'")
     rng = np.random.default_rng(seed)
-    theta = params.edge_vector(circuit)
+    theta = params.theta
     logits0 = np.log(theta)
     u = _block_normalized_direction(circuit, theta, rng)
     dirs = [u]
@@ -118,7 +102,8 @@ def landscape(
     def value_at(offset: np.ndarray) -> float:
         if not np.any(offset):
             return origin
-        probed = _softmax_params(circuit, params, logits0 + offset)
+        probed = params.copy()
+        probed.theta = circuit.sum_segments.softmax(logits0 + offset)
         return float(-forward(circuit, probed, data).root_log_p.mean())
 
     if mode == "1d":

@@ -25,13 +25,12 @@ class StaleTrace(CircuitError):
     """Evaluation trace does not match the circuit it is used with."""
 
 
-class NumericalUnderflow(CircuitError):
-    """All mixture components of a node underflowed to probability zero.
+class OutOfDomain(CircuitError):
+    """A data value lies outside the support of the leaf family reading it."""
 
-    A -inf log-probability is a legal value and is propagated, never raised,
-    during evaluation; this class exists for callers that require a finite
-    likelihood.
-    """
+
+class InvalidParameters(CircuitError, ValueError):
+    """Sum weights off the simplex, or leaf parameters outside their domain."""
 
 
 class MalformedFile(CircuitError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, ParamSet
-from .errors import NotAChild, ScopeMismatch
+from .errors import OutOfDomain, ScopeMismatch
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -37,33 +37,47 @@ class EvalTrace:
 
 
 def _leaf_log_probs(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[node] rows for every leaf, grouped by family."""
+    """Fill out[node] rows for every leaf, one vectorized pass per family.
+
+    Raises OutOfDomain when a Bernoulli leaf reads a value other than 0 or 1,
+    a categorical leaf one that is not an integer in [0, k), or a Gaussian
+    leaf a non-finite value.
+    """
     groups = circuit.leaf_groups()
     bern_ids, bern_var = groups["bern"]
     gauss_ids, gauss_var = groups["gauss"]
+    cat_ids, cat_var = groups["cat"]
+    cat_seg = circuit.cat_segments
+
+    xb = batch[:, bern_var]
+    xg = batch[:, gauss_var]
+    xc = batch[:, cat_var]
+    for family, var, ok in (
+        ("Bernoulli", bern_var, (xb == 0) | (xb == 1)),
+        ("Gaussian", gauss_var, np.isfinite(xg)),
+        ("categorical", cat_var, (xc >= 0) & (xc < cat_seg.lengths) & (xc == np.floor(xc))),
+    ):
+        if not ok.all():
+            row, col = np.argwhere(~ok)[0]
+            v = var[col]
+            raise OutOfDomain(f"row {row}, variable {v}: {batch[row, v]!r} is outside the {family} domain")
 
     # divide: log 0 at indicator leaves; invalid: diverged (inf) parameters,
     # whose NaN rows are the DivergedNaN signal handled by the trainers
     with np.errstate(divide="ignore", invalid="ignore"):
-        if bern_ids.size:
-            x = batch[:, bern_var]
-            p = np.concatenate([params.leaf_params[i] for i in bern_ids])
-            out[bern_ids] = np.where(x > 0.5, np.log(p), np.log1p(-p)).T
-        if gauss_ids.size:
-            x = batch[:, gauss_var]
-            ms = np.concatenate([params.leaf_params[i] for i in gauss_ids]).reshape(-1, 2)
-            z = (x - ms[:, 0]) / ms[:, 1]
-            out[gauss_ids] = (-np.log(ms[:, 1]) - 0.5 * _LOG_2PI - 0.5 * z * z).T
-        for i, var in groups["cat"]:
-            idx = batch[:, var].astype(np.int64)
-            out[i] = np.log(params.leaf_params[i])[idx]
+        out[bern_ids] = np.where(xb > 0.5, np.log(params.bern), np.log1p(-params.bern)).T
+        ms = params.gauss
+        z = (xg - ms[:, 0]) / ms[:, 1]
+        out[gauss_ids] = (-np.log(ms[:, 1]) - 0.5 * _LOG_2PI - 0.5 * z * z).T
+        out[cat_ids] = np.log(params.cat)[cat_seg.starts + xc.astype(np.int64)].T
 
 
 def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
     """Evaluate the circuit bottom-up on a batch of complete assignments.
 
     The batch must have one column per root-scope variable, indexed by
-    variable id; raises ScopeMismatch otherwise.
+    variable id; raises ScopeMismatch otherwise, and OutOfDomain when a value
+    lies outside the support of a leaf that reads it.
     """
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     if batch.shape[1] != len(circuit.root_scope):
@@ -74,7 +88,7 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
     lp = np.zeros((circuit.num_nodes, n))
     _leaf_log_probs(circuit, params, batch, lp)
 
-    theta = params.edge_vector(circuit)
+    theta = params.theta
     for _level, edges in circuit.level_edges:
         if edges.prod_parent.size:
             # product rows start at zero and are written only at their level
@@ -95,27 +109,3 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
                 )
 
     return EvalTrace(np.ascontiguousarray(lp.T), batch, circuit)
-
-
-def product_complement(trace: EvalTrace, product: int, child: int, sample: int) -> float:
-    """log prod_{k != child} p_k(x) for one sample, via log_p(product) - log_p(child).
-
-    Falls back to direct summation over siblings when the child underflowed to
-    log 0, where the subtraction would be indeterminate.
-    """
-    node = trace.circuit.nodes[product]
-    if node.kind != "product":
-        raise NotAChild(f"node {product} is not a product node")
-    if child not in node.children:
-        raise NotAChild(f"node {child} is not a child of {product}")
-    lp_child = trace.log_p[sample, child]
-    if np.isfinite(lp_child):
-        return float(trace.log_p[sample, product] - lp_child)
-    seen_child = False
-    total = 0.0
-    for c in node.children:
-        if c == child and not seen_child:
-            seen_child = True  # skip exactly one occurrence
-            continue
-        total += trace.log_p[sample, c]
-    return float(total)

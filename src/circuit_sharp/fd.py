@@ -41,6 +41,17 @@ def analytic_gradient(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> 
     return loglik_gradient(flows, params)
 
 
+def _weight_diff(params: ParamSet, fn, h: float) -> np.ndarray:
+    """Central differences of fn(ParamSet) along each raw sum weight."""
+    probe = params.copy()
+
+    def at(theta):
+        probe.theta = theta
+        return fn(probe)
+
+    return central_diff(at, params.theta, h)
+
+
 def fd_gradient(
     circuit: Circuit, params: ParamSet, batch: np.ndarray, h: float = DEFAULTS.step_gradient
 ) -> np.ndarray:
@@ -48,19 +59,7 @@ def fd_gradient(
     e = circuit.num_sum_edges
     if e > GRADIENT_EDGE_CAP:
         raise CostGuardExceeded(f"{e} edges exceeds FD gradient cap {GRADIENT_EDGE_CAP}")
-    work = params.copy()
-    theta = params.edge_vector(circuit)
-    grad = np.zeros(e)
-    for i in range(e):
-        vec = theta.copy()
-        vec[i] = theta[i] + h
-        work.set_edge_vector(circuit, vec)
-        up = batch_loglik(circuit, work, batch)
-        vec[i] = theta[i] - h
-        work.set_edge_vector(circuit, vec)
-        down = batch_loglik(circuit, work, batch)
-        grad[i] = (up - down) / (2.0 * h)
-    return grad
+    return _weight_diff(params, lambda p: batch_loglik(circuit, p, batch), h)
 
 
 def fd_hessian(
@@ -78,30 +77,19 @@ def fd_hessian(
     e = circuit.num_sum_edges
     if e > HESSIAN_EDGE_CAP:
         raise CostGuardExceeded(f"{e} edges exceeds FD Hessian cap {HESSIAN_EDGE_CAP}")
-    work = params.copy()
-    theta = params.edge_vector(circuit)
-    hess = np.zeros((e, e))
-    for i in range(e):
-        vec = theta.copy()
-        vec[i] = theta[i] + h
-        work.set_edge_vector(circuit, vec)
-        up = analytic_gradient(circuit, work, batch)
-        vec[i] = theta[i] - h
-        work.set_edge_vector(circuit, vec)
-        down = analytic_gradient(circuit, work, batch)
-        hess[:, i] = (up - down) / (2.0 * h)
+    hess = _weight_diff(params, lambda p: analytic_gradient(circuit, p, batch), h)
     return 0.5 * (hess + hess.T) if symmetrize else hess
 
 
 def central_diff(fn, x0: np.ndarray, h: float) -> np.ndarray:
-    """Generic central-difference gradient of a scalar function of a vector."""
+    """Generic central-difference derivative of a function of a vector; for
+    a vector-valued fn, column i is the derivative along x[i]."""
     x0 = np.asarray(x0, dtype=float)
-    grad = np.zeros_like(x0)
+    cols = []
     for i in range(x0.size):
         x = x0.copy()
-        x[i] += h
+        x[i] = x0[i] + h
         up = fn(x)
-        x[i] -= 2.0 * h
-        down = fn(x)
-        grad[i] = (up - down) / (2.0 * h)
-    return grad
+        x[i] = x0[i] - h
+        cols.append((up - fn(x)) / (2.0 * h))
+    return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(fn(x0)) + (0,))

@@ -34,7 +34,7 @@ def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
         raise StaleTrace("trace does not match this circuit")
     n = trace.log_p.shape[0]
     lp = trace.log_p.T
-    theta = params.edge_vector(circuit)
+    theta = params.theta
 
     flow = np.zeros((circuit.num_nodes, n))
     flow[circuit.root] = 1.0
@@ -65,5 +65,4 @@ def loglik_gradient(flows: FlowTable, params: ParamSet) -> np.ndarray:
 
     Equal to the batch sum of F_nc(x) / theta_nc; nonnegative everywhere.
     """
-    theta = params.edge_vector(flows.circuit)
-    return flows.edge_flow.sum(axis=0) / theta
+    return flows.edge_flow.sum(axis=0) / params.theta

@@ -5,9 +5,11 @@ The sharpness-aware M-step solves, per edge, the quadratic
 lambda theta^2 - F theta - mu F = 0 whose unique nonnegative root is
 (F + sqrt(F^2 + 4 lambda mu F)) / (2 lambda), then projects each sum node
 back onto the simplex and applies running-average smoothing.  The cubic
-variant (direct trace constraint) is kept only as a root-finding oracle for
-tests; it is costlier and numerically touchier, which is why training uses
-the quadratic form.
+variant (direct trace constraint) is costlier and numerically touchier, which
+is why training uses the quadratic form.
+
+Every update here acts on whole flat arrays: sum weights through the
+circuit's sum-edge segments, leaf parameters one family at a time.
 """
 
 from __future__ import annotations
@@ -111,47 +113,6 @@ def sharp_update(flow_sum, lam: float, mu) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def cubic_update_oracle(flow_sum: float, lam: float, mu: float) -> float:
-    """Positive real root of lambda t^3 - F t^2 - 2 mu F^2 = 0.
-
-    Safeguarded Newton within a sign-change bracket, polished to an absolute
-    residual of ~1e-13.  Test oracle only; training always uses sharp_update.
-    """
-    f = float(flow_sum)
-    if f == 0.0:
-        return 0.0
-    if f < 0:
-        raise ValueError("flow sums must be nonnegative")
-    c0 = 2.0 * mu * f * f
-
-    def poly(t):
-        return lam * t**3 - f * t * t - c0
-
-    def dpoly(t):
-        return 3.0 * lam * t * t - 2.0 * f * t
-
-    lo = 0.0
-    hi = max(f / lam, c0 ** (1.0 / 3.0), 1.0)
-    while poly(hi) < 0:
-        hi *= 2.0
-    t = hi
-    for _ in range(200):
-        r = poly(t)
-        if r > 0:
-            hi = t
-        else:
-            lo = t
-        step = dpoly(t)
-        nxt = t - r / step if step > 0 else 0.5 * (lo + hi)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(r) < 1e-13 and abs(nxt - t) < 1e-15 * max(1.0, t):
-            t = nxt
-            break
-        t = nxt
-    return float(t)
-
-
 # -- EM steps -------------------------------------------------------------------
 
 
@@ -169,26 +130,19 @@ def _m_step(
     mu,
 ) -> ParamSet:
     """Shared M-step; mu == 0 takes the plain count-normalization path so the
-    degeneration to vanilla EM is exact."""
-    new = params.copy()
+    degeneration to vanilla EM is exact.  Sum nodes whose edges carry no
+    flow keep their weights."""
+    seg = circuit.sum_segments
     mu_vec = np.broadcast_to(np.asarray(mu, dtype=float), flow_sums.shape)
-    regularized = bool(np.any(mu_vec > 0))
-    for n in circuit.sum_nodes:
-        base = circuit.sum_edge_offset[n]
-        k = len(circuit.nodes[n].children)
-        fs = flow_sums[base : base + k]
-        total = fs.sum()
-        if total <= 0.0:
-            continue  # degenerate node: keep old weights
-        if regularized:
-            t = sharp_update(fs, lam, mu_vec[base : base + k])
-            t = np.maximum(t, 1e-8)  # zero-flow edges: floor before projection
-            mini = t / t.sum()
-        else:
-            mini = fs / total
-            mini = np.maximum(mini, 1e-12)
-            mini = mini / mini.sum()
-        new.sum_weights[n] = (1.0 - alpha) * params.sum_weights[n] + alpha * mini
+    total = seg.sum(flow_sums)[seg.ids]
+    live = total > 0.0
+    if np.any(mu_vec > 0):
+        t = sharp_update(flow_sums, lam, mu_vec)
+        mini = seg.normalize(np.maximum(t, 1e-8))  # zero-flow edges: floor before projection
+    else:
+        mini = seg.normalize(np.maximum(flow_sums / np.where(live, total, 1.0), 1e-12))
+    new = params.copy()
+    new.theta = np.where(live, (1.0 - alpha) * params.theta + alpha * mini, params.theta)
     return new
 
 
@@ -215,6 +169,19 @@ def em_step_sharp(
     return _m_step(circuit, params, flow_sums, config.smoothing_alpha, config.lam, mu)
 
 
+def _leaf_columns(circuit: Circuit, flows: FlowTable, batch: np.ndarray) -> dict:
+    """Per leaf family, the leaves' flows and data columns, both [samples, leaves]."""
+    groups = circuit.leaf_groups()
+    return {f: (flows.node_flow[:, ids], batch[:, var]) for f, (ids, var) in groups.items()}
+
+
+def _cat_counts(seg, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Flow-weighted count of every category of every categorical leaf, in
+    the flat layout of ParamSet.cat."""
+    idx = seg.starts + x.astype(np.int64)
+    return np.bincount(idx.ravel(), weights=w.ravel(), minlength=seg.ids.size)
+
+
 def update_leaves(
     circuit: Circuit,
     params: ParamSet,
@@ -225,34 +192,32 @@ def update_leaves(
     """Flow-weighted maximum-likelihood refit of leaf parameters.
 
     Bernoulli means are clamped to [1e-6, 1 - 1e-6], Gaussian variances are
-    floored at 1e-4, and leaves with zero total flow keep their parameters.
+    floored at 1e-4, categorical probabilities at 1e-9, and leaves with zero
+    total flow keep their parameters.
     """
+    columns = _leaf_columns(circuit, flows, batch)
     new = params.copy()
-    for i, node in enumerate(circuit.nodes):
-        if node.kind != "leaf":
-            continue
-        w = flows.node_flow[:, i]
-        total = w.sum()
-        if total <= 0.0:
-            continue
-        x = batch[:, node.leaf.variable]
-        old = params.leaf_params[i]
-        if node.leaf.family == "bern":
-            p = np.clip((w * x).sum() / total, 1e-6, 1.0 - 1e-6)
-            new.leaf_params[i] = (1.0 - alpha) * old + alpha * np.array([p])
-        elif node.leaf.family == "gauss":
-            mean = (w * x).sum() / total
-            var = max((w * (x - mean) ** 2).sum() / total, 1e-4)
-            sm = (1.0 - alpha) * old[0] + alpha * mean
-            sv = (1.0 - alpha) * old[1] ** 2 + alpha * var
-            new.leaf_params[i] = np.array([sm, np.sqrt(sv)])
-        else:
-            k = len(old)
-            counts = np.array([(w * (x == j)).sum() for j in range(k)])
-            probs = np.maximum(counts / total, 1e-9)
-            probs = probs / probs.sum()
-            mixed = (1.0 - alpha) * old + alpha * probs
-            new.leaf_params[i] = mixed / mixed.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-flow leaves are masked out
+        w, x = columns["bern"]
+        total = w.sum(axis=0)
+        p = np.clip((w * x).sum(axis=0) / total, 1e-6, 1.0 - 1e-6)
+        new.bern = np.where(total > 0, (1.0 - alpha) * params.bern + alpha * p, params.bern)
+
+        w, x = columns["gauss"]
+        total = w.sum(axis=0)
+        mean = (w * x).sum(axis=0) / total
+        var = np.maximum((w * (x - mean) ** 2).sum(axis=0) / total, 1e-4)
+        old_mean, old_sd = params.gauss.T
+        sd = np.sqrt((1.0 - alpha) * old_sd**2 + alpha * var)
+        fit = np.column_stack([(1.0 - alpha) * old_mean + alpha * mean, sd])
+        new.gauss = np.where((total > 0)[:, None], fit, params.gauss)
+
+        w, x = columns["cat"]
+        seg = circuit.cat_segments
+        total = w.sum(axis=0)[seg.ids]
+        probs = seg.normalize(np.maximum(_cat_counts(seg, w, x) / total, 1e-9))
+        mixed = seg.normalize((1.0 - alpha) * params.cat + alpha * probs)
+        new.cat = np.where(total > 0, mixed, params.cat)
     return new
 
 
@@ -306,7 +271,7 @@ def _mean_nll(circuit: Circuit, params: ParamSet, data: np.ndarray) -> float:
 def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> EpochRow:
     trace = forward(circuit, params, train)
     flows = backward(circuit, params, trace)
-    g = flows.edge_flow / params.edge_vector(circuit)
+    g = flows.edge_flow / params.theta
     train_nll = float(-trace.root_log_p.mean())
     sharp = float(np.sum(g * g))
     valid_nll = _mean_nll(circuit, params, valid) if valid is not None else float("nan")
@@ -317,8 +282,7 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> EpochRow:
 
 def _adaptive_state(circuit, params, train, train_nll, valid_nll, prev_mu) -> ScheduleState:
     flows = backward(circuit, params, forward(circuit, params, train))
-    theta = params.edge_vector(circuit)
-    g_data = float(np.linalg.norm(flows.edge_flow.sum(axis=0) / theta))
+    g_data = float(np.linalg.norm(flows.edge_flow.sum(axis=0) / params.theta))
     g_reg = float(np.linalg.norm(trace_penalty_gradient(circuit, params, train)))
     return ScheduleState(train_nll, valid_nll, g_data, g_reg, prev_mu)
 
@@ -386,61 +350,38 @@ class Adam:
 class _Unconstrained:
     """Bijection between a ParamSet and a flat unconstrained vector.
 
-    Sum weights become per-node logits mapped back through a softmax; leaf
-    parameters use logit (Bernoulli), (mean, log sigma) (Gaussian) and log
-    probabilities (categorical).
+    The vector is [sum-weight logits | Bernoulli logits | Gaussian (mean,
+    log sigma) rows | categorical log probabilities]; logits map back through
+    the segment softmax.  Without train_leaves it holds the logits only.
     """
 
     def __init__(self, circuit: Circuit, train_leaves: bool):
         self.circuit = circuit
         self.train_leaves = train_leaves
-        self.leaf_ids = (
-            [i for i, nd in enumerate(circuit.nodes) if nd.kind == "leaf"] if train_leaves else []
-        )
-        self.num_edges = circuit.num_sum_edges
+        groups = circuit.leaf_groups()
+        sizes = [circuit.num_sum_edges]
+        if train_leaves:
+            sizes += [groups["bern"][0].size, 2 * groups["gauss"][0].size, circuit.cat_segments.ids.size]
+        self.cuts = np.cumsum(sizes)[:-1]
 
     def flatten(self, params: ParamSet) -> np.ndarray:
-        parts = [np.log(params.edge_vector(self.circuit))]
-        for i in self.leaf_ids:
-            p = params.leaf_params[i]
-            fam = self.circuit.nodes[i].leaf.family
-            if fam == "bern":
-                q = np.clip(p[0], 1e-9, 1 - 1e-9)
-                parts.append(np.array([np.log(q / (1 - q))]))
-            elif fam == "gauss":
-                parts.append(np.array([p[0], np.log(p[1])]))
-            else:
-                parts.append(np.log(np.maximum(p, 1e-12)))
+        parts = [np.log(params.theta)]
+        if self.train_leaves:
+            q = np.clip(params.bern, 1e-9, 1 - 1e-9)
+            gauss = np.column_stack([params.gauss[:, 0], np.log(params.gauss[:, 1])])
+            parts += [np.log(q / (1 - q)), gauss.ravel(), np.log(np.maximum(params.cat, 1e-12))]
         return np.concatenate(parts)
 
     def unflatten(self, vec: np.ndarray, params: ParamSet) -> ParamSet:
         out = params.copy()
-        logits = vec[: self.num_edges]
-        for n in self.circuit.sum_nodes:
-            base = self.circuit.sum_edge_offset[n]
-            k = len(self.circuit.nodes[n].children)
-            z = logits[base : base + k]
-            z = z - z.max()
-            w = np.exp(z)
-            w = np.maximum(w / w.sum(), 1e-12)  # weights must stay in (0, 1]
-            out.sum_weights[n] = w / w.sum()
-        pos = self.num_edges
-        with np.errstate(over="ignore"):  # inf sigma is the divergence signal
-            for i in self.leaf_ids:
-                fam = self.circuit.nodes[i].leaf.family
-                if fam == "bern":
-                    out.leaf_params[i] = np.array([float(scipy.special.expit(vec[pos]))])
-                    pos += 1
-                elif fam == "gauss":
-                    out.leaf_params[i] = np.array([vec[pos], np.exp(vec[pos + 1])])
-                    pos += 2
-                else:
-                    k = len(params.leaf_params[i])
-                    z = vec[pos : pos + k]
-                    z = z - z.max()
-                    w = np.exp(z)
-                    out.leaf_params[i] = w / w.sum()
-                    pos += k
+        parts = np.split(vec, self.cuts)
+        out.theta = self.circuit.sum_segments.softmax(parts[0])
+        if self.train_leaves:
+            logits, gauss, cat = parts[1], parts[2].reshape(-1, 2), parts[3]
+            out.bern = scipy.special.expit(logits)
+            with np.errstate(over="ignore"):  # inf sigma is the divergence signal
+                out.gauss = np.column_stack([gauss[:, 0], np.exp(gauss[:, 1])])
+            out.cat = self.circuit.cat_segments.softmax(cat)
         return out
 
     def gradient(self, params: ParamSet, raw_theta_grad: np.ndarray, flows: FlowTable, batch, nll_sign: float) -> np.ndarray:
@@ -449,31 +390,21 @@ class _Unconstrained:
         nll_sign scales the leaf score terms (leaf gradients only arise from
         the likelihood, not the penalty).
         """
-        theta = params.edge_vector(self.circuit)
-        glog = np.empty_like(raw_theta_grad)
-        for n in self.circuit.sum_nodes:
-            base = self.circuit.sum_edge_offset[n]
-            k = len(self.circuit.nodes[n].children)
-            th = theta[base : base + k]
-            gr = raw_theta_grad[base : base + k]
-            glog[base : base + k] = th * (gr - np.dot(th, gr))
-        parts = [glog]
-        for i in self.leaf_ids:
-            fam = self.circuit.nodes[i].leaf.family
-            w = flows.node_flow[:, i]
-            x = batch[:, self.circuit.nodes[i].leaf.variable]
-            p = params.leaf_params[i]
-            if fam == "bern":
-                parts.append(np.array([nll_sign * np.sum(w * ((x > 0.5) - p[0]))]))
-            elif fam == "gauss":
-                z = (x - p[0]) / p[1]
-                dmean = np.sum(w * z / p[1])
-                dlogsd = np.sum(w * (z * z - 1.0))
-                parts.append(nll_sign * np.array([dmean, dlogsd]))
-            else:
-                k = len(p)
-                onehot = (x[:, None].astype(int) == np.arange(k)[None, :]).astype(float)
-                parts.append(nll_sign * (w[:, None] * (onehot - p[None, :])).sum(axis=0))
+        seg = self.circuit.sum_segments
+        theta = params.theta
+        parts = [theta * (raw_theta_grad - seg.sum(theta * raw_theta_grad)[seg.ids])]
+        if self.train_leaves:
+            columns = _leaf_columns(self.circuit, flows, batch)
+            w, x = columns["bern"]
+            parts.append(nll_sign * np.sum(w * ((x > 0.5) - params.bern), axis=0))
+            w, x = columns["gauss"]
+            mean, sd = params.gauss.T
+            z = (x - mean) / sd
+            dmean, dlogsd = np.sum(w * z / sd, axis=0), np.sum(w * (z * z - 1.0), axis=0)
+            parts.append(nll_sign * np.column_stack([dmean, dlogsd]).ravel())
+            w, x = columns["cat"]
+            seg = self.circuit.cat_segments
+            parts.append(nll_sign * (_cat_counts(seg, w, x) - w.sum(axis=0)[seg.ids] * params.cat))
         return np.concatenate(parts)
 
 
@@ -515,8 +446,7 @@ def sgd_train(
             if not np.all(np.isfinite(trace.root_log_p)):
                 raise DivergedNaN("non-finite log-likelihood", params=last_good, report=report)
             flows = backward(circuit, params, trace)
-            theta = params.edge_vector(circuit)
-            raw = -flows.edge_flow.sum(axis=0) / theta  # d(NLL)/d theta
+            raw = -flows.edge_flow.sum(axis=0) / params.theta  # d(NLL)/d theta
             if config.schedule == LAYER_MEAN_FLOW:
                 mu = schedule_mu(
                     ScheduleState(

@@ -250,8 +250,7 @@ def build_hclt(
 
     circuit = Circuit.build(nodes, root)
     params = ParamSet.uniform(circuit)
-    for n, wv in weights.items():
-        params.sum_weights[n] = wv
+    params.set_edge_vector(circuit, np.concatenate([weights[n] for n in circuit.sum_nodes]))
     return circuit, params
 
 

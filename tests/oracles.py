@@ -14,6 +14,7 @@ import numpy as np
 
 from circuit_sharp import (
     Circuit,
+    EvalTrace,
     ParamSet,
     PathPair,
     ProductPair,
@@ -22,6 +23,7 @@ from circuit_sharp import (
     classify_pair,
     forward,
 )
+from circuit_sharp.errors import NotAChild
 
 
 def _root_path(circuit: Circuit, node: int) -> list[int]:
@@ -182,3 +184,62 @@ def enumerate_total_probability(circuit: Circuit, params: ParamSet) -> float:
     lp = forward(circuit, params, batch).root_log_p
     total = float(np.exp(lp).sum())
     return total
+
+
+def cubic_update_oracle(flow_sum: float, lam: float, mu: float) -> float:
+    """Positive real root of lambda t^3 - F t^2 - 2 mu F^2 = 0.
+
+    Safeguarded Newton within a sign-change bracket, polished to an absolute
+    residual of ~1e-13.  The cubic is the direct trace-constrained M-step;
+    training uses the quadratic sharp_update instead.
+    """
+    f = float(flow_sum)
+    if f == 0.0:
+        return 0.0
+    if f < 0:
+        raise ValueError("flow sums must be nonnegative")
+    c0 = 2.0 * mu * f * f
+
+    def poly(t):
+        return lam * t**3 - f * t * t - c0
+
+    def dpoly(t):
+        return 3.0 * lam * t * t - 2.0 * f * t
+
+    lo = 0.0
+    hi = max(f / lam, c0 ** (1.0 / 3.0), 1.0)
+    while poly(hi) < 0:
+        hi *= 2.0
+    t = hi
+    for _ in range(200):
+        r = poly(t)
+        if r > 0:
+            hi = t
+        else:
+            lo = t
+        step = dpoly(t)
+        nxt = t - r / step if step > 0 else 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(r) < 1e-13 and abs(nxt - t) < 1e-15 * max(1.0, t):
+            t = nxt
+            break
+        t = nxt
+    return float(t)
+
+
+def product_complement(trace: EvalTrace, product: int, child: int, sample: int) -> float:
+    """log prod_{k != child} p_k(x) for one sample, via log_p(product) - log_p(child).
+
+    Falls back to direct summation over siblings when the child underflowed to
+    log 0, where the subtraction would be indeterminate.
+    """
+    node = trace.circuit.nodes[product]
+    if node.kind != "product":
+        raise NotAChild(f"node {product} is not a product node")
+    if child not in node.children:
+        raise NotAChild(f"node {child} is not a child of {product}")
+    lp_child = trace.log_p[sample, child]
+    if np.isfinite(lp_child):
+        return float(trace.log_p[sample, product] - lp_child)
+    return float(_log_complement(trace, sample, product, child))

@@ -29,7 +29,6 @@ from circuit_sharp.fd import analytic_gradient, fd_gradient, fd_hessian
 from circuit_sharp.learning import (
     MU_GRID,
     RegularizerConfig,
-    cubic_update_oracle,
     em_step_sharp,
     em_step_vanilla,
     em_train,
@@ -38,7 +37,7 @@ from circuit_sharp.learning import (
 )
 from circuit_sharp.structure import HcltConfig, RatConfig, build_hclt, build_rat, chow_liu_tree
 
-from oracles import enumerate_total_probability
+from oracles import cubic_update_oracle, enumerate_total_probability
 from zoo import batch_for, dag_zoo, random_tree, tree_zoo
 
 

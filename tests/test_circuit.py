@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from circuit_sharp import (
     sum_node,
     validate,
 )
-from circuit_sharp.errors import CyclicGraph, MalformedFile, NotATree
+from circuit_sharp.circuit import Segments
+from circuit_sharp.errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
 from zoo import batch_for, random_dag, random_tree
 
@@ -93,6 +96,13 @@ class TestBuild:
     def test_sum_needs_children(self):
         with pytest.raises(ValueError):
             sum_node()
+
+    @pytest.mark.parametrize(
+        "family,params", [("gauss", [np.nan, 1.0]), ("gauss", [0.0, np.inf]), ("cat", [np.nan, 0.5, 0.5])]
+    )
+    def test_non_finite_leaf_spec_raises(self, family, params):
+        with pytest.raises(ValueError):
+            leaf_node(0, family, params)
 
     def test_leaf_scope_is_its_variable(self):
         nodes = [leaf_node(3, "gauss", [0.0, 1.0])]
@@ -210,12 +220,90 @@ class TestParamSet:
     def test_simplex_check(self, indicator_mixture):
         circuit, params = indicator_mixture
         params.check(circuit)
-        params.sum_weights[2] = np.array([0.7, 0.4])
+        params.set_edge_vector(circuit, np.array([0.7, 0.4]))
         with pytest.raises(ValueError):
             params.check(circuit)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("theta", [np.nan, 0.5]),
+            ("theta", [-0.5, 1.5]),
+            ("bern", [np.nan, 0.8]),
+            ("bern", [0.3, 0.8, 0.5]),
+            ("gauss", [[0.0, np.inf]]),
+            ("gauss", [[np.nan, 1.0]]),
+            ("cat", [np.nan, 0.5, 0.5]),
+            ("cat", [-0.5, 0.5, 1.0]),
+        ],
+    )
+    def test_check_rejects_non_finite_and_out_of_domain(self, field, value):
+        nodes = [
+            leaf_node(0, "bern", [0.3]),
+            leaf_node(0, "bern", [0.8]),
+            sum_node(0, 1),
+            leaf_node(1, "gauss", [0.0, 1.0]),
+            leaf_node(2, "cat", [0.2, 0.3, 0.5]),
+            product_node(2, 3, 4),
+        ]
+        circuit = Circuit.build(nodes, 5)
+        params = ParamSet.uniform(circuit)
+        params.check(circuit)
+        setattr(params, field, np.array(value, dtype=float))
+        with pytest.raises(InvalidParameters):
+            params.check(circuit)
+
+    def test_node_views_are_read_only_slices(self):
+        circuit, params = random_tree(32, families=("binary", "continuous", "cat3"))
+        for w in [*params.sum_weights.values(), *params.leaf_params.values()]:
+            with pytest.raises(ValueError):
+                w[0] = 0.5
+        assert list(params.leaf_params) == [i for i, nd in enumerate(circuit.nodes) if nd.kind == "leaf"]
+        np.testing.assert_array_equal(
+            np.concatenate(list(params.sum_weights.values())), params.edge_vector(circuit)
+        )
 
     def test_edge_vector_round_trip(self):
         circuit, params = random_tree(31)
         vec = params.edge_vector(circuit)
         params.set_edge_vector(circuit, vec * 1.0)
         np.testing.assert_array_equal(params.edge_vector(circuit), vec)
+
+
+class TestSegments:
+    def test_primitives_match_per_run_loops(self):
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(1, 12, size=40)
+        seg = Segments(lengths)
+        x = rng.uniform(0.1, 2.0, size=lengths.sum())
+        z = rng.normal(scale=30.0, size=lengths.sum())
+        runs = np.split(np.arange(lengths.sum()), np.cumsum(lengths)[:-1])
+        np.testing.assert_allclose(seg.sum(x), [x[r].sum() for r in runs], rtol=1e-14)
+        np.testing.assert_allclose(seg.norm(x), [np.linalg.norm(x[r]) for r in runs], rtol=1e-14)
+        np.testing.assert_allclose(seg.normalize(x), np.concatenate([x[r] / x[r].sum() for r in runs]), rtol=1e-14)
+
+        def floored_softmax(v):
+            w = np.exp(v - v.max())
+            w = np.maximum(w / w.sum(), 1e-12)
+            return w / w.sum()
+
+        want = np.concatenate([floored_softmax(z[r]) for r in runs])
+        np.testing.assert_allclose(seg.softmax(z), want, rtol=1e-14)
+        assert seg.softmax(z).min() > 0.0
+
+
+class TestTreeIndex:
+    def test_deep_chain_indexes_without_touching_recursion_limit(self):
+        nodes = [leaf_node(0, "bern", [0.5])]
+        for _ in range(1500):
+            nodes.append(sum_node(len(nodes) - 1))
+            nodes.append(product_node(len(nodes) - 1))
+        circuit = Circuit.build(nodes, len(nodes) - 1)
+        limit = sys.getrecursionlimit()
+        tree = circuit.tree_index()
+        assert sys.getrecursionlimit() == limit
+        e = circuit.num_sum_edges
+        # root-first DFS of a chain: each edge's subtree holds every deeper edge
+        np.testing.assert_array_equal(tree.dfs_to_global, np.arange(e)[::-1])
+        np.testing.assert_array_equal(tree.edge_sub_lo, np.arange(1, e + 1))
+        np.testing.assert_array_equal(tree.edge_sub_hi, np.full(e, e))

@@ -98,6 +98,41 @@ class TestTrace:
         assert run_cli("trace", bad, bad) == 2
 
 
+    @pytest.mark.parametrize(
+        "weights,rows,message",
+        [
+            ("nan 0.5", "1,0\n0,1\n", "node 2: weights must lie in (0, 1]"),
+            ("-0.5 1.5", "1,0\n0,1\n", "node 2: weights must lie in (0, 1]"),
+            ("0.5 0.5", "1,0\n7,1\n", "outside the Bernoulli domain"),
+        ],
+        ids=["nan-weight", "negative-weight", "out-of-domain-data"],
+    )
+    def test_bad_model_or_data_is_input_error(self, tmp_path, capsys, weights, rows, message):
+        model = tmp_path / "model.pc"
+        model.write_text(
+            "pc v1 5 4\n0 L 0 bern 0.3\n1 L 0 bern 0.8\n2 S 0 1\n3 L 1 bern 0.5\n4 P 2 3\n"
+            f"w 2 {weights}\n"
+        )
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        assert run_cli("trace", model, data) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
+
+    def test_single_column_csv_is_one_row_per_line(self, tmp_path, capsys):
+        model = tmp_path / "model.pc"
+        model.write_text("pc v1 3 2\n0 L 0 bern 0.3\n1 L 0 bern 0.8\n2 S 0 1\nw 2 0.25 0.75\n")
+        data = tmp_path / "data.csv"
+        data.write_text("1\n0\n1\n")
+        assert run_cli("trace", model, data) == 0
+        printed = float(capsys.readouterr().out.split()[1])
+        from circuit_sharp.circuit import deserialize
+        from circuit_sharp.curvature import hessian_trace
+
+        circuit, params = deserialize(model.read_bytes())
+        assert printed == hessian_trace(circuit, params, np.array([[1.0], [0.0], [1.0]]))
+
+
 class TestLandscape:
     def test_1d_rows_and_center(self, spiral_run, tmp_path):
         out = tmp_path / "landscape.csv"

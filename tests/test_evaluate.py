@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuit_sharp import forward, product_complement
-from circuit_sharp.errors import NotAChild, ScopeMismatch
+from circuit_sharp import forward
+from circuit_sharp.errors import NotAChild, OutOfDomain, ScopeMismatch
 
-from oracles import enumerate_total_probability
+from oracles import enumerate_total_probability, product_complement
 from zoo import batch_for, random_dag, random_tree
 
 
@@ -40,6 +40,38 @@ class TestForward:
             kids = np.array(circuit.nodes[n].children)
             direct = np.log(np.exp(trace.log_p[:, kids]) @ w)
             np.testing.assert_allclose(trace.log_p[:, n], direct, atol=1e-12)
+
+    @given(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True).filter(lambda v: v not in (0.0, 1.0)).map(lambda v: (0, v)),
+            st.one_of(
+                st.integers(-(10**6), -1).map(float),
+                st.integers(3, 10**6).map(float),
+                st.floats(0.0, 3.0, exclude_max=True).filter(lambda v: not v.is_integer()),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+            ).map(lambda v: (1, v)),
+            st.sampled_from([np.nan, np.inf, -np.inf]).map(lambda v: (2, v)),
+        ),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_out_of_domain_values_raise(self, bad, row):
+        from circuit_sharp import Circuit, ParamSet, leaf_node, product_node
+
+        nodes = [
+            leaf_node(0, "bern", [0.3]),
+            leaf_node(1, "cat", [0.2, 0.3, 0.5]),
+            leaf_node(2, "gauss", [0.0, 1.0]),
+            product_node(0, 1, 2),
+        ]
+        circuit = Circuit.build(nodes, 3)
+        params = ParamSet.uniform(circuit)
+        batch = np.array([[0.0, 2.0, 0.5]] * 5)
+        assert np.isfinite(forward(circuit, params, batch).root_log_p).all()
+        var, value = bad
+        batch[row, var] = value
+        with pytest.raises(OutOfDomain):
+            forward(circuit, params, batch)
 
     def test_permutation_invariance_bit_exact(self):
         circuit, params = random_dag(23)

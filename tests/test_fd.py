@@ -13,7 +13,8 @@ def linear_leaf():
     """Root sum with a single always-on child: p = theta * 1."""
     nodes = [leaf_node(0, "bern", [1.0]), sum_node(0)]
     circuit = Circuit.build(nodes, 1)
-    params = ParamSet({1: np.array([0.5])}, {0: np.array([1.0])})
+    params = ParamSet.uniform(circuit)
+    params.set_edge_vector(circuit, np.array([0.5]))
     return circuit, params
 
 

@@ -12,7 +12,6 @@ from circuit_sharp.learning import (
     MU_GRID,
     RegularizerConfig,
     ScheduleState,
-    cubic_update_oracle,
     em_step_sharp,
     em_step_vanilla,
     em_train,
@@ -22,6 +21,7 @@ from circuit_sharp.learning import (
     update_leaves,
 )
 
+from oracles import cubic_update_oracle
 from zoo import batch_for, random_tree
 
 
@@ -73,10 +73,8 @@ class TestEmStep:
     def test_count_normalization(self):
         nodes = [leaf_node(0, "bern", [1.0]), leaf_node(0, "bern", [1.0]), sum_node(0, 1)]
         circuit = Circuit.build(nodes, 2)
-        params = ParamSet(
-            {2: np.array([0.75, 0.25])},
-            {0: np.array([1.0]), 1: np.array([1.0])},
-        )
+        params = ParamSet.uniform(circuit)
+        params.set_edge_vector(circuit, np.array([0.75, 0.25]))
         new = em_step_vanilla(circuit, params, np.array([[1.0]]), alpha=1.0)
         np.testing.assert_allclose(new.sum_weights[2], [0.75, 0.25], atol=1e-12)
 
@@ -95,7 +93,7 @@ class TestEmStep:
         rng = np.random.default_rng(5)
         nodes = [leaf_node(0, "bern", [0.9]), leaf_node(0, "bern", [0.1]), sum_node(0, 1)]
         circuit = Circuit.build(nodes, 2)
-        params = ParamSet({2: np.array([0.5, 0.5])}, {0: np.array([0.9]), 1: np.array([0.1])})
+        params = ParamSet.uniform(circuit)
         true_w = 0.7
         comp = rng.random(4000) < true_w
         data = np.where(comp, rng.random(4000) < 0.9, rng.random(4000) < 0.1).astype(float)[:, None]
@@ -176,6 +174,29 @@ class TestUpdateLeaves:
         flows = backward(circuit, params, forward(circuit, params, data))
         new = update_leaves(circuit, params, flows, data, alpha=1.0)
         np.testing.assert_array_equal(new.leaf_params[1], params.leaf_params[1])
+
+    def test_matches_per_leaf_reference(self):
+        circuit, params = random_tree(150, families=("binary", "continuous", "cat3"))
+        data = batch_for(circuit, 12, 2)
+        flows = backward(circuit, params, forward(circuit, params, data))
+        new = update_leaves(circuit, params, flows, data, alpha=0.7)
+        for i, node in enumerate(circuit.nodes):
+            if node.kind != "leaf":
+                continue
+            w, x, old = flows.node_flow[:, i], data[:, node.leaf.variable], params.leaf_params[i]
+            total = w.sum()
+            if node.leaf.family == "bern":
+                p = np.clip((w * x).sum() / total, 1e-6, 1 - 1e-6)
+                want = 0.3 * old + 0.7 * p
+            elif node.leaf.family == "gauss":
+                mean = (w * x).sum() / total
+                var = max((w * (x - mean) ** 2).sum() / total, 1e-4)
+                want = [0.3 * old[0] + 0.7 * mean, np.sqrt(0.3 * old[1] ** 2 + 0.7 * var)]
+            else:
+                probs = np.maximum([(w * (x == j)).sum() / total for j in range(len(old))], 1e-9)
+                mixed = 0.3 * old + 0.7 * probs / probs.sum()
+                want = mixed / mixed.sum()
+            np.testing.assert_allclose(new.leaf_params[i], want, rtol=1e-12)
 
     def test_two_cluster_gaussian_recovery(self):
         rng = np.random.default_rng(3)
@@ -264,7 +285,7 @@ class TestSgdTrain:
     def test_matches_em_on_tiny_mixture(self):
         nodes = [leaf_node(0, "bern", [0.9]), leaf_node(0, "bern", [0.1]), sum_node(0, 1)]
         circuit = Circuit.build(nodes, 2)
-        params = ParamSet({2: np.array([0.5, 0.5])}, {0: np.array([0.9]), 1: np.array([0.1])})
+        params = ParamSet.uniform(circuit)
         rng = np.random.default_rng(8)
         comp = rng.random(600) < 0.65
         data = np.where(comp, rng.random(600) < 0.9, rng.random(600) < 0.1).astype(float)[:, None]
@@ -280,7 +301,14 @@ class TestSgdTrain:
         assert sgd_nll <= em_nll * 1.01
 
     def test_leaf_gradients_match_fd(self):
-        circuit, params = random_tree(152, families=("continuous",))
+        self.check_leaf_gradients_match_fd(("continuous",))
+
+    def test_all_family_leaf_gradients_match_fd(self):
+        self.check_leaf_gradients_match_fd(("binary", "continuous", "cat3"))
+
+    @staticmethod
+    def check_leaf_gradients_match_fd(families):
+        circuit, params = random_tree(152, families=families)
         data = batch_for(circuit, 6, 4)
         from circuit_sharp.learning import _Unconstrained
 

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from circuit_sharp import forward, validate
+from circuit_sharp import ParamSet, forward, validate
 from circuit_sharp.errors import DepthTooLarge
 from circuit_sharp.structure import (
     HcltConfig,
@@ -177,3 +179,33 @@ class TestHcltBenchmarkScale:
         assert circuit.num_sum_edges == 15 * 100 * 100 + 100
         row = rng.integers(0, 2, size=(1, 16)).astype(float)
         assert np.isfinite(forward(circuit, params, row).root_log_p[0])
+
+
+class TestSeededConstruction:
+    """Digests of the parameters these builders produced when weights were
+    stored per node; the flat layout must reproduce them bit for bit.  The
+    models are the benchmark's, at its model seed 7."""
+
+    @staticmethod
+    def digest(circuit, params) -> str:
+        h = hashlib.sha256(params.edge_vector(circuit).tobytes())
+        for p in params.leaf_params.values():
+            h.update(np.asarray(p, dtype=float).tobytes())
+        return h.hexdigest()
+
+    def test_spiral_rat(self):
+        circuit, params = build_rat(RatConfig(num_vars=2, depth=1, seed=7))
+        assert self.digest(circuit, params) == "42ae07fc6539ab39628db930ba57242bf8f4a8f28a82bd6a095e20938a49200b"
+        seeded = ParamSet.uniform(circuit, np.random.default_rng(7))
+        assert self.digest(circuit, seeded) == "1b5e19aa6faf07f7fcacd82554cf037f8525cbd7ba6cc07d5046e752123b5407"
+
+    def test_sixteen_variable_hclt(self):
+        rng = np.random.default_rng(7)
+        latent = rng.random((400, 1)) < 0.5
+        data = np.where(rng.random((400, 16)) < 0.8, latent, ~latent).astype(float)
+        circuit, params = build_hclt(chow_liu_tree(data, 0.1), HcltConfig(num_latents=16, seed=7), data=data)
+        assert self.digest(circuit, params) == "73759112d1ce68efa5cb445a7ef03ab5b7ede1ffc9e981d785e804d96fd9d20d"
+
+    def test_layered_dag(self):
+        circuit, params = build_layered_dag(17, 79, seed=7)
+        assert self.digest(circuit, params) == "33a3c00a4529b46e5243cd5ec7d9525189f365eb1c21991cae4c64098e06f89a"

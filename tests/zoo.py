@@ -129,8 +129,8 @@ def random_dag(
 
 def _random_params(circuit: Circuit, rng: np.random.Generator) -> ParamSet:
     params = ParamSet.uniform(circuit)
-    for n in circuit.sum_nodes:
-        params.sum_weights[n] = _clamped_weights(len(circuit.nodes[n].children), rng)
+    weights = [_clamped_weights(len(circuit.nodes[n].children), rng) for n in circuit.sum_nodes]
+    params.set_edge_vector(circuit, np.concatenate(weights))
     return params
 
 
