@@ -1,13 +1,12 @@
 """Circuit graph: nodes, structural validation, edge indexing, serialization.
 
-A circuit is an immutable DAG of sum / product / leaf nodes.  Node storage is
-index based with a separate parent adjacency list so the backward pass can
-accumulate edge flows in O(1) per edge.  Sum edges are globally indexed by
-(owning node id, child slot) in sorted order; that order is stable across
-serialization round-trips and is the coordinate system for gradients,
-Hessians and traces.  The edges of one sum node form a contiguous run of that
-order, and :class:`Segments` holds the vectorized per-run operations that
-both sum weights and categorical leaves use.
+A circuit is an immutable DAG of sum / product / leaf nodes, stored by index.
+Sum edges are globally indexed by (owning node id, child slot) in sorted
+order; that order is stable across serialization round-trips and is the
+coordinate system for gradients, Hessians and traces.  The edges of one sum
+node form a contiguous run of that order, and :class:`Segments` holds the
+per-run operations that sum weights, categorical leaves and the compiled
+levels (per-parent runs plus a child-side :class:`Scatter`) share.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
+import scipy.sparse
 
 from .errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
@@ -118,6 +118,9 @@ class Segments:
     def sum(self, x: np.ndarray) -> np.ndarray:
         return np.add.reduceat(x, self.starts, axis=0)
 
+    def max(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(x, self.starts, axis=0)
+
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return x / self.sum(x)[self.ids]
 
@@ -126,12 +129,30 @@ class Segments:
 
     def softmax(self, z: np.ndarray) -> np.ndarray:
         """Per-run softmax, floored at 1e-12 so every entry stays in (0, 1]."""
-        w = np.exp(z - np.maximum.reduceat(z, self.starts)[self.ids])
+        w = np.exp(z - self.max(z)[self.ids])
         return self.normalize(np.maximum(self.normalize(w), 1e-12))
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         """Views of the runs of x."""
         return np.split(x, self.starts[1:])
+
+
+class Scatter:
+    """Adds per-edge rows into the rows of the edges' children, summing each
+    child's rows from the left in edge order.  Where children repeat, a 0/1
+    CSR incidence matrix over the distinct children sums them first; where
+    every edge has its own child, as in trees, the rows are added directly,
+    which skips the sparse product's fixed cost per call."""
+
+    def __init__(self, child: np.ndarray):
+        nodes, inverse = np.unique(child, return_inverse=True)
+        self.nodes, self.matrix = child, None
+        if nodes.size < child.size:  # row i holds child i's edges in edge order
+            edges = np.arange(child.size)
+            self.nodes, self.matrix = nodes, scipy.sparse.csr_array((np.ones(child.size), (inverse, edges)))
+
+    def add_into(self, dst: np.ndarray, src: np.ndarray) -> None:
+        dst[self.nodes] += src if self.matrix is None else self.matrix @ src
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -142,20 +163,23 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LevelEdges:
-    """Edges bucketed by the level of their parent node (used by both passes).
+    """The sum or product edges whose parents sit at one level, compiled once
+    for every pass.  Each parent's edges form one run of ``runs``, owned by
+    ``parents[r]``; ``index`` places each edge in the flat edge order of its
+    kind (the global sum-edge index for sum edges), ``child`` is its child
+    node, and ``scatter`` adds per-edge rows into the children."""
 
-    Sum edges within a level are contiguous runs per parent; sum_starts gives
-    each run's offset and sum_parent_nodes the owning node, enabling reduceat
-    segment reductions instead of scatter-adds.
-    """
+    parents: np.ndarray
+    runs: Segments
+    index: np.ndarray
+    child: np.ndarray
+    scatter: Scatter
 
-    sum_parent: np.ndarray
-    sum_child: np.ndarray
-    sum_edge: np.ndarray  # global sum-edge indices
-    prod_parent: np.ndarray
-    prod_child: np.ndarray
-    sum_starts: np.ndarray
-    sum_parent_nodes: np.ndarray
+    @staticmethod
+    def select(nodes: np.ndarray, seg: Segments, child: np.ndarray, keep: np.ndarray) -> "_LevelEdges":
+        """The runs of seg (edges of nodes, back to back) where keep holds."""
+        index = np.flatnonzero(keep[seg.ids])
+        return _LevelEdges(nodes[keep], Segments(seg.lengths[keep]), index, child[index], Scatter(child[index]))
 
 
 @dataclass
@@ -267,28 +291,16 @@ class Circuit:
         self.edge_layer = sdepth[self.sum_edge_owner]
 
     def _index_levels(self) -> None:
-        # sum edges keep the global order, so each level's sum edges are the
-        # runs of its sum nodes, back to back
-        seg = self.sum_segments
         sum_nodes = np.asarray(self.sum_nodes, dtype=np.int64)
-        node_level = self._levels[sum_nodes]
-        edge_level = node_level[seg.ids]
-        edge_child = np.array([c for n in self.sum_nodes for c in self.nodes[n].children], dtype=np.int64)
-        prods = [(i, c) for i, nd in enumerate(self.nodes) if nd.kind == PRODUCT for c in nd.children]
-        prod_parent, prod_child = np.array(prods, dtype=np.int64).reshape(-1, 2).T
-        prod_level = self._levels[prod_parent]
-        self.level_edges: list[tuple[int, _LevelEdges]] = []
-        for lv in np.unique(np.concatenate([edge_level, prod_level])):
-            edges = np.flatnonzero(edge_level == lv)
-            runs = np.flatnonzero(node_level == lv)
-            lengths = seg.lengths[runs]
-            sel = prod_level == lv
-            level = _LevelEdges(
-                self.sum_edge_owner[edges], edge_child[edges], edges, prod_parent[sel], prod_child[sel],
-                sum_starts=np.cumsum(lengths) - lengths,
-                sum_parent_nodes=sum_nodes[runs],
-            )
-            self.level_edges.append((int(lv), level))
+        sum_child = np.array([c for n in self.sum_nodes for c in self.nodes[n].children], dtype=np.int64)
+        prod_nodes = np.array([i for i, nd in enumerate(self.nodes) if nd.kind == PRODUCT], dtype=np.int64)
+        prod_seg = Segments([len(self.nodes[p].children) for p in prod_nodes])
+        prod_child = np.array([c for p in prod_nodes for c in self.nodes[p].children], dtype=np.int64)
+        sum_level, prod_level = self._levels[sum_nodes], self._levels[prod_nodes]
+        self.level_edges: list[tuple[_LevelEdges, _LevelEdges]] = []  # (sums, products), leaves to root
+        for lv in np.unique(np.concatenate([sum_level, prod_level])):
+            sums = _LevelEdges.select(sum_nodes, self.sum_segments, sum_child, sum_level == lv)
+            self.level_edges.append((sums, _LevelEdges.select(prod_nodes, prod_seg, prod_child, prod_level == lv)))
 
     def _index_leaves(self) -> None:
         leaves = [i for i, node in enumerate(self.nodes) if node.kind == LEAF]

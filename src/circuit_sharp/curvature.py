@@ -12,8 +12,8 @@ Three exact quantities, all driven by edge flows:
   algebraic simplification of the path-product expression (the chain of
   weights and product complements above q collapses to F_q * P_root); it is
   pinned by finite-difference tests before anything trusts it.
-* The gradient of the trace penalty itself, via a hand-rolled reverse-mode
-  sweep through both evaluation passes, for regularized gradient training.
+* The gradient of the trace penalty itself, by reverse mode through both
+  passes (the forward pass's adjoint is ``flows.push_down``), for training.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .circuit import Circuit, ParamSet
-from .errors import CostGuardExceeded, NotATree, NotConverged
+from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
 from .evaluate import forward
-from .flows import FlowTable, backward
+from .flows import FlowTable, backward, edge_ratio, push_down
 
 DENSE_EDGE_CAP = 5000
 
@@ -153,58 +153,49 @@ def trace_penalty_gradient(
     evaluation: flow adjoints propagate leaves-to-root (reverse of the
     backward pass), log-probability adjoints root-to-leaves (reverse of the
     forward pass).  Raw partial derivatives, no simplex projection.
-    edge_weights defaults to all ones (the plain trace penalty).
+    edge_weights defaults to all ones (the plain trace penalty).  Raises
+    StaleTrace when trace or flows belong to another circuit, and ValueError
+    unless edge_weights holds one finite value per sum edge.
     """
+    theta = params.theta
+    w = np.ones_like(theta) if edge_weights is None else np.asarray(edge_weights, dtype=float)
+    if w.shape != theta.shape or not np.all(np.isfinite(w)):
+        raise ValueError(f"edge_weights must be {theta.size} finite values, got shape {w.shape}")
     if trace is None:
         trace = forward(circuit, params, batch)
     if flows is None:
         flows = backward(circuit, params, trace)
-    n = trace.log_p.shape[0]
+    if trace.circuit is not circuit or flows.circuit is not circuit:
+        raise StaleTrace("trace or flows do not match this circuit")
     lp = trace.log_p.T
     fnode = flows.node_flow.T
     fedge = flows.edge_flow.T
-    theta = params.theta
-    w = np.ones_like(theta) if edge_weights is None else np.asarray(edge_weights, dtype=float)
 
     th_col = theta[:, None]
     fe_bar = 2.0 * w[:, None] * fedge / (th_col * th_col)
     theta_bar = np.sum(-2.0 * w[:, None] * fedge * fedge / (th_col**3), axis=1)
-    f_bar = np.zeros((circuit.num_nodes, n))
-    lp_bar = np.zeros((circuit.num_nodes, n))
-
-    def edge_ratio(edges):
-        lp_n = lp[edges.sum_parent]
-        alive = np.isfinite(lp_n)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.where(alive, np.exp(lp[edges.sum_child] - np.where(alive, lp_n, 0.0)), 0.0)
+    f_bar = np.zeros(lp.shape)
+    lp_bar = np.zeros(lp.shape)
 
     # Phase 1: adjoint of the flow recursion (parent levels ascending).
-    for _level, edges in circuit.level_edges:
-        if edges.sum_parent.size:
-            ratio = edge_ratio(edges)
-            th = theta[edges.sum_edge, None]
-            fe_tot = fe_bar[edges.sum_edge] + f_bar[edges.sum_child]
-            fparent = fnode[edges.sum_parent]
-            np.add.at(f_bar, edges.sum_parent, fe_tot * th * ratio)
-            theta_bar[edges.sum_edge] += np.sum(fe_tot * fparent * ratio, axis=1)
+    for sums, prods in circuit.level_edges:
+        if sums.index.size:
+            ratio = edge_ratio(lp, sums)
+            th = theta[sums.index, None]
+            fe_tot = fe_bar[sums.index] + f_bar[sums.child]
+            fparent = fnode[sums.parents][sums.runs.ids]
+            f_bar[sums.parents] += sums.runs.sum(fe_tot * th * ratio)
+            theta_bar[sums.index] += np.sum(fe_tot * fparent * ratio, axis=1)
             rbar_r = fe_tot * fparent * th * ratio
-            np.add.at(lp_bar, edges.sum_child, rbar_r)
-            np.add.at(lp_bar, edges.sum_parent, -rbar_r)
-        if edges.prod_parent.size:
-            np.add.at(f_bar, edges.prod_parent, f_bar[edges.prod_child])
+            sums.scatter.add_into(lp_bar, rbar_r)
+            lp_bar[sums.parents] -= sums.runs.sum(rbar_r)
+        if prods.index.size:
+            f_bar[prods.parents] += prods.runs.sum(f_bar[prods.child])
 
-    # Phase 2: adjoint of the forward pass (parent levels descending).
-    for _level, edges in reversed(circuit.level_edges):
-        if edges.sum_parent.size:
-            ratio = edge_ratio(edges)
-            parent_bar = lp_bar[edges.sum_parent]
-            theta_bar[edges.sum_edge] += np.sum(parent_bar * ratio, axis=1)
-            np.add.at(
-                lp_bar, edges.sum_child, parent_bar * theta[edges.sum_edge, None] * ratio
-            )
-        if edges.prod_parent.size:
-            np.add.at(lp_bar, edges.prod_child, lp_bar[edges.prod_parent])
-
+    # Phase 2: adjoint of the forward pass, the backward recursion seeded with
+    # lp_bar; its edge shares lp_bar_n * theta * p_c / p_n reuse fe_bar.
+    push_down(circuit, theta, lp, lp_bar, fe_bar)
+    theta_bar += fe_bar.sum(axis=1) / theta
     return theta_bar
 
 

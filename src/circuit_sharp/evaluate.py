@@ -1,10 +1,10 @@
 """Forward evaluation of a circuit on a data batch, in log space end to end.
 
-Sum nodes use the log-sum-exp trick; -inf log-probabilities are legal values
-(deterministic-style supports) and are propagated, never raised.  Evaluation
-is vectorized per topological level: all edges whose parent sits at the same
-level are processed with gather/scatter primitives, so the pass is O(edges)
-numpy work regardless of circuit shape.
+Sum nodes use the log-sum-exp trick with a per-parent shift; -inf
+log-probabilities are legal values (deterministic-style supports) and are
+propagated, never raised.  The pass runs leaves-to-root over the compiled
+levels of ``Circuit.level_edges`` with per-parent segment sums and maxima,
+so it is O(edges) numpy work regardless of circuit shape.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class EvalTrace:
     """
 
     log_p: np.ndarray
-    batch: np.ndarray
     circuit: Circuit
 
     @property
@@ -89,23 +88,15 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
     _leaf_log_probs(circuit, params, batch, lp)
 
     theta = params.theta
-    for _level, edges in circuit.level_edges:
-        if edges.prod_parent.size:
-            # product rows start at zero and are written only at their level
-            np.add.at(lp, edges.prod_parent, lp[edges.prod_child])
-        if edges.sum_parent.size:
-            child_lp = lp[edges.sum_child]
-            starts = edges.sum_starts
-            m = np.maximum.reduceat(child_lp, starts, axis=0)
+    for sums, prods in circuit.level_edges:
+        if prods.index.size:
+            lp[prods.parents] = prods.runs.sum(lp[prods.child])
+        if sums.index.size:
+            child_lp = lp[sums.child]
+            m = sums.runs.max(child_lp)
             m_safe = np.where(np.isfinite(m), m, 0.0)
-            lengths = np.diff(np.append(starts, len(edges.sum_child)))
-            contrib = theta[edges.sum_edge, None] * np.exp(
-                child_lp - np.repeat(m_safe, lengths, axis=0)
-            )
-            s = np.add.reduceat(contrib, starts, axis=0)
+            s = sums.runs.sum(theta[sums.index, None] * np.exp(child_lp - m_safe[sums.runs.ids]))
             with np.errstate(divide="ignore"):
-                lp[edges.sum_parent_nodes] = np.where(
-                    np.isfinite(m), m_safe + np.log(s), -np.inf
-                )
+                lp[sums.parents] = np.where(np.isfinite(m), m_safe + np.log(s), -np.inf)
 
-    return EvalTrace(np.ascontiguousarray(lp.T), batch, circuit)
+    return EvalTrace(np.ascontiguousarray(lp.T), circuit)

@@ -1,11 +1,11 @@
 """Backward pass: node flows and per-sum-edge flows, and the log-likelihood
 gradient they induce.
 
-The recursion runs root-to-leaves over the same level schedule the forward
-pass uses.  A sum edge (n, c) carries flow F_n * theta_nc * p_c / p_n; a
-product edge transfers the parent's full flow to the child.  Edge flows are
-materialized only for sum edges (the only parameterized ones); product-edge
-flows exist transiently as the accumulation itself.
+A sum edge (n, c) carries flow F_n * theta_nc * p_c / p_n; a product edge
+passes the parent's full flow to the child.  :func:`push_down` runs that
+recursion root-to-leaves over the compiled levels from any seed: the root
+indicator gives the flows, log-probability adjoints give the second phase of
+the trace-penalty gradient.  Only sum edges keep their edge values.
 """
 
 from __future__ import annotations
@@ -28,35 +28,40 @@ class FlowTable:
     circuit: Circuit
 
 
+def edge_ratio(lp: np.ndarray, sums) -> np.ndarray:
+    """p_c / p_n for the sum edges of one level, [edges, samples], from node
+    log-probabilities lp [nodes, samples]; 0 where p_n = 0."""
+    lp_n = lp[sums.parents][sums.runs.ids]
+    alive = np.isfinite(lp_n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(alive, np.exp(lp[sums.child] - np.where(alive, lp_n, 0.0)), 0.0)
+
+
+def push_down(circuit: Circuit, theta: np.ndarray, lp: np.ndarray, adj: np.ndarray, edge_adj: np.ndarray) -> None:
+    """Propagate adj [nodes, samples] root-to-leaves in place: a sum edge adds
+    adj_n * theta_nc * p_c / p_n to its child and writes it to edge_adj [sum
+    edges, samples]; a product edge adds adj_n."""
+    for sums, prods in reversed(circuit.level_edges):
+        if sums.index.size:
+            th = theta[sums.index, None]
+            # p_c * theta <= p_n, so the true ratio is bounded by 1/theta;
+            # clip to absorb round-off from the log-space subtraction
+            share = adj[sums.parents][sums.runs.ids] * th * np.minimum(edge_ratio(lp, sums), 1.0 / th)
+            edge_adj[sums.index] = share
+            sums.scatter.add_into(adj, share)
+        if prods.index.size:
+            prods.scatter.add_into(adj, adj[prods.parents][prods.runs.ids])
+
+
 def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
     """Compute all node and sum-edge flows in one reverse pass over edges."""
     if trace.circuit is not circuit or trace.log_p.shape[1] != circuit.num_nodes:
         raise StaleTrace("trace does not match this circuit")
     n = trace.log_p.shape[0]
-    lp = trace.log_p.T
-    theta = params.theta
-
     flow = np.zeros((circuit.num_nodes, n))
     flow[circuit.root] = 1.0
-    edge_flow = np.zeros((circuit.num_sum_edges, n))
-
-    for _level, edges in reversed(circuit.level_edges):
-        if edges.sum_parent.size:
-            lp_n = lp[edges.sum_parent]
-            lp_c = lp[edges.sum_child]
-            th = theta[edges.sum_edge, None]
-            alive = np.isfinite(lp_n)
-            with np.errstate(invalid="ignore", over="ignore"):
-                ratio = np.where(alive, np.exp(lp_c - np.where(alive, lp_n, 0.0)), 0.0)
-            # p_c * theta <= p_n, so the true ratio is bounded by 1/theta;
-            # clip to absorb round-off from the log-space subtraction
-            np.minimum(ratio, 1.0 / th, out=ratio)
-            fe = flow[edges.sum_parent] * th * ratio
-            edge_flow[edges.sum_edge] = fe
-            np.add.at(flow, edges.sum_child, fe)
-        if edges.prod_parent.size:
-            np.add.at(flow, edges.prod_child, flow[edges.prod_parent])
-
+    edge_flow = np.empty((circuit.num_sum_edges, n))
+    push_down(circuit, params.theta, trace.log_p.T, flow, edge_flow)
     return FlowTable(np.ascontiguousarray(flow.T), np.ascontiguousarray(edge_flow.T), circuit)
 
 

@@ -23,7 +23,7 @@ import scipy.special
 from .circuit import Circuit, ParamSet
 from .curvature import trace_penalty_gradient
 from .errors import DivergedNaN
-from .evaluate import forward
+from .evaluate import EvalTrace, forward
 from .flows import FlowTable, backward
 
 MU_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -268,7 +268,8 @@ def _mean_nll(circuit: Circuit, params: ParamSet, data: np.ndarray) -> float:
     return float(-forward(circuit, params, data).root_log_p.mean())
 
 
-def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> EpochRow:
+def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, EvalTrace, FlowTable]:
+    """The epoch's log row, and the train-set trace and flows it was read from."""
     trace = forward(circuit, params, train)
     flows = backward(circuit, params, trace)
     g = flows.edge_flow / params.theta
@@ -277,14 +278,14 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> EpochRow:
     valid_nll = _mean_nll(circuit, params, valid) if valid is not None else float("nan")
     dof = (valid_nll - train_nll) / abs(train_nll) if valid is not None else float("nan")
     mu_scalar = float(np.mean(mu))
-    return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0)
+    return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
 
 
-def _adaptive_state(circuit, params, train, train_nll, valid_nll, prev_mu) -> ScheduleState:
-    flows = backward(circuit, params, forward(circuit, params, train))
+def _adaptive_state(circuit, params, train, trace, flows, row, prev_mu) -> ScheduleState:
+    """Schedule inputs from the train-set trace and flows of _epoch_row."""
     g_data = float(np.linalg.norm(flows.edge_flow.sum(axis=0) / params.theta))
-    g_reg = float(np.linalg.norm(trace_penalty_gradient(circuit, params, train)))
-    return ScheduleState(train_nll, valid_nll, g_data, g_reg, prev_mu)
+    g_reg = float(np.linalg.norm(trace_penalty_gradient(circuit, params, train, trace=trace, flows=flows)))
+    return ScheduleState(row.train_nll, row.valid_nll, g_data, g_reg, prev_mu)
 
 
 def em_train(
@@ -321,10 +322,10 @@ def em_train(
             params = _m_step(circuit, params, flow_sums, config.smoothing_alpha, config.lam, mu)
             if update_leaf_params:
                 params = update_leaves(circuit, params, flows, batch, config.smoothing_alpha)
-        row = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
+        row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
         report.rows.append(row)
         if config.schedule == ADAPTIVE_DOF and valid is not None:
-            state = _adaptive_state(circuit, params, train, row.train_nll, row.valid_nll, mu)
+            state = _adaptive_state(circuit, params, train, trace, flows, row, mu)
             mu = schedule_mu(state, config)
     return params, report
 
@@ -466,9 +467,9 @@ def sgd_train(
             vec = vec + opt.step(grad)
             params = mapper.unflatten(vec, params)
         last_good = params.copy()
-        row = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
+        row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
         report.rows.append(row)
         if config.schedule == ADAPTIVE_DOF and valid is not None:
-            state = _adaptive_state(circuit, params, train, row.train_nll, row.valid_nll, mu)
+            state = _adaptive_state(circuit, params, train, trace, flows, row, mu)
             mu = schedule_mu(state, config)
     return params, report

@@ -220,33 +220,35 @@ def build_hclt(
 
     weights: dict[int, np.ndarray] = {}
 
-    def compile_var(v: int, parent_var: int | None) -> list[int]:
-        """Per-state product nodes modelling the subtree hanging off v."""
-        child_mixtures = []
-        for u in adj[v]:
-            if u == parent_var:
-                continue
-            states_u = compile_var(u, v)
-            per_state = []
-            for _s in range(L):
-                sid = add(sum_node(*states_u))
-                w = rng.dirichlet(np.ones(L)) if L > 1 else np.ones(1)
-                weights[sid] = np.maximum(w, 1e-3)
-                weights[sid] /= weights[sid].sum()
-                per_state.append(sid)
-            child_mixtures.append(per_state)
+    def mixture(states: list[int]) -> int:
+        sid = add(sum_node(*states))
+        w = rng.dirichlet(np.ones(L)) if L > 1 else np.ones(1)
+        weights[sid] = np.maximum(w, 1e-3)
+        weights[sid] /= weights[sid].sum()
+        return sid
+
+    # Iterative post-order from variable 0.  A frame holds a variable, its
+    # tree parent, its unvisited neighbours and the per-state mixtures of its
+    # finished children; a finished variable becomes num_latents product
+    # nodes (leaf times one mixture per child), and its parent wraps them in
+    # num_latents mixtures.
+    stack = [(0, None, iter(adj[0]), [])]
+    while True:
+        v, parent_var, todo, child_mixtures = stack[-1]
+        u = next((u for u in todo if u != parent_var), None)
+        if u is not None:
+            stack.append((u, v, iter(adj[u]), []))
+            continue
+        stack.pop()
         p = leaf_params_for(v)
-        out = []
+        states = []
         for s in range(L):
             lid = add(leaf_node(v, "bern", [p[s]]))
-            out.append(add(product_node(lid, *[mix[s] for mix in child_mixtures])))
-        return out
-
-    top = compile_var(0, None)
-    root = add(sum_node(*top))
-    w = rng.dirichlet(np.ones(L)) if L > 1 else np.ones(1)
-    weights[root] = np.maximum(w, 1e-3)
-    weights[root] /= weights[root].sum()
+            states.append(add(product_node(lid, *[mix[s] for mix in child_mixtures])))
+        if not stack:
+            break
+        stack[-1][3].append([mixture(states) for _ in range(L)])
+    root = mixture(states)
 
     circuit = Circuit.build(nodes, root)
     params = ParamSet.uniform(circuit)

@@ -11,7 +11,9 @@ from circuit_sharp.curvature import (
     top_eigenvalues,
     trace_penalty_gradient,
 )
-from circuit_sharp.errors import CostGuardExceeded, NotATree
+from circuit_sharp.errors import CostGuardExceeded, NotATree, StaleTrace
+from circuit_sharp.evaluate import forward
+from circuit_sharp.flows import backward
 from circuit_sharp.fd import central_diff, fd_hessian
 
 from oracles import jacobi_eigenvalues, literal_hessian
@@ -182,6 +184,37 @@ class TestPenaltyGradient:
 
         fd = central_diff(penalty, theta0, 1e-5)
         assert np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()) <= 1e-6
+
+    def test_rejects_trace_or_flows_of_another_circuit(self):
+        circuit, params = random_tree(94)
+        other, other_params = random_tree(94)  # same structure, distinct object
+        batch = batch_for(circuit, 3, 6)
+        trace = forward(circuit, params, batch)
+        flows = backward(circuit, params, trace)
+        other_trace = forward(other, other_params, batch)
+        other_flows = backward(other, other_params, other_trace)
+        with pytest.raises(StaleTrace):
+            trace_penalty_gradient(circuit, params, batch, trace=other_trace)
+        with pytest.raises(StaleTrace):
+            trace_penalty_gradient(circuit, params, batch, trace=trace, flows=other_flows)
+        with pytest.raises(StaleTrace):
+            trace_penalty_gradient(other, other_params, batch, trace=other_trace, flows=flows)
+
+    @pytest.mark.parametrize("bad", ["scalar_like", "short", "long", "nan", "inf", "matrix"])
+    def test_rejects_malformed_edge_weights(self, bad):
+        circuit, params = random_tree(95)
+        batch = batch_for(circuit, 3, 7)
+        e = circuit.num_sum_edges
+        weights = {
+            "scalar_like": np.array([2.0]),
+            "short": np.ones(e - 1),
+            "long": np.ones(e + 1),
+            "nan": np.where(np.arange(e) == 1, np.nan, 1.0),
+            "inf": np.where(np.arange(e) == 0, np.inf, 1.0),
+            "matrix": np.ones((1, e)),
+        }[bad]
+        with pytest.raises(ValueError):
+            trace_penalty_gradient(circuit, params, batch, edge_weights=weights)
 
 
 class TestReport:

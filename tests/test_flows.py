@@ -140,3 +140,129 @@ class TestGradient:
             circuit, params, batch[5:]
         )
         np.testing.assert_allclose(g_full, g_parts, atol=1e-10)
+
+
+def _shared_child_dag():
+    """Smooth decomposable DAG over three binary variables in which sum node
+    S1 (id 9) has two product parents at one level and a third two levels
+    higher, and sum node D0 (id 8) mixes two x0=1 indicators, so it is dead
+    (-inf) wherever x0 = 0."""
+    from circuit_sharp import Circuit, ParamSet, leaf_node, product_node, sum_node
+
+    nodes = [
+        leaf_node(0, "bern", [0.3]), leaf_node(0, "bern", [1.0]), leaf_node(0, "bern", [1.0]),  # 0-2
+        leaf_node(1, "bern", [0.6]), leaf_node(1, "bern", [0.2]),  # 3-4
+        leaf_node(2, "bern", [0.7]), leaf_node(2, "bern", [0.4]),  # 5-6
+        sum_node(0, 1), sum_node(1, 2), sum_node(3, 4), sum_node(5, 6),  # 7 S0, 8 D0, 9 S1, 10 S2
+        product_node(7, 10), product_node(0, 5), sum_node(11, 12),  # 11-12 over {0, 2}, 13 T
+        product_node(13, 9),  # 14 Q1: S1's parent at the top product level
+        product_node(7, 9), product_node(8, 9), sum_node(15, 16),  # 15-16 S1's parents, 17 U
+        product_node(17, 10), sum_node(14, 18),  # 18 Q2, 19 root
+    ]
+    circuit = Circuit.build(nodes, 19)
+    params = ParamSet.uniform(circuit)
+    weights = np.random.default_rng(11).dirichlet(np.ones(2), size=circuit.num_sum_edges // 2)
+    params.set_edge_vector(circuit, weights.ravel())
+    return circuit, params
+
+
+def _unroll(circuit, params):
+    """The equivalent tree: one private copy of a node per path to it.
+    Returns the tree, its params and each tree node's original node."""
+    from circuit_sharp import Circuit, Node, ParamSet, leaf_node
+
+    nodes, origin = [], []
+    leaf_params = params.leaf_params
+
+    def copy(v):
+        node = circuit.nodes[v]
+        if node.kind == "leaf":
+            new = leaf_node(node.leaf.variable, node.leaf.family, leaf_params[v])
+        else:
+            new = Node(node.kind, tuple(copy(c) for c in node.children))
+        nodes.append(new)
+        origin.append(v)
+        return len(nodes) - 1
+
+    root = copy(circuit.root)
+    tree = Circuit.build(nodes, root)
+    tree_params = ParamSet.uniform(tree)
+    weights = params.sum_weights
+    tree_params.set_edge_vector(tree, np.concatenate([weights[origin[n]] for n in tree.sum_nodes]))
+    return tree, tree_params, np.array(origin)
+
+
+class TestSharedChildAcrossLevels:
+    batch = np.array([[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)])
+
+    def test_circuit_has_the_shape_under_test(self):
+        from circuit_sharp import validate
+
+        circuit, params = _shared_child_dag()
+        assert validate(circuit).ok
+        parent_levels = {}
+        for level, (sums, prods) in enumerate(circuit.level_edges):
+            for child in np.concatenate([sums.child, prods.child]).tolist():
+                parent_levels.setdefault(child, []).append(level)
+        levels = parent_levels[9]
+        assert len(set(levels)) == 2 and len(levels) == 3  # two parents share a level
+        lp = forward(circuit, params, self.batch).log_p
+        dead = self.batch[:, 0] == 0
+        assert np.all(np.isneginf(lp[dead, 8])) and np.all(np.isfinite(lp[~dead, 8]))
+        assert np.all(np.isfinite(lp[:, circuit.root]))
+
+    def test_forward_matches_direct_evaluation(self):
+        circuit, params = _shared_child_dag()
+        weights, leaves = params.sum_weights, params.leaf_params
+
+        def prob(v, x):
+            node = circuit.nodes[v]
+            if node.kind == "leaf":
+                p = leaves[v][0]
+                return p if x[node.leaf.variable] else 1.0 - p
+            vals = [prob(c, x) for c in node.children]
+            return float(np.prod(vals)) if node.kind == "product" else float(weights[v] @ vals)
+
+        lp = forward(circuit, params, self.batch).log_p
+        with np.errstate(divide="ignore"):
+            want = np.log([[prob(v, x) for v in range(circuit.num_nodes)] for x in self.batch])
+        np.testing.assert_allclose(lp, want, rtol=1e-13, atol=0)
+
+    def test_flows_match_unrolled_tree(self):
+        from circuit_sharp import SumEdge
+
+        circuit, params = _shared_child_dag()
+        tree, tree_params, origin = _unroll(circuit, params)
+        _, flows = run_flows(circuit, params, self.batch)
+        tree_trace = forward(tree, tree_params, self.batch)
+        product_parented = [
+            v for v in range(circuit.num_nodes)
+            if circuit.parents[v] and all(circuit.kind(p) == "product" for p, _ in circuit.parents[v])
+        ]
+        assert 9 in product_parented and 8 in product_parented
+        for s in range(len(self.batch)):
+            for v in product_parented:
+                copies = np.flatnonzero(origin == v)
+                want = sum(unrolled_node_flow(tree, tree_params, tree_trace, s, t) for t in copies)
+                np.testing.assert_allclose(flows.node_flow[s, v], want, rtol=1e-12, atol=1e-15)
+            want = np.zeros(circuit.num_sum_edges)
+            for te in range(tree.num_sum_edges):
+                edge = tree.edge(te)
+                dag_edge = circuit.edge_index(SumEdge(int(origin[edge.node]), edge.slot))
+                want[dag_edge] += unrolled_edge_flow(tree, tree_params, tree_trace, s, edge)
+            np.testing.assert_allclose(flows.edge_flow[s], want, rtol=1e-12, atol=1e-15)
+
+    def test_penalty_gradient_matches_fd_of_trace(self):
+        from circuit_sharp.curvature import hessian_trace, trace_penalty_gradient
+        from circuit_sharp.fd import central_diff
+
+        circuit, params = _shared_child_dag()
+        analytic = trace_penalty_gradient(circuit, params, self.batch)
+        work = params.copy()
+
+        def penalty(vec):
+            work.set_edge_vector(circuit, vec)
+            return hessian_trace(circuit, work, self.batch)
+
+        fd = central_diff(penalty, params.edge_vector(circuit), 1e-5)
+        assert np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()) <= 1e-6

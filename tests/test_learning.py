@@ -350,6 +350,31 @@ class TestScheduledTraining:
         assert np.isfinite(mus).all()
         assert mus[1:].max() > 0.0  # schedule kicked in after the first epoch
 
+    @pytest.mark.parametrize("learner", ["em", "sgd"])
+    def test_adaptive_dof_reuses_epoch_passes(self, monkeypatch, learner):
+        """The schedule reads the epoch row's train-set trace and flows: one
+        forward per minibatch plus one over train and one over valid, and one
+        backward per minibatch plus one over train."""
+        import circuit_sharp.curvature as curvature
+        import circuit_sharp.learning as learning
+
+        calls = {"forward": 0, "backward": 0}
+        for module in (learning, curvature):
+            for name in calls:
+                def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _f(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        family = "binary" if learner == "em" else "continuous"
+        circuit, params = random_tree(163, families=(family,))
+        train, valid = batch_for(circuit, 30, 5), batch_for(circuit, 10, 6)
+        cfg = RegularizerConfig(mu=0.1, schedule=ADAPTIVE_DOF)
+        train_fn = em_train if learner == "em" else sgd_train
+        _, report = train_fn(circuit, params, train, valid, config=cfg, epochs=3, batch_size=15, seed=0)
+        assert report.series("mu")[1:].max() > 0.0  # the schedule ran
+        assert calls == {"forward": 3 * (2 + 2), "backward": 3 * (2 + 1)}
+
     def test_layer_mean_flow_em_runs(self):
         circuit, params = random_tree(161, families=("binary",))
         train = batch_for(circuit, 32, 3)

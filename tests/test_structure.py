@@ -145,6 +145,16 @@ class TestHclt:
         assert validate(circuit).ok
         assert abs(enumerate_total_probability(circuit, params) - 1.0) < 1e-9
 
+    def test_deep_chain_builds_iteratively(self):
+        import sys
+
+        limit = sys.getrecursionlimit()
+        circuit, params = build_hclt([(i, i + 1) for i in range(2999)], HcltConfig(num_latents=1))
+        assert sys.getrecursionlimit() == limit
+        assert len(circuit.root_scope) == 3000
+        batch = np.random.default_rng(0).integers(0, 2, size=(2, 3000)).astype(float)
+        assert np.isfinite(forward(circuit, params, batch).root_log_p).all()
+
     def test_parameter_count_scales_with_latents_squared(self):
         tree = [(0, 1), (1, 2)]
         small, sp = build_hclt(tree, HcltConfig(num_latents=2, seed=0))
