@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-pass timings: forward, backward and trace_penalty_gradient on the
+"""Per-pass timings: forward, backward, trace_penalty_gradient and one
+Hessian-vector product (hvp; the operator is built outside the timer) on the
 trace-dag DAG (build_layered_dag(17, 79, seed=7), 16 binary rows) and the
 spiral RAT (RatConfig(num_vars=2, depth=1, seed=1), 200 training rows).
 Prints the median of REPEATS calls of each pass, in milliseconds.
@@ -13,7 +14,7 @@ import time
 import numpy as np
 
 from circuit_sharp import RatConfig, backward, build_rat, forward
-from circuit_sharp.curvature import trace_penalty_gradient
+from circuit_sharp.curvature import hessian_operator, trace_penalty_gradient
 from circuit_sharp.data import gen_manifold, minmax_scale
 from circuit_sharp.structure import build_layered_dag
 
@@ -40,10 +41,13 @@ def main():
     ):
         trace = forward(circuit, params, batch)
         flows = backward(circuit, params, trace)
+        hess = hessian_operator(circuit, params, batch)
+        v = np.random.default_rng(5).standard_normal(circuit.num_sum_edges)
         passes = {
             "forward": lambda: forward(circuit, params, batch),
             "backward": lambda: backward(circuit, params, trace),
             "penalty": lambda: trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows),
+            "hvp": lambda: hess @ v,
         }
         ms = {k: median_ms(fn) for k, fn in passes.items()}
         print(

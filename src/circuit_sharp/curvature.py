@@ -1,6 +1,6 @@
 """Exact curvature of the log-likelihood with respect to sum weights.
 
-Three exact quantities, all driven by edge flows:
+Four exact quantities, all driven by edge flows:
 
 * Hessian diagonal and absolute trace for any circuit: each diagonal entry is
   -(F_nc / theta_nc)^2, so one forward-backward pass per sample gives the
@@ -11,7 +11,12 @@ Three exact quantities, all driven by edge flows:
   g_deep (1 - F_shallow) / theta_shallow.  The product-pair form here is an
   algebraic simplification of the path-product expression (the chain of
   weights and product complements above q collapses to F_q * P_root); it is
-  pinned by finite-difference tests before anything trusts it.
+  pinned by finite-difference tests before anything trusts it.  The sums
+  over samples are matrix products over the batch, not a loop.
+* Hessian-vector products for any circuit, tree or DAG, without forming the
+  Hessian: ``hessian_operator`` differentiates the flow recursion along v
+  (forward-over-reverse: one tangent pass up and one ``push_down`` per
+  vector), which is what Lanczos in ``top_eigenvalues`` consumes.
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (the forward pass's adjoint is ``flows.push_down``), for training.
 """
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
@@ -57,10 +62,12 @@ def full_hessian_tree(
 ) -> np.ndarray:
     """Dense, batch-summed log-likelihood Hessian of a tree circuit.
 
-    Assembled in DFS edge order, where every subtree is a contiguous index
-    range: the base term -g g^T covers all sum pairs and the diagonal, then
-    product-pair blocks add g g' / F_q and nested path pairs add
-    g_deep / theta_shallow.  Pass a single-row batch for a per-sample Hessian.
+    Assembled from batch-level products of the per-sample gradients G [samples,
+    edges]: the base term -G^T G covers all sum pairs and the diagonal, each
+    product-pair block adds G_a^T diag(1/F_q) G_b, and nested path pairs add
+    sum_x g_deep / theta_shallow.  Every entry gets at most one correction, the
+    same on both sides of the diagonal, so the result is exactly symmetric.
+    Pass a single-row batch for a per-sample Hessian.
     """
     if not circuit.is_tree:
         raise NotATree("dense Hessians exist in closed form only for tree circuits")
@@ -70,68 +77,112 @@ def full_hessian_tree(
     tree = circuit.tree_index()
 
     g, flows = edge_gradients(circuit, params, batch)
-    g_dfs = g[:, tree.dfs_to_global]
-    theta_dfs = params.theta[tree.dfs_to_global]
+    hess = g.T @ g  # numpy's product of a matrix with its own transpose is exactly symmetric
+    np.negative(hess, out=hess)
+    order = tree.dfs_to_global
 
-    hess = np.zeros((e, e))
-    for i in range(g.shape[0]):
-        gv = g_dfs[i]
-        hess -= np.outer(gv, gv)
-        for q, blocks in zip(tree.prod_nodes, tree.prod_blocks):
-            fq = flows.node_flow[i, q]
-            if fq < 1e-250:
-                # dead subtree: g below q scales with F_q, so the correction
-                # g g' / F_q vanishes in the limit; skip before 1/F_q overflows
-                continue
-            inv = 1.0 / fq
-            for a in range(len(blocks)):
-                lo1, hi1 = blocks[a]
-                if hi1 == lo1:
-                    continue
-                for b in range(a + 1, len(blocks)):
-                    lo2, hi2 = blocks[b]
-                    if hi2 == lo2:
-                        continue
-                    corr = inv * np.outer(gv[lo1:hi1], gv[lo2:hi2])
-                    hess[lo1:hi1, lo2:hi2] += corr
-                    hess[lo2:hi2, lo1:hi1] += corr.T
-        for d in range(e):
-            lo, hi = tree.edge_sub_lo[d], tree.edge_sub_hi[d]
-            if hi > lo:
-                corr = gv[lo:hi] / theta_dfs[d]
-                hess[lo:hi, d] += corr
-                hess[d, lo:hi] += corr
+    # dead subtree (F_q < 1e-250): g below q scales with F_q, so the
+    # correction g g' / F_q vanishes in the limit; weight 0 before 1/F_q overflows
+    fq = flows.node_flow[:, tree.prod_nodes]
+    inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
+    g_dfs = g[:, order]  # every child subtree is a column slice
+    for w, blocks in zip(inv.T, tree.prod_blocks):
+        for a, (lo1, hi1) in enumerate(blocks):
+            ia = order[lo1:hi1]
+            gw = g_dfs[:, lo1:hi1].T * w
+            for lo2, hi2 in blocks[a + 1 :]:
+                ib = order[lo2:hi2]
+                corr = gw @ g_dfs[:, lo2:hi2]
+                hess[np.ix_(ia, ib)] += corr
+                hess[np.ix_(ib, ia)] += corr.T
 
-    inv_perm = tree.global_to_dfs
-    return hess[np.ix_(inv_perm, inv_perm)]
+    # path pairs: DFS edge d against each DFS edge below its child, [lo_d, hi_d)
+    size = tree.edge_sub_hi - tree.edge_sub_lo
+    shallow = np.repeat(np.arange(e), size)
+    deep = np.arange(size.sum()) + np.repeat(tree.edge_sub_lo - np.cumsum(size) + size, size)
+    shallow, deep = order[shallow], order[deep]
+    corr = g.sum(axis=0)[deep] / params.theta[shallow]
+    hess[deep, shallow] += corr
+    hess[shallow, deep] += corr
+    return hess
 
 
-def top_eigenvalues(matrix: np.ndarray, k: int, tol_scale: float = 1e-8) -> np.ndarray:
-    """k largest-magnitude eigenvalues of a symmetric matrix, descending.
+def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> LinearOperator:
+    """Exact batch-summed log-likelihood Hessian as a symmetric E x E operator.
 
-    Uses an iterative Lanczos solver, falling back to a dense solve when k is
-    too close to the dimension for the iteration to run.  Each returned pair
-    is residual-checked against ||H v - lambda v|| <= tol_scale * ||H||.
+    Each H v is forward-over-reverse (Pearlmutter 1994) through the compiled
+    levels: a tangent pass up the levels gives t = d log p along v (product
+    nodes add their children's, sum nodes take sum r (t_c + v / theta) with
+    the edge shares r = theta * p_c / p_n, clipped as in ``push_down`` and
+    cached here), then ``push_down`` carries the flow tangents dF down with the
+    per-edge source F_e (v / theta + t_c - t_n), and H v = (sum_x dF_e -
+    sum_x F_e v / theta) / theta.  Works for trees and DAGs alike; H v raises
+    ValueError for a v that is not E finite values.
     """
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    theta = params.theta
+    trace = forward(circuit, params, batch)
+    flows = backward(circuit, params, trace)
+    lp = trace.log_p.T
+    fe = flows.edge_flow.T
+    fe_sum = fe.sum(axis=1)
+    e = theta.size
+    child = np.empty(e, dtype=np.int64)
+    shares = []
+    for sums, _ in circuit.level_edges:
+        th = theta[sums.index, None]
+        child[sums.index] = sums.child
+        shares.append(th * np.minimum(edge_ratio(lp, sums), 1.0 / th) if sums.index.size else None)
+
+    def matvec(v):
+        u = np.asarray(v, dtype=float).reshape(-1)
+        if u.shape != (e,) or not np.all(np.isfinite(u)):
+            raise ValueError(f"v must be {e} finite values, got shape {np.shape(v)}")
+        u = u / theta
+        t = np.zeros_like(lp)
+        for (sums, prods), r in zip(circuit.level_edges, shares):
+            if prods.index.size:
+                t[prods.parents] = prods.runs.sum(t[prods.child])
+            if sums.index.size:
+                t[sums.parents] = sums.runs.sum(r * (t[sums.child] + u[sums.index, None]))
+        dfe = np.empty_like(fe)
+        source = fe * (u[:, None] + t[child] - t[circuit.sum_edge_owner])
+        push_down(circuit, theta, lp, np.zeros_like(lp), dfe, source)
+        return (dfe.sum(axis=1) - fe_sum * u) / theta
+
+    return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, dtype=float)
+
+
+def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: float = 1e-8) -> np.ndarray:
+    """k largest-magnitude eigenvalues of a symmetric matrix or operator,
+    descending in magnitude.
+
+    Uses an iterative Lanczos solver from a fixed start vector, so repeated
+    calls return identical values, falling back to a dense solve (an operator
+    is applied to the identity) when k is too close to the dimension for the
+    iteration to run.  Arrays must be symmetric.  Each returned pair is
+    residual-checked against ||H v - lambda v|| <= tol_scale * ||H||, with
+    ||H|| the spectral norm, the largest returned |lambda|.
+    """
+    h = matrix if isinstance(matrix, LinearOperator) else np.asarray(matrix, dtype=float)
+    if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(h, h.T, atol=1e-10 * max(1.0, np.abs(h).max())):
+    if isinstance(h, np.ndarray) and not np.allclose(h, h.T, atol=1e-10 * max(1.0, np.abs(h).max())):
         raise ValueError("matrix must be symmetric")
     n = h.shape[0]
     k = min(k, n)
-    norm = np.linalg.norm(h)
 
     if k >= n - 1 or n < 4:
-        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = np.linalg.eigh(h if isinstance(h, np.ndarray) else h @ np.eye(n))
     else:
+        v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            vals, vecs = scipy.sparse.linalg.eigsh(h, k=k, which="LM")
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            vals, vecs = eigsh(h, k=k, which="LM", v0=v0)
+        except ArpackNoConvergence as exc:
             raise NotConverged(f"eigensolver did not converge: {exc}") from exc
 
     order = np.argsort(-np.abs(vals))[:k]
     vals, vecs = vals[order], vecs[:, order]
+    norm = np.abs(vals).max(initial=0.0)
     for lam, v in zip(vals, vecs.T):
         resid = np.linalg.norm(h @ v - lam * v)
         if resid > tol_scale * max(norm, 1e-300):

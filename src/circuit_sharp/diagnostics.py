@@ -14,10 +14,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .circuit import Circuit, ParamSet
-from .curvature import full_hessian_tree, top_eigenvalues
+from .curvature import hessian_operator, top_eigenvalues
 from .errors import ZeroTrainNLL
 from .evaluate import forward
-from .fd import fd_hessian
 
 if TYPE_CHECKING:
     from .learning import TrainReport
@@ -134,14 +133,10 @@ def nll_hessian_eigenvalues(
 ) -> np.ndarray:
     """Top-k eigenvalues of the batch NLL Hessian (positive at sharp minima).
 
-    Closed form for tree circuits; finite differences of the analytic
-    gradient for small DAGs.
+    Lanczos on exact Hessian-vector products (``curvature.hessian_operator``),
+    the same route for trees and DAGs of any size; the Hessian is never formed.
     """
-    if circuit.is_tree:
-        h = -full_hessian_tree(circuit, params, batch)
-    else:
-        h = -fd_hessian(circuit, params, batch)
-    return top_eigenvalues(h, k)
+    return top_eigenvalues(-hessian_operator(circuit, params, batch), k)
 
 
 def write_eigenvalues_csv(eigvals: np.ndarray, path) -> None:

@@ -5,7 +5,9 @@ A sum edge (n, c) carries flow F_n * theta_nc * p_c / p_n; a product edge
 passes the parent's full flow to the child.  :func:`push_down` runs that
 recursion root-to-leaves over the compiled levels from any seed: the root
 indicator gives the flows, log-probability adjoints give the second phase of
-the trace-penalty gradient.  Only sum edges keep their edge values.
+the trace-penalty gradient, and a zero seed with a per-edge source gives the
+flow tangents of a Hessian-vector product.  Only sum edges keep their edge
+values.
 """
 
 from __future__ import annotations
@@ -37,16 +39,26 @@ def edge_ratio(lp: np.ndarray, sums) -> np.ndarray:
         return np.where(alive, np.exp(lp[sums.child] - np.where(alive, lp_n, 0.0)), 0.0)
 
 
-def push_down(circuit: Circuit, theta: np.ndarray, lp: np.ndarray, adj: np.ndarray, edge_adj: np.ndarray) -> None:
+def push_down(
+    circuit: Circuit,
+    theta: np.ndarray,
+    lp: np.ndarray,
+    adj: np.ndarray,
+    edge_adj: np.ndarray,
+    source: np.ndarray | None = None,
+) -> None:
     """Propagate adj [nodes, samples] root-to-leaves in place: a sum edge adds
-    adj_n * theta_nc * p_c / p_n to its child and writes it to edge_adj [sum
-    edges, samples]; a product edge adds adj_n."""
+    adj_n * theta_nc * p_c / p_n, plus source [sum edges, samples] when given,
+    to its child and writes it to edge_adj [sum edges, samples]; a product
+    edge adds adj_n."""
     for sums, prods in reversed(circuit.level_edges):
         if sums.index.size:
             th = theta[sums.index, None]
             # p_c * theta <= p_n, so the true ratio is bounded by 1/theta;
             # clip to absorb round-off from the log-space subtraction
             share = adj[sums.parents][sums.runs.ids] * th * np.minimum(edge_ratio(lp, sums), 1.0 / th)
+            if source is not None:
+                share += source[sums.index]
             edge_adj[sums.index] = share
             sums.scatter.add_into(adj, share)
         if prods.index.size:

@@ -140,6 +140,44 @@ def literal_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np
     return hess
 
 
+def per_sample_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
+    """Dense tree Hessian summed one sample at a time: per sample, the outer
+    product -g g^T, then each product-pair block g_a g_b^T / F_q and each
+    nested path pair g_deep / theta_shallow, in DFS edge order."""
+    from circuit_sharp.curvature import edge_gradients
+
+    tree = circuit.tree_index()
+    e = circuit.num_sum_edges
+    g, flows = edge_gradients(circuit, params, batch)
+    g_dfs = g[:, tree.dfs_to_global]
+    theta_dfs = params.theta[tree.dfs_to_global]
+
+    hess = np.zeros((e, e))
+    for i in range(g.shape[0]):
+        gv = g_dfs[i]
+        hess -= np.outer(gv, gv)
+        for q, blocks in zip(tree.prod_nodes, tree.prod_blocks):
+            fq = flows.node_flow[i, q]
+            if fq < 1e-250:
+                continue  # dead subtree: the correction vanishes in the limit
+            inv = 1.0 / fq
+            for a in range(len(blocks)):
+                lo1, hi1 = blocks[a]
+                for b in range(a + 1, len(blocks)):
+                    lo2, hi2 = blocks[b]
+                    corr = inv * np.outer(gv[lo1:hi1], gv[lo2:hi2])
+                    hess[lo1:hi1, lo2:hi2] += corr
+                    hess[lo2:hi2, lo1:hi1] += corr.T
+        for d in range(e):
+            lo, hi = tree.edge_sub_lo[d], tree.edge_sub_hi[d]
+            corr = gv[lo:hi] / theta_dfs[d]
+            hess[lo:hi, d] += corr
+            hess[d, lo:hi] += corr
+
+    inv_perm = tree.global_to_dfs
+    return hess[np.ix_(inv_perm, inv_perm)]
+
+
 def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
     """Classic cyclic Jacobi rotation eigensolver for symmetric matrices."""
     a = np.array(matrix, dtype=float)

@@ -161,6 +161,24 @@ class TestLandscape:
         assert mags == sorted(mags, reverse=True)
 
 
+    def test_eigenvalues_of_dag_beyond_fd_cap(self, tmp_path):
+        from circuit_sharp.circuit import serialize
+        from circuit_sharp.structure import build_layered_dag
+
+        circuit, params = build_layered_dag(5, 12, seed=3)
+        assert circuit.num_sum_edges > 500
+        model = tmp_path / "dag.pc"
+        model.write_bytes(serialize(circuit, params))
+        data = tmp_path / "data.csv"
+        rows = (np.random.default_rng(2).random((6, 5)) < 0.5).astype(int)
+        data.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        eig = tmp_path / "eig.csv"
+        code = run_cli("landscape", model, data, "--grid-points", 3, "--out", tmp_path / "l.csv",
+                       "--eig-out", eig, "--top-k", 4)
+        assert code == 0
+        assert len(eig.read_text().splitlines()) == 5
+
+
 class TestBench:
     def test_small_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -7,6 +7,7 @@ from circuit_sharp.curvature import (
     CurvatureReport,
     full_hessian_tree,
     hessian_diag,
+    hessian_operator,
     hessian_trace,
     top_eigenvalues,
     trace_penalty_gradient,
@@ -16,8 +17,8 @@ from circuit_sharp.evaluate import forward
 from circuit_sharp.flows import backward
 from circuit_sharp.fd import central_diff, fd_hessian
 
-from oracles import jacobi_eigenvalues, literal_hessian
-from zoo import batch_for, random_dag, random_tree
+from oracles import jacobi_eigenvalues, literal_hessian, per_sample_tree_hessian
+from zoo import batch_for, dag_zoo, random_dag, random_tree, tree_zoo
 
 
 class TestTrace:
@@ -123,6 +124,75 @@ class TestFullTreeHessian:
         np.testing.assert_allclose(h[1], [0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(h[:, 1], [0.0, 0.0], atol=1e-15)
 
+    def test_batched_matches_per_sample_sum(self):
+        for circuit, params in tree_zoo(12, max_edges=400):
+            batch = batch_for(circuit, 7, circuit.num_sum_edges)
+            h = full_hessian_tree(circuit, params, batch)
+            np.testing.assert_array_equal(h, h.T)
+            ref = per_sample_tree_hessian(circuit, params, batch)
+            assert np.abs(h - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_dead_product_subtree_adds_no_correction(self):
+        # Bernoulli leaves with mean 0 are dead wherever they read 1, and so
+        # are the products above them (F_q = 0), while the root stays alive
+        circuit, params = random_tree(41, max_depth=3)
+        batch = batch_for(circuit, 5, 3)
+        params.bern[:] = np.where(np.arange(params.bern.size) % 2, 0.0, params.bern)
+        tree = circuit.tree_index()
+        trace = forward(circuit, params, batch)
+        fq = backward(circuit, params, trace).node_flow[:, tree.prod_nodes]
+        assert np.any(fq == 0.0) and np.all(np.isfinite(trace.root_log_p))
+        h = full_hessian_tree(circuit, params, batch)
+        ref = per_sample_tree_hessian(circuit, params, batch)
+        assert np.all(np.isfinite(h))
+        assert np.abs(h - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+class TestHessianOperator:
+    def test_matches_dense_tree_hessian(self):
+        rng = np.random.default_rng(0)
+        for circuit, params in tree_zoo(10, max_edges=400):
+            batch = batch_for(circuit, 5, 1)
+            dense = full_hessian_tree(circuit, params, batch)
+            op = hessian_operator(circuit, params, batch)
+            for v in rng.standard_normal((3, circuit.num_sum_edges)):
+                want = dense @ v
+                assert np.abs(op @ v - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_matches_fd_hessian_on_dags(self):
+        rng = np.random.default_rng(1)
+        for circuit, params in dag_zoo(6, max_edges=200):
+            batch = batch_for(circuit, 4, 2)
+            fd = fd_hessian(circuit, params, batch)
+            v = rng.standard_normal(circuit.num_sum_edges)
+            want = fd @ v
+            assert np.abs(hessian_operator(circuit, params, batch) @ v - want).max() <= 1e-4 * max(
+                1.0, np.abs(want).max()
+            )
+
+    @pytest.mark.parametrize("maker,seed", [(random_tree, 60), (random_dag, 61), (random_dag, 62)])
+    def test_symmetric(self, maker, seed):
+        circuit, params = maker(seed)
+        op = hessian_operator(circuit, params, batch_for(circuit, 6, seed))
+        u, v = np.random.default_rng(seed).standard_normal((2, circuit.num_sum_edges))
+        uhv, vhu = u @ (op @ v), v @ (op @ u)
+        assert abs(uhv - vhu) <= 1e-12 * max(abs(uhv), abs(vhu))
+
+    @pytest.mark.parametrize("bad", ["short", "long", "row", "nan", "inf"])
+    def test_rejects_malformed_vectors(self, bad):
+        circuit, params = random_dag(63)
+        op = hessian_operator(circuit, params, batch_for(circuit, 3, 0))
+        e = circuit.num_sum_edges
+        v = {
+            "short": np.ones(e - 1),
+            "long": np.ones(e + 1),
+            "row": np.ones((1, e)),
+            "nan": np.where(np.arange(e) == 2, np.nan, 1.0),
+            "inf": np.where(np.arange(e) == 0, -np.inf, 1.0),
+        }[bad]
+        with pytest.raises(ValueError):
+            op @ v
+
 
 class TestTopEigenvalues:
     def test_two_by_two_invariants(self):
@@ -144,6 +214,27 @@ class TestTopEigenvalues:
         ref = jacobi_eigenvalues(h)
         ref = ref[np.argsort(-np.abs(ref))][:7]
         np.testing.assert_allclose(got, np.sort(ref), atol=1e-8)
+
+    def test_repeated_calls_are_bit_identical(self):
+        m = np.random.default_rng(8).standard_normal((300, 300))
+        h = 0.5 * (m + m.T)
+        np.testing.assert_array_equal(top_eigenvalues(h, 15), top_eigenvalues(h, 15))
+
+    @pytest.mark.parametrize("k", [3, 5, 6])
+    def test_operator_matches_array(self, k):
+        circuit, params = random_tree(64)
+        batch = batch_for(circuit, 4, 4)
+        dense = full_hessian_tree(circuit, params, batch)
+        want = top_eigenvalues(dense, k)
+        got = top_eigenvalues(hessian_operator(circuit, params, batch), k)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    def test_small_operator_takes_dense_route(self, product_of_sums):
+        circuit, params = product_of_sums
+        batch = np.array([[1.0, 0.0], [0.0, 1.0]])
+        want = top_eigenvalues(full_hessian_tree(circuit, params, batch), 4)
+        got = top_eigenvalues(hessian_operator(circuit, params, batch), 4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

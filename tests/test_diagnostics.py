@@ -131,6 +131,40 @@ class TestEigenDiagnostics:
         ref = ref[np.argsort(-np.abs(ref))][:4]
         np.testing.assert_allclose(np.sort(vals), np.sort(ref), atol=1e-8)
 
+    def test_dag_beyond_fd_cap(self):
+        from circuit_sharp.fd import HESSIAN_EDGE_CAP
+        from circuit_sharp.structure import build_layered_dag
+
+        circuit, params = build_layered_dag(5, 12, seed=3)
+        assert circuit.num_sum_edges > HESSIAN_EDGE_CAP and not circuit.is_tree
+        data = batch_for(circuit, 6, 6)
+        vals = nll_hessian_eigenvalues(circuit, params, data, k=5)
+        assert vals.shape == (5,) and np.all(np.isfinite(vals))
+        assert list(np.abs(vals)) == sorted(np.abs(vals), reverse=True)
+
+    def test_matches_dense_on_diagnose_tree_inputs(self):
+        # the tree and DAG of the diagnose-tree benchmark workload, one chunk
+        from circuit_sharp import ParamSet
+        from circuit_sharp.curvature import full_hessian_tree
+        from circuit_sharp.data import FractionSpec, gen_manifold, minmax_scale, subsample
+        from circuit_sharp.fd import fd_hessian
+        from circuit_sharp.structure import RatConfig, build_layered_dag, build_rat
+
+        ds, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
+        rows = subsample(ds, FractionSpec(0.05, 1)).train[:5]
+        tree, _ = build_rat(RatConfig(num_vars=2, depth=1, seed=7))
+        tree_params = ParamSet.uniform(tree, np.random.default_rng(7))
+        dag, dag_params = build_layered_dag(5, 6, seed=7)
+        dag_rows = (np.random.default_rng(1).random((5, 5)) < 0.5).astype(float)
+        for circuit, params, batch, dense, rtol in (
+            (tree, tree_params, rows, full_hessian_tree, 1e-10),
+            (dag, dag_params, dag_rows, fd_hessian, 1e-6),
+        ):
+            ref = np.linalg.eigvalsh(-dense(circuit, params, batch))
+            ref = ref[np.argsort(-np.abs(ref))][:15]
+            vals = nll_hessian_eigenvalues(circuit, params, batch, k=15)
+            assert np.abs(vals - ref).max() <= rtol * np.abs(ref).max()
+
     def test_csv_format(self, tmp_path):
         path = tmp_path / "eig.csv"
         write_eigenvalues_csv(np.array([3.0, -1.5]), path)

@@ -266,3 +266,15 @@ class TestSharedChildAcrossLevels:
 
         fd = central_diff(penalty, params.edge_vector(circuit), 1e-5)
         assert np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()) <= 1e-6
+
+    def test_hessian_vector_product_matches_fd(self):
+        from circuit_sharp.curvature import hessian_operator
+        from circuit_sharp.fd import fd_hessian
+
+        circuit, params = _shared_child_dag()
+        op = hessian_operator(circuit, params, self.batch)
+        fd = fd_hessian(circuit, params, self.batch)
+        for v in np.random.default_rng(12).standard_normal((3, circuit.num_sum_edges)):
+            hv = op @ v
+            assert np.all(np.isfinite(hv))
+            assert np.abs(hv - fd @ v).max() <= 1e-4 * max(1.0, np.abs(fd @ v).max())
