@@ -165,13 +165,13 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 class _LevelEdges:
     """The sum or product edges whose parents sit at one level, compiled once
     for every pass.  Each parent's edges form one run of ``runs``, owned by
-    ``parents[r]``; ``index`` places each edge in the flat edge order of its
-    kind (the global sum-edge index for sum edges), ``child`` is its child
+    ``parents[r]``; ``index`` places each edge in the flat (for sum edges,
+    global) edge order, as a slice where contiguous; ``child`` is its child
     node, and ``scatter`` adds per-edge rows into the children."""
 
     parents: np.ndarray
     runs: Segments
-    index: np.ndarray
+    index: np.ndarray | slice
     child: np.ndarray
     scatter: Scatter
 
@@ -179,7 +179,8 @@ class _LevelEdges:
     def select(nodes: np.ndarray, seg: Segments, child: np.ndarray, keep: np.ndarray) -> "_LevelEdges":
         """The runs of seg (edges of nodes, back to back) where keep holds."""
         index = np.flatnonzero(keep[seg.ids])
-        return _LevelEdges(nodes[keep], Segments(seg.lengths[keep]), index, child[index], Scatter(child[index]))
+        at = slice(index[0], index[-1] + 1) if index.size and index[-1] - index[0] == index.size - 1 else index
+        return _LevelEdges(nodes[keep], Segments(seg.lengths[keep]), at, child[index], Scatter(child[index]))
 
 
 @dataclass
@@ -292,7 +293,7 @@ class Circuit:
 
     def _index_levels(self) -> None:
         sum_nodes = np.asarray(self.sum_nodes, dtype=np.int64)
-        sum_child = np.array([c for n in self.sum_nodes for c in self.nodes[n].children], dtype=np.int64)
+        sum_child = self.sum_edge_child = np.array([c for n in self.sum_nodes for c in self.nodes[n].children], dtype=np.int64)
         prod_nodes = np.array([i for i, nd in enumerate(self.nodes) if nd.kind == PRODUCT], dtype=np.int64)
         prod_seg = Segments([len(self.nodes[p].children) for p in prod_nodes])
         prod_child = np.array([c for p in prod_nodes for c in self.nodes[p].children], dtype=np.int64)

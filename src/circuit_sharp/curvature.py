@@ -15,10 +15,11 @@ Four exact quantities, all driven by edge flows:
   over samples are matrix products over the batch, not a loop.
 * Hessian-vector products for any circuit, tree or DAG, without forming the
   Hessian: ``hessian_operator`` differentiates the flow recursion along v
-  (forward-over-reverse: one tangent pass up and one ``push_down`` per
-  vector), which is what Lanczos in ``top_eigenvalues`` consumes.
+  (forward-over-reverse: a ``pull_up`` and a ``push_down`` per vector over a
+  cached ``edge_ratios`` table), which is what Lanczos in ``top_eigenvalues``
+  consumes.
 * The gradient of the trace penalty itself, by reverse mode through both
-  passes (the forward pass's adjoint is ``flows.push_down``), for training.
+  passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
 from .evaluate import forward
-from .flows import FlowTable, backward, edge_ratio, push_down
+from .flows import FlowTable, backward, edge_ratios, pull_up, push_down
 
 DENSE_EDGE_CAP = 5000
 
@@ -111,42 +112,31 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     """Exact batch-summed log-likelihood Hessian as a symmetric E x E operator.
 
     Each H v is forward-over-reverse (Pearlmutter 1994) through the compiled
-    levels: a tangent pass up the levels gives t = d log p along v (product
-    nodes add their children's, sum nodes take sum r (t_c + v / theta) with
-    the edge shares r = theta * p_c / p_n, clipped as in ``push_down`` and
-    cached here), then ``push_down`` carries the flow tangents dF down with the
-    per-edge source F_e (v / theta + t_c - t_n), and H v = (sum_x dF_e -
-    sum_x F_e v / theta) / theta.  Works for trees and DAGs alike; H v raises
-    ValueError for a v that is not E finite values.
+    levels, over the edge ratios cached here: ``pull_up`` with edge source
+    v / theta gives the tangents t = d log p along v, then ``push_down``
+    carries the flow tangents dF down with the per-edge source F_e (v / theta
+    + t_c - t_n), and H v = (sum_x dF_e - sum_x F_e v / theta) / theta.
+    Works for trees and DAGs alike; H v raises ValueError for a v that is not
+    E finite values.
     """
     theta = params.theta
     trace = forward(circuit, params, batch)
-    flows = backward(circuit, params, trace)
+    fe = backward(circuit, params, trace).edge_flow.T
     lp = trace.log_p.T
-    fe = flows.edge_flow.T
+    ratio = edge_ratios(circuit, theta, lp)
     fe_sum = fe.sum(axis=1)
     e = theta.size
-    child = np.empty(e, dtype=np.int64)
-    shares = []
-    for sums, _ in circuit.level_edges:
-        th = theta[sums.index, None]
-        child[sums.index] = sums.child
-        shares.append(th * np.minimum(edge_ratio(lp, sums), 1.0 / th) if sums.index.size else None)
 
     def matvec(v):
         u = np.asarray(v, dtype=float).reshape(-1)
         if u.shape != (e,) or not np.all(np.isfinite(u)):
             raise ValueError(f"v must be {e} finite values, got shape {np.shape(v)}")
         u = u / theta
-        t = np.zeros_like(lp)
-        for (sums, prods), r in zip(circuit.level_edges, shares):
-            if prods.index.size:
-                t[prods.parents] = prods.runs.sum(t[prods.child])
-            if sums.index.size:
-                t[sums.parents] = sums.runs.sum(r * (t[sums.child] + u[sums.index, None]))
+        t = np.zeros(lp.shape)
+        pull_up(circuit, theta, ratio, t, u[:, None])
         dfe = np.empty_like(fe)
-        source = fe * (u[:, None] + t[child] - t[circuit.sum_edge_owner])
-        push_down(circuit, theta, lp, np.zeros_like(lp), dfe, source)
+        source = fe * (u[:, None] + t[circuit.sum_edge_child] - t[circuit.sum_edge_owner])
+        push_down(circuit, theta, ratio, np.zeros(lp.shape), dfe, source)
         return (dfe.sum(axis=1) - fe_sum * u) / theta
 
     return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, dtype=float)
@@ -204,48 +194,40 @@ def trace_penalty_gradient(
     evaluation: flow adjoints propagate leaves-to-root (reverse of the
     backward pass), log-probability adjoints root-to-leaves (reverse of the
     forward pass).  Raw partial derivatives, no simplex projection.
-    edge_weights defaults to all ones (the plain trace penalty).  Raises
-    StaleTrace when trace or flows belong to another circuit, and ValueError
-    unless edge_weights holds one finite value per sum edge.
+    edge_weights defaults to all ones (the plain trace penalty).  flows
+    alone brings its own trace.  Raises StaleTrace when trace belongs to
+    another circuit or other weights than params, or flows to another trace,
+    and ValueError unless edge_weights holds one finite value per sum edge.
     """
     theta = params.theta
     w = np.ones_like(theta) if edge_weights is None else np.asarray(edge_weights, dtype=float)
     if w.shape != theta.shape or not np.all(np.isfinite(w)):
         raise ValueError(f"edge_weights must be {theta.size} finite values, got shape {w.shape}")
     if trace is None:
-        trace = forward(circuit, params, batch)
+        trace = forward(circuit, params, batch) if flows is None else flows.trace
     if flows is None:
         flows = backward(circuit, params, trace)
-    if trace.circuit is not circuit or flows.circuit is not circuit:
-        raise StaleTrace("trace or flows do not match this circuit")
-    lp = trace.log_p.T
-    fnode = flows.node_flow.T
+    if trace.circuit is not circuit or flows.trace is not trace:
+        raise StaleTrace("trace does not match this circuit, or flows this trace")
+    if not np.array_equal(trace.theta, theta, equal_nan=True):
+        raise StaleTrace("trace was evaluated under other sum weights than params")
+    ratio = edge_ratios(circuit, theta, trace.log_p.T)
     fedge = flows.edge_flow.T
+    fe_bar = (2.0 * w / (theta * theta))[:, None] * fedge
+    theta_bar = -np.sum(fe_bar * fedge, axis=1) / theta
 
-    th_col = theta[:, None]
-    fe_bar = 2.0 * w[:, None] * fedge / (th_col * th_col)
-    theta_bar = np.sum(-2.0 * w[:, None] * fedge * fedge / (th_col**3), axis=1)
-    f_bar = np.zeros(lp.shape)
-    lp_bar = np.zeros(lp.shape)
+    # Adjoint of the flow recursion F_e = F_n theta_e ratio_e: f_bar, then
+    # rbar_e, the adjoint of log ratio_e = lp_c - lp_n.
+    f_bar = np.zeros(trace.log_p.T.shape)
+    pull_up(circuit, theta, ratio, f_bar, fe_bar)
+    fnode = flows.node_flow.T
+    rbar = (fe_bar + f_bar[circuit.sum_edge_child]) * fnode[circuit.sum_edge_owner] * theta[:, None] * ratio
 
-    # Phase 1: adjoint of the flow recursion (parent levels ascending).
-    for sums, prods in circuit.level_edges:
-        if sums.index.size:
-            ratio = edge_ratio(lp, sums)
-            th = theta[sums.index, None]
-            fe_tot = fe_bar[sums.index] + f_bar[sums.child]
-            fparent = fnode[sums.parents][sums.runs.ids]
-            f_bar[sums.parents] += sums.runs.sum(fe_tot * th * ratio)
-            theta_bar[sums.index] += np.sum(fe_tot * fparent * ratio, axis=1)
-            rbar_r = fe_tot * fparent * th * ratio
-            sums.scatter.add_into(lp_bar, rbar_r)
-            lp_bar[sums.parents] -= sums.runs.sum(rbar_r)
-        if prods.index.size:
-            f_bar[prods.parents] += prods.runs.sum(f_bar[prods.child])
-
-    # Phase 2: adjoint of the forward pass, the backward recursion seeded with
-    # lp_bar; its edge shares lp_bar_n * theta * p_c / p_n reuse fe_bar.
-    push_down(circuit, theta, lp, lp_bar, fe_bar)
+    # Adjoint of the forward pass: push_down seeded with the -lp_n side of
+    # rbar; its per-edge source adds the lp_c side and rbar's theta term.
+    lp_bar = np.zeros_like(f_bar)
+    lp_bar[circuit.sum_nodes] = -circuit.sum_segments.sum(rbar)
+    push_down(circuit, theta, ratio, lp_bar, fe_bar, rbar)
     theta_bar += fe_bar.sum(axis=1) / theta
     return theta_bar
 

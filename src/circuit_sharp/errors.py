@@ -22,7 +22,7 @@ class ScopeMismatch(CircuitError):
 
 
 class StaleTrace(CircuitError):
-    """Evaluation trace does not match the circuit it is used with."""
+    """Evaluation trace or flows do not match the circuit, weights or trace they are used with."""
 
 
 class OutOfDomain(CircuitError):

@@ -24,11 +24,13 @@ class EvalTrace:
     """Per-sample, per-node log outputs of one forward pass.
 
     log_p has shape [num_samples, num_nodes]; the root column holds the
-    per-sample log-likelihood.
+    per-sample log-likelihood.  theta is a copy of the sum weights it was
+    evaluated under, against which later passes detect a stale trace.
     """
 
     log_p: np.ndarray
     circuit: Circuit
+    theta: np.ndarray
 
     @property
     def root_log_p(self) -> np.ndarray:
@@ -89,9 +91,9 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
 
     theta = params.theta
     for sums, prods in circuit.level_edges:
-        if prods.index.size:
+        if prods.child.size:
             lp[prods.parents] = prods.runs.sum(lp[prods.child])
-        if sums.index.size:
+        if sums.child.size:
             child_lp = lp[sums.child]
             m = sums.runs.max(child_lp)
             m_safe = np.where(np.isfinite(m), m, 0.0)
@@ -99,4 +101,4 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
             with np.errstate(divide="ignore"):
                 lp[sums.parents] = np.where(np.isfinite(m), m_safe + np.log(s), -np.inf)
 
-    return EvalTrace(np.ascontiguousarray(lp.T), circuit)
+    return EvalTrace(np.ascontiguousarray(lp.T), circuit, theta.copy())

@@ -2,12 +2,12 @@
 gradient they induce.
 
 A sum edge (n, c) carries flow F_n * theta_nc * p_c / p_n; a product edge
-passes the parent's full flow to the child.  :func:`push_down` runs that
-recursion root-to-leaves over the compiled levels from any seed: the root
-indicator gives the flows, log-probability adjoints give the second phase of
-the trace-penalty gradient, and a zero seed with a per-edge source gives the
-flow tangents of a Hessian-vector product.  Only sum edges keep their edge
-values.
+passes the parent's full flow to the child.  :func:`edge_ratios` tabulates
+the clipped p_c / p_n once, and the two level sweeps read it: :func:`push_down`
+runs that recursion root-to-leaves from any seed (flows, log-probability
+adjoints, flow tangents), :func:`pull_up` leaves-to-root (flow adjoints,
+log-probability tangents).  Only sum edges keep their edge values.  Flows
+keep their trace, and a trace its weights, so stale pairings raise StaleTrace.
 """
 
 from __future__ import annotations
@@ -23,45 +23,63 @@ from .evaluate import EvalTrace
 
 @dataclass
 class FlowTable:
-    """node_flow: [num_samples, num_nodes]; edge_flow: [num_samples, num_sum_edges]."""
+    """node_flow: [num_samples, num_nodes]; edge_flow: [num_samples, num_sum_edges];
+    trace: the forward pass they were computed from."""
 
     node_flow: np.ndarray
     edge_flow: np.ndarray
-    circuit: Circuit
+    trace: EvalTrace
 
 
-def edge_ratio(lp: np.ndarray, sums) -> np.ndarray:
-    """p_c / p_n for the sum edges of one level, [edges, samples], from node
-    log-probabilities lp [nodes, samples]; 0 where p_n = 0."""
-    lp_n = lp[sums.parents][sums.runs.ids]
-    alive = np.isfinite(lp_n)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(alive, np.exp(lp[sums.child] - np.where(alive, lp_n, 0.0)), 0.0)
+def edge_ratios(circuit: Circuit, theta: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """min(p_c / p_n, 1 / theta) for every sum edge, [sum edges, samples] in
+    global edge order, from node log-probabilities lp [nodes, samples]; 0
+    where p_n = 0.  p_c * theta <= p_n, so the true ratio is bounded by
+    1/theta; the clip absorbs round-off from the log-space subtraction."""
+    ratio = np.empty((theta.size, lp.shape[1]))
+    for sums, _ in circuit.level_edges:  # level by level: no [edges, samples] gather of lp
+        if sums.child.size:
+            lp_n = lp[sums.parents][sums.runs.ids]
+            with np.errstate(invalid="ignore", over="ignore"):
+                r = np.minimum(np.exp(lp[sums.child] - lp_n), 1.0 / theta[sums.index, None])
+            r[~np.isfinite(lp_n)] = 0.0
+            ratio[sums.index] = r
+    return ratio
+
+
+def pull_up(circuit: Circuit, theta: np.ndarray, ratio: np.ndarray, acc: np.ndarray, edge_src: np.ndarray) -> None:
+    """Propagate acc [nodes, samples] leaves-to-root in place, the twin of
+    push_down: a product node takes the sum of its children, a sum node
+    sum_c theta_nc * ratio_nc * (acc_c + edge_src_nc), with edge_src
+    [sum edges, samples or 1].  Leaves keep their values."""
+    for sums, prods in circuit.level_edges:
+        if sums.child.size:
+            share = theta[sums.index, None] * ratio[sums.index]
+            acc[sums.parents] = sums.runs.sum(share * (acc[sums.child] + edge_src[sums.index]))
+        if prods.child.size:
+            acc[prods.parents] = prods.runs.sum(acc[prods.child])
 
 
 def push_down(
     circuit: Circuit,
     theta: np.ndarray,
-    lp: np.ndarray,
+    ratio: np.ndarray,
     adj: np.ndarray,
     edge_adj: np.ndarray,
     source: np.ndarray | None = None,
 ) -> None:
     """Propagate adj [nodes, samples] root-to-leaves in place: a sum edge adds
-    adj_n * theta_nc * p_c / p_n, plus source [sum edges, samples] when given,
-    to its child and writes it to edge_adj [sum edges, samples]; a product
-    edge adds adj_n."""
+    adj_n * theta_nc * ratio_nc (ratio from edge_ratios), plus source [sum
+    edges, samples] when given, to its child and writes it to edge_adj [sum
+    edges, samples]; a product edge adds adj_n."""
     for sums, prods in reversed(circuit.level_edges):
-        if sums.index.size:
-            th = theta[sums.index, None]
-            # p_c * theta <= p_n, so the true ratio is bounded by 1/theta;
-            # clip to absorb round-off from the log-space subtraction
-            share = adj[sums.parents][sums.runs.ids] * th * np.minimum(edge_ratio(lp, sums), 1.0 / th)
+        if sums.child.size:
+            share = adj[sums.parents][sums.runs.ids] * theta[sums.index, None] * ratio[sums.index]
             if source is not None:
                 share += source[sums.index]
             edge_adj[sums.index] = share
             sums.scatter.add_into(adj, share)
-        if prods.index.size:
+        if prods.child.size:
             prods.scatter.add_into(adj, adj[prods.parents][prods.runs.ids])
 
 
@@ -69,12 +87,14 @@ def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
     """Compute all node and sum-edge flows in one reverse pass over edges."""
     if trace.circuit is not circuit or trace.log_p.shape[1] != circuit.num_nodes:
         raise StaleTrace("trace does not match this circuit")
+    if not np.array_equal(trace.theta, params.theta, equal_nan=True):
+        raise StaleTrace("trace was evaluated under other sum weights than params")
     n = trace.log_p.shape[0]
     flow = np.zeros((circuit.num_nodes, n))
     flow[circuit.root] = 1.0
     edge_flow = np.empty((circuit.num_sum_edges, n))
-    push_down(circuit, params.theta, trace.log_p.T, flow, edge_flow)
-    return FlowTable(np.ascontiguousarray(flow.T), np.ascontiguousarray(edge_flow.T), circuit)
+    push_down(circuit, params.theta, edge_ratios(circuit, params.theta, trace.log_p.T), flow, edge_flow)
+    return FlowTable(np.ascontiguousarray(flow.T), np.ascontiguousarray(edge_flow.T), trace)
 
 
 def loglik_gradient(flows: FlowTable, params: ParamSet) -> np.ndarray:

@@ -178,6 +178,32 @@ class TestHessianOperator:
         uhv, vhu = u @ (op @ v), v @ (op @ u)
         assert abs(uhv - vhu) <= 1e-12 * max(abs(uhv), abs(vhu))
 
+    def test_edge_ratio_table_built_once(self, monkeypatch):
+        """The penalty given trace= and flows= builds one ratio table; an
+        operator builds one beside its backward pass, and none per H v."""
+        import circuit_sharp.curvature as curvature
+
+        calls = {"edge_ratios": 0, "backward": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(curvature, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(curvature, name, counted)
+        circuit, params = random_dag(64)
+        batch = batch_for(circuit, 4, 1)
+        trace = forward(circuit, params, batch)
+        flows = backward(circuit, params, trace)
+        for _ in range(2):
+            trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows)
+        assert calls == {"edge_ratios": 2, "backward": 0}
+        op = hessian_operator(circuit, params, batch)
+        assert calls == {"edge_ratios": 3, "backward": 1}
+        for v in np.eye(circuit.num_sum_edges)[:3]:
+            op @ v
+        top_eigenvalues(op, 2)
+        assert calls == {"edge_ratios": 3, "backward": 1}
+
     @pytest.mark.parametrize("bad", ["short", "long", "row", "nan", "inf"])
     def test_rejects_malformed_vectors(self, bad):
         circuit, params = random_dag(63)

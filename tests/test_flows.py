@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuit_sharp import backward, forward, loglik_gradient
+from circuit_sharp.curvature import trace_penalty_gradient
 from circuit_sharp.errors import StaleTrace
 from circuit_sharp.fd import analytic_gradient, fd_gradient
+from circuit_sharp.flows import edge_ratios, pull_up
 
 from oracles import unrolled_edge_flow, unrolled_node_flow
-from zoo import batch_for, random_dag, random_tree
+from zoo import batch_for, dag_zoo, random_dag, random_tree, tree_zoo
 
 
 def run_flows(circuit, params, batch):
@@ -278,3 +280,77 @@ class TestSharedChildAcrossLevels:
             hv = op @ v
             assert np.all(np.isfinite(hv))
             assert np.abs(hv - fd @ v).max() <= 1e-4 * max(1.0, np.abs(fd @ v).max())
+
+
+def _ratio_zoo():
+    """Trees, DAGs, and the shared-child DAG whose node D0 is -inf."""
+    cases = [(c, p, batch_for(c, 5, 1)) for c, p in tree_zoo(5, max_edges=300) + dag_zoo(5, max_edges=300)]
+    return cases + [(*_shared_child_dag(), TestSharedChildAcrossLevels.batch)]
+
+
+class TestEdgeRatios:
+    def test_clipped_ratio_of_child_and_parent(self):
+        dead_parents = 0
+        for circuit, params, batch in _ratio_zoo():
+            lp = forward(circuit, params, batch).log_p.T
+            ratio = edge_ratios(circuit, params.theta, lp)
+            assert ratio.shape == (circuit.num_sum_edges, len(batch))
+            lp_n, lp_c = lp[circuit.sum_edge_owner], lp[circuit.sum_edge_child]
+            alive = np.isfinite(lp_n)
+            assert np.all(ratio <= 1.0 / params.theta[:, None])
+            assert np.all(ratio[~alive] == 0.0)
+            want = np.exp(lp_c - np.where(alive, lp_n, 0.0))
+            np.testing.assert_allclose(ratio[alive], want[alive], rtol=1e-12, atol=0)
+            dead_parents += int((~alive).sum())
+        assert dead_parents > 0  # the -inf node is covered
+
+
+class TestPullUp:
+    def test_is_directional_derivative_of_log_p(self):
+        """With edge_src = v / theta, acc[root] = d log p_root along theta + eps v."""
+        rng = np.random.default_rng(17)
+        eps = 1e-6
+        for circuit, params, batch in _ratio_zoo():
+            theta = params.theta
+            lp = forward(circuit, params, batch).log_p.T
+            v = rng.standard_normal(theta.size)
+            acc = np.zeros(lp.shape)
+            pull_up(circuit, theta, edge_ratios(circuit, theta, lp), acc, (v / theta)[:, None])
+            probe = params.copy()
+            root_lp = []
+            for sign in (1.0, -1.0):
+                probe.theta = theta + sign * eps * v
+                root_lp.append(forward(circuit, probe, batch).root_log_p)
+            fd = (root_lp[0] - root_lp[1]) / (2 * eps)
+            assert np.all(np.isfinite(acc[circuit.root]))
+            np.testing.assert_allclose(acc[circuit.root], fd, rtol=1e-6, atol=1e-7)
+
+
+class TestStaleTrace:
+    @given(st.integers(0, 300))
+    @settings(max_examples=15, deadline=None)
+    def test_trace_of_other_weights_or_flows_of_other_batch(self, seed):
+        maker = random_tree if seed % 2 else random_dag
+        circuit, params = maker(seed)
+        batch, other_batch = batch_for(circuit, 4, seed), batch_for(circuit, 4, seed + 1)
+        other = params.copy()
+        other.theta = circuit.sum_segments.normalize(other.theta * (1.0 + np.arange(other.theta.size) % 3))
+        with pytest.raises(StaleTrace):  # trace evaluated under other weights
+            backward(circuit, params, forward(circuit, other, batch))
+        trace = forward(circuit, params, batch)
+        theta0 = params.theta.copy()
+        params.theta[0] += 0.25  # edited in place after the forward pass
+        with pytest.raises(StaleTrace):
+            backward(circuit, params, trace)
+        params.theta[:] = theta0
+        flows = backward(circuit, params.copy(), trace)  # equal weights are accepted
+        other_trace = forward(circuit, params, other_batch)
+        other_flows = backward(circuit, params, other_trace)
+        with pytest.raises(StaleTrace):  # flows of another batch
+            trace_penalty_gradient(circuit, params, batch, trace=trace, flows=other_flows)
+        with pytest.raises(StaleTrace):  # trace and flows under other weights
+            trace_penalty_gradient(circuit, other, batch, trace=trace, flows=flows)
+        np.testing.assert_array_equal(
+            trace_penalty_gradient(circuit, params, other_batch, flows=other_flows),
+            trace_penalty_gradient(circuit, params, other_batch),
+        )
