@@ -1,24 +1,33 @@
 #!/usr/bin/env python3
-"""Per-pass timings: forward, backward, trace_penalty_gradient and one
-Hessian-vector product (hvp; the operator is built outside the timer) on the
-trace-dag DAG (build_layered_dag(17, 79, seed=7), 16 binary rows) and the
-spiral RAT (RatConfig(num_vars=2, depth=1, seed=1), 200 training rows).
-Prints the median of REPEATS calls of each pass, in milliseconds.
+"""Per-pass timings: forward, log_likelihood, backward, trace_penalty_gradient
+and one Hessian-vector product (hvp; the operator is built outside the timer)
+on the trace-dag DAG (build_layered_dag(17, 79, seed=7), 16 binary rows) and
+the spiral RAT (RatConfig(num_vars=2, depth=1, seed=1), 200 training rows),
+then forward and log_likelihood on all 1000 spiral training rows, the size of
+an epoch's validation NLL.  Prints the median of REPEATS calls of each pass,
+in milliseconds.
+
+Each circuit is timed in a fresh process of this script (the parent passes
+the circuit's name as its one argument), so that no circuit is timed with an
+allocator that another circuit's passes have warmed.
 
 The package comes from PYTHONPATH, so the same script times any checkout:
     PYTHONPATH=src python scripts/time_passes.py
 """
 
+import subprocess
+import sys
 import time
 
 import numpy as np
 
-from circuit_sharp import RatConfig, backward, build_rat, forward
+from circuit_sharp import RatConfig, backward, build_rat, forward, log_likelihood
 from circuit_sharp.curvature import hessian_operator, trace_penalty_gradient
 from circuit_sharp.data import gen_manifold, minmax_scale
 from circuit_sharp.structure import build_layered_dag
 
 REPEATS = 40
+CIRCUITS = ("trace-dag DAG", "spiral RAT")
 
 
 def median_ms(fn):
@@ -30,30 +39,52 @@ def median_ms(fn):
     return 1e3 * float(np.median(times))
 
 
+def report(name, circuit, batch, passes):
+    ms = {k: median_ms(fn) for k, fn in passes.items()}
+    print(
+        f"{name}: {circuit.num_sum_edges} sum edges x {len(batch)} rows: "
+        + ", ".join(f"{k} {v:.1f} ms" for k, v in ms.items()),
+        flush=True,
+    )
+
+
+def time_circuit(name):
+    """Time every pass on one circuit; with the spiral RAT, also the NLL-only
+    passes on all of its training rows."""
+    if name == "trace-dag DAG":
+        circuit, params = build_layered_dag(17, 79, seed=7)
+        batch = (np.random.default_rng(3).random((16, 17)) < 0.5).astype(float)
+        large = None
+    else:
+        spiral, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
+        circuit, params = build_rat(RatConfig(num_vars=2, depth=1, seed=1))
+        batch, large = spiral.train[:200], spiral.train
+    trace = forward(circuit, params, batch)
+    flows = backward(circuit, params, trace)
+    hess = hessian_operator(circuit, params, batch)
+    v = np.random.default_rng(5).standard_normal(circuit.num_sum_edges)
+    report(name, circuit, batch, {
+        "forward": lambda: forward(circuit, params, batch),
+        "log_likelihood": lambda: log_likelihood(circuit, params, batch),
+        "backward": lambda: backward(circuit, params, trace),
+        "penalty": lambda: trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows),
+        "hvp": lambda: hess @ v,
+    })
+    if large is not None:
+        report(name, circuit, large, {
+            "forward": lambda: forward(circuit, params, large),
+            "log_likelihood": lambda: log_likelihood(circuit, params, large),
+        })
+
+
 def main():
-    dag, dag_params = build_layered_dag(17, 79, seed=7)
-    dag_rows = (np.random.default_rng(3).random((16, 17)) < 0.5).astype(float)
-    spiral, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
-    rat, rat_params = build_rat(RatConfig(num_vars=2, depth=1, seed=1))
-    for name, circuit, params, batch in (
-        ("trace-dag DAG", dag, dag_params, dag_rows),
-        ("spiral RAT", rat, rat_params, spiral.train[:200]),
-    ):
-        trace = forward(circuit, params, batch)
-        flows = backward(circuit, params, trace)
-        hess = hessian_operator(circuit, params, batch)
-        v = np.random.default_rng(5).standard_normal(circuit.num_sum_edges)
-        passes = {
-            "forward": lambda: forward(circuit, params, batch),
-            "backward": lambda: backward(circuit, params, trace),
-            "penalty": lambda: trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows),
-            "hvp": lambda: hess @ v,
-        }
-        ms = {k: median_ms(fn) for k, fn in passes.items()}
-        print(
-            f"{name}: {circuit.num_sum_edges} sum edges x {len(batch)} rows: "
-            + ", ".join(f"{k} {v:.1f} ms" for k, v in ms.items())
-        )
+    if len(sys.argv) > 1:
+        if sys.argv[1] not in CIRCUITS:
+            sys.exit(f"unknown circuit {sys.argv[1]!r}; expected one of {CIRCUITS}")
+        time_circuit(sys.argv[1])
+        return
+    for name in CIRCUITS:
+        subprocess.run([sys.executable, __file__, name], check=True)
 
 
 if __name__ == "__main__":

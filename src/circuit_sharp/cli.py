@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .data import (
 )
 from .diagnostics import dof, landscape, nll_hessian_eigenvalues, write_eigenvalues_csv
 from .errors import CircuitError, CostGuardExceeded, DivergedNaN
-from .evaluate import forward
+from .evaluate import log_likelihood
 from .fd import fd_gradient, analytic_gradient
 from .learning import (
     ADAPTIVE_DOF,
@@ -71,16 +70,6 @@ class RunConfig:
     lr: float = 0.1
     noise: float = 0.05
     out_dir: str = "run"
-    threads: int = 0
-
-
-def _mean_nll(circuit: Circuit, params: ParamSet, data: np.ndarray, threads: int = 0) -> float:
-    if threads and threads > 1 and len(data) > 4 * threads:
-        chunks = np.array_split(data, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: forward(circuit, params, c).root_log_p, chunks))
-        return float(-np.concatenate(parts).mean())
-    return float(-forward(circuit, params, data).root_log_p.mean())
 
 
 def _resolve_data(cfg: RunConfig) -> Dataset:
@@ -157,15 +146,12 @@ def cmd_train(cfg: RunConfig) -> int:
         fh.write(serialize(circuit, params))
     np.savetxt(os.path.join(cfg.out_dir, "train.csv"), ds.train, delimiter=",")
 
-    train_nll = _mean_nll(circuit, params, ds.train, cfg.threads)
-    test_nll = _mean_nll(circuit, params, ds.test, cfg.threads)
     metrics = {
-        "train_nll": train_nll,
-        "valid_nll": _mean_nll(circuit, params, ds.valid, cfg.threads),
-        "test_nll": test_nll,
-        "sharpness": hessian_trace(circuit, params, ds.train),
-        "dof": dof(train_nll, test_nll),
+        f"{split}_nll": float(-log_likelihood(circuit, params, rows).mean())
+        for split, rows in (("train", ds.train), ("valid", ds.valid), ("test", ds.test))
     }
+    metrics["sharpness"] = hessian_trace(circuit, params, ds.train)
+    metrics["dof"] = dof(metrics["train_nll"], metrics["test_nll"])
     with open(os.path.join(cfg.out_dir, "metrics.json"), "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
     print(json.dumps(metrics, indent=2, sort_keys=True))
@@ -283,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", type=float, default=0.1)
     t.add_argument("--noise", type=float, default=0.05)
     t.add_argument("--out", dest="out_dir", default="run")
-    t.add_argument("--threads", type=int, default=0)
 
     tr = sub.add_parser("trace", help="print the Hessian trace of a saved model")
     tr.add_argument("model")
@@ -332,7 +317,6 @@ def main(argv=None) -> int:
                 lr=args.lr,
                 noise=args.noise,
                 out_dir=args.out_dir,
-                threads=args.threads,
             )
             return cmd_train(cfg)
         if args.command == "trace":

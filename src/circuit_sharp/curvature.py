@@ -31,7 +31,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
-from .evaluate import forward
+from .evaluate import as_batch, forward
 from .flows import FlowTable, backward, edge_ratios, pull_up, push_down
 
 DENSE_EDGE_CAP = 5000
@@ -196,8 +196,9 @@ def trace_penalty_gradient(
     forward pass).  Raw partial derivatives, no simplex projection.
     edge_weights defaults to all ones (the plain trace penalty).  flows
     alone brings its own trace.  Raises StaleTrace when trace belongs to
-    another circuit or other weights than params, or flows to another trace,
-    and ValueError unless edge_weights holds one finite value per sum edge.
+    another circuit, other weights than params or other rows than batch, or
+    flows to another trace, and ValueError unless edge_weights holds one
+    finite value per sum edge.
     """
     theta = params.theta
     w = np.ones_like(theta) if edge_weights is None else np.asarray(edge_weights, dtype=float)
@@ -211,6 +212,8 @@ def trace_penalty_gradient(
         raise StaleTrace("trace does not match this circuit, or flows this trace")
     if not np.array_equal(trace.theta, theta, equal_nan=True):
         raise StaleTrace("trace was evaluated under other sum weights than params")
+    if not np.array_equal(trace.batch, as_batch(circuit, batch)):
+        raise StaleTrace("trace was evaluated on other rows than batch")
     ratio = edge_ratios(circuit, theta, trace.log_p.T)
     fedge = flows.edge_flow.T
     fe_bar = (2.0 * w / (theta * theta))[:, None] * fedge

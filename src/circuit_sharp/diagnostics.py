@@ -16,7 +16,7 @@ import numpy as np
 from .circuit import Circuit, ParamSet
 from .curvature import hessian_operator, top_eigenvalues
 from .errors import ZeroTrainNLL
-from .evaluate import forward
+from .evaluate import log_likelihood
 
 if TYPE_CHECKING:
     from .learning import TrainReport
@@ -96,14 +96,14 @@ def landscape(
         dirs.append(v)
 
     alphas = np.linspace(-grid_radius, grid_radius, grid_points) if grid_points > 1 else np.zeros(1)
-    origin = float(-forward(circuit, params, data).root_log_p.mean())
+    origin = float(-log_likelihood(circuit, params, data).mean())
 
     def value_at(offset: np.ndarray) -> float:
         if not np.any(offset):
             return origin
         probed = params.copy()
         probed.theta = circuit.sum_segments.softmax(logits0 + offset)
-        return float(-forward(circuit, probed, data).root_log_p.mean())
+        return float(-log_likelihood(circuit, probed, data).mean())
 
     if mode == "1d":
         values = np.array([value_at(a * u) for a in alphas])

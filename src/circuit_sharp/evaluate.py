@@ -5,6 +5,14 @@ log-probabilities are legal values (deterministic-style supports) and are
 propagated, never raised.  The pass runs leaves-to-root over the compiled
 levels of ``Circuit.level_edges`` with per-parent segment sums and maxima,
 so it is O(edges) numpy work regardless of circuit shape.
+
+The batch is walked in row tiles: each tile's leaf stage and level loop run
+in one [num_nodes, tile] buffer, allocated once per call and sized by
+``TILE_BYTES`` so that it stays in cache.  Every column is computed on its
+own, so the tiling changes no value.  :func:`forward` copies each tile into
+the [samples, nodes] trace that backward passes need; :func:`log_likelihood`
+keeps only the root row and stores no trace, for callers that need the
+per-sample log-likelihoods alone.
 """
 
 from __future__ import annotations
@@ -18,59 +26,95 @@ from .errors import OutOfDomain, ScopeMismatch
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Bytes of one [num_nodes, tile] buffer: about the L2 share that keeps a
+# tile's level loop out of main memory (timings in CHANGES.md).
+TILE_BYTES = 1 << 20
+
 
 @dataclass
 class EvalTrace:
     """Per-sample, per-node log outputs of one forward pass.
 
     log_p has shape [num_samples, num_nodes]; the root column holds the
-    per-sample log-likelihood.  theta is a copy of the sum weights it was
-    evaluated under, against which later passes detect a stale trace.
+    per-sample log-likelihood.  theta and batch are copies of the sum weights
+    and the rows it was evaluated on, against which later passes detect a
+    stale trace.
     """
 
     log_p: np.ndarray
     circuit: Circuit
     theta: np.ndarray
+    batch: np.ndarray
 
     @property
     def root_log_p(self) -> np.ndarray:
         return self.log_p[:, self.circuit.root]
 
 
-def _leaf_log_probs(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarray) -> None:
-    """Fill out[node] rows for every leaf, one vectorized pass per family.
+def as_batch(circuit: Circuit, batch) -> np.ndarray:
+    """The batch as a float [samples, variables] array; raises ScopeMismatch
+    unless it has one column per root-scope variable."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    if batch.shape[1] != len(circuit.root_scope):
+        raise ScopeMismatch(
+            f"batch width {batch.shape[1]} != root scope size {len(circuit.root_scope)}"
+        )
+    return batch
 
-    Raises OutOfDomain when a Bernoulli leaf reads a value other than 0 or 1,
-    a categorical leaf one that is not an integer in [0, k), or a Gaussian
-    leaf a non-finite value.
+
+def _leaf_inputs(circuit: Circuit, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each leaf family's data columns, [samples, leaves] in leaf_groups order.
+
+    Raises OutOfDomain, naming the first bad row of the batch, when a
+    Bernoulli leaf reads a value other than 0 or 1, a categorical leaf one
+    that is not an integer in [0, k), or a Gaussian leaf a non-finite value.
     """
     groups = circuit.leaf_groups()
-    bern_ids, bern_var = groups["bern"]
-    gauss_ids, gauss_var = groups["gauss"]
-    cat_ids, cat_var = groups["cat"]
-    cat_seg = circuit.cat_segments
-
-    xb = batch[:, bern_var]
-    xg = batch[:, gauss_var]
-    xc = batch[:, cat_var]
+    bern_var, gauss_var, cat_var = groups["bern"][1], groups["gauss"][1], groups["cat"][1]
+    xb, xg, xc = batch[:, bern_var], batch[:, gauss_var], batch[:, cat_var]
     for family, var, ok in (
         ("Bernoulli", bern_var, (xb == 0) | (xb == 1)),
         ("Gaussian", gauss_var, np.isfinite(xg)),
-        ("categorical", cat_var, (xc >= 0) & (xc < cat_seg.lengths) & (xc == np.floor(xc))),
+        ("categorical", cat_var, (xc >= 0) & (xc < circuit.cat_segments.lengths) & (xc == np.floor(xc))),
     ):
         if not ok.all():
             row, col = np.argwhere(~ok)[0]
             v = var[col]
             raise OutOfDomain(f"row {row}, variable {v}: {batch[row, v]!r} is outside the {family} domain")
+    return xb, xg, xc.astype(np.int64)
 
-    # divide: log 0 at indicator leaves; invalid: diverged (inf) parameters,
-    # whose NaN rows are the DivergedNaN signal handled by the trainers
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[bern_ids] = np.where(xb > 0.5, np.log(params.bern), np.log1p(-params.bern)).T
-        ms = params.gauss
-        z = (xg - ms[:, 0]) / ms[:, 1]
-        out[gauss_ids] = (-np.log(ms[:, 1]) - 0.5 * _LOG_2PI - 0.5 * z * z).T
-        out[cat_ids] = np.log(params.cat)[cat_seg.starts + xc.astype(np.int64)].T
+
+def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray):
+    """Yield (rows, lp) for each row tile of batch, lp [num_nodes, tile] the
+    log-probabilities of every node on those rows.  lp is a view of one
+    buffer that the next tile overwrites."""
+    xb, xg, xc = _leaf_inputs(circuit, batch)
+    groups = circuit.leaf_groups()
+    theta, ms, cat_starts = params.theta, params.gauss, circuit.cat_segments.starts
+    n = batch.shape[0]
+    tile = max(1, min(n, TILE_BYTES // (8 * circuit.num_nodes)))
+    buf = np.empty((circuit.num_nodes, tile))
+    for lo in range(0, n, tile):
+        rows = slice(lo, min(lo + tile, n))
+        lp = buf[:, : rows.stop - lo]
+        # divide: log 0 at indicator leaves; invalid: diverged (inf) parameters,
+        # whose NaN rows are the DivergedNaN signal handled by the trainers
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp[groups["bern"][0]] = np.where(xb[rows] > 0.5, np.log(params.bern), np.log1p(-params.bern)).T
+            z = (xg[rows] - ms[:, 0]) / ms[:, 1]
+            lp[groups["gauss"][0]] = (-np.log(ms[:, 1]) - 0.5 * _LOG_2PI - 0.5 * z * z).T
+            lp[groups["cat"][0]] = np.log(params.cat)[cat_starts + xc[rows]].T
+        for sums, prods in circuit.level_edges:
+            if prods.child.size:
+                lp[prods.parents] = prods.runs.sum(lp[prods.child])
+            if sums.child.size:
+                child_lp = lp[sums.child]
+                m = sums.runs.max(child_lp)
+                m_safe = np.where(np.isfinite(m), m, 0.0)
+                s = sums.runs.sum(theta[sums.index, None] * np.exp(child_lp - m_safe[sums.runs.ids]))
+                with np.errstate(divide="ignore"):
+                    lp[sums.parents] = np.where(np.isfinite(m), m_safe + np.log(s), -np.inf)
+        yield rows, lp
 
 
 def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
@@ -80,25 +124,18 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
     variable id; raises ScopeMismatch otherwise, and OutOfDomain when a value
     lies outside the support of a leaf that reads it.
     """
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if batch.shape[1] != len(circuit.root_scope):
-        raise ScopeMismatch(
-            f"batch width {batch.shape[1]} != root scope size {len(circuit.root_scope)}"
-        )
-    n = batch.shape[0]
-    lp = np.zeros((circuit.num_nodes, n))
-    _leaf_log_probs(circuit, params, batch, lp)
+    batch = as_batch(circuit, batch)
+    log_p = np.empty((batch.shape[0], circuit.num_nodes))
+    for rows, lp in _sweep(circuit, params, batch):
+        log_p[rows] = lp.T
+    return EvalTrace(log_p, circuit, params.theta.copy(), batch.copy())
 
-    theta = params.theta
-    for sums, prods in circuit.level_edges:
-        if prods.child.size:
-            lp[prods.parents] = prods.runs.sum(lp[prods.child])
-        if sums.child.size:
-            child_lp = lp[sums.child]
-            m = sums.runs.max(child_lp)
-            m_safe = np.where(np.isfinite(m), m, 0.0)
-            s = sums.runs.sum(theta[sums.index, None] * np.exp(child_lp - m_safe[sums.runs.ids]))
-            with np.errstate(divide="ignore"):
-                lp[sums.parents] = np.where(np.isfinite(m), m_safe + np.log(s), -np.inf)
 
-    return EvalTrace(np.ascontiguousarray(lp.T), circuit, theta.copy())
+def log_likelihood(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
+    """Per-sample log-likelihood [samples]: forward's root column, bit for
+    bit, without storing the trace.  Raises as forward does."""
+    batch = as_batch(circuit, batch)
+    out = np.empty(batch.shape[0])
+    for rows, lp in _sweep(circuit, params, batch):
+        out[rows] = lp[circuit.root]
+    return out

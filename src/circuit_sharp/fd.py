@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded
-from .evaluate import forward
+from .evaluate import forward, log_likelihood
 from .flows import backward, loglik_gradient
 
 GRADIENT_EDGE_CAP = 10_000
@@ -33,7 +33,7 @@ DEFAULTS = FdConfig()
 
 
 def batch_loglik(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> float:
-    return float(forward(circuit, params, batch).root_log_p.sum())
+    return float(log_likelihood(circuit, params, batch).sum())
 
 
 def analytic_gradient(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:

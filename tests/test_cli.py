@@ -201,18 +201,17 @@ class TestBench:
         assert "zero samples" in capsys.readouterr().out
 
 
-class TestThreads:
-    def test_threaded_metrics_match_single_threaded(self, tmp_path):
-        results = []
-        for threads, sub in ((0, "t0"), (3, "t3")):
-            out = tmp_path / sub
-            code = run_cli(
-                "train", "--manifold", "two_moons", "--fraction", 0.2, "--learner", "sgd",
-                "--mu", 0, "--seed", 5, "--epochs", 3,
-                "--structure", "rat:inputs=2,sums=2,reps=2",
-                "--threads", threads, "--out", out,
-            )
-            assert code == 0
-            results.append(json.loads((out / "metrics.json").read_text()))
-        for key in results[0]:
-            assert results[0][key] == results[1][key]
+class TestMetrics:
+    def test_nlls_equal_forward_of_saved_model(self, spiral_run):
+        """metrics.json NLLs are -forward(...).root_log_p.mean() of model.pc on
+        the run's own splits, bit for bit."""
+        from circuit_sharp import deserialize, forward
+        from circuit_sharp.cli import RunConfig, _resolve_data
+
+        manifest = json.loads((spiral_run / "manifest.json").read_text())
+        ds = _resolve_data(RunConfig(**manifest))
+        circuit, params = deserialize((spiral_run / "model.pc").read_bytes())
+        metrics = json.loads((spiral_run / "metrics.json").read_text())
+        for split in ("train", "valid", "test"):
+            rows = getattr(ds, split)
+            assert metrics[f"{split}_nll"] == float(-forward(circuit, params, rows).root_log_p.mean())

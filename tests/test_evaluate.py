@@ -1,13 +1,26 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuit_sharp import forward
+import circuit_sharp.evaluate as evaluate
+from circuit_sharp import forward, log_likelihood
 from circuit_sharp.errors import NotAChild, OutOfDomain, ScopeMismatch
 
 from oracles import enumerate_total_probability, product_complement
-from zoo import batch_for, random_dag, random_tree
+from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
+
+ALL_FAMILIES = ("binary", "continuous", "cat3")
+
+
+def _tiling_zoo():
+    """Trees and DAGs over all three leaf families with 10 rows each, and the
+    shared-child DAG, whose node D0 is -inf, on all 8 of its assignments."""
+    cases = tree_zoo(4, families=ALL_FAMILIES) + dag_zoo(4, families=ALL_FAMILIES)
+    cases = [(c, p, batch_for(c, 10, 2)) for c, p in cases]
+    return cases + [(*shared_child_dag(), np.array(list(itertools.product((0.0, 1.0), repeat=3))))]
 
 
 class TestForward:
@@ -70,8 +83,11 @@ class TestForward:
         assert np.isfinite(forward(circuit, params, batch).root_log_p).all()
         var, value = bad
         batch[row, var] = value
-        with pytest.raises(OutOfDomain):
-            forward(circuit, params, batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "TILE_BYTES", 2 * 8 * circuit.num_nodes)  # 2-row tiles
+            for fn in (forward, log_likelihood):
+                with pytest.raises(OutOfDomain, match=rf"^row {row},"):
+                    fn(circuit, params, batch)
 
     def test_permutation_invariance_bit_exact(self):
         circuit, params = random_dag(23)
@@ -89,6 +105,33 @@ class TestForward:
             return
         total = enumerate_total_probability(circuit, params)
         assert abs(total - 1.0) < 1e-9
+
+
+class TestTiling:
+    def test_log_likelihood_is_forward_root_bit_for_bit(self):
+        dead = 0
+        for circuit, params, batch in _tiling_zoo():
+            trace = forward(circuit, params, batch)
+            np.testing.assert_array_equal(log_likelihood(circuit, params, batch), trace.root_log_p)
+            dead += int(np.isneginf(trace.log_p[:, circuit.sum_nodes]).sum())
+        assert dead > 0  # the -inf sum node is covered
+
+    @pytest.mark.parametrize("tile_rows", [1, 3])
+    def test_row_tiles_equal_one_tile_bit_for_bit(self, monkeypatch, tile_rows):
+        for circuit, params, batch in _tiling_zoo():
+            monkeypatch.setattr(evaluate, "TILE_BYTES", 8 * circuit.num_nodes * len(batch))
+            whole = forward(circuit, params, batch)
+            monkeypatch.setattr(evaluate, "TILE_BYTES", 8 * circuit.num_nodes * tile_rows)
+            tiled = forward(circuit, params, batch)
+            np.testing.assert_array_equal(tiled.log_p, whole.log_p)
+            np.testing.assert_array_equal(log_likelihood(circuit, params, batch), whole.root_log_p)
+
+    def test_trace_keeps_a_copy_of_its_rows(self):
+        circuit, params = random_tree(5)
+        batch = batch_for(circuit, 4, 0)
+        trace = forward(circuit, params, batch)
+        batch[:] = batch[::-1]
+        np.testing.assert_array_equal(trace.batch, batch[::-1])
 
 
 class TestProductComplement:

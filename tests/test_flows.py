@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circuit_sharp import backward, forward, loglik_gradient
@@ -10,7 +10,7 @@ from circuit_sharp.fd import analytic_gradient, fd_gradient
 from circuit_sharp.flows import edge_ratios, pull_up
 
 from oracles import unrolled_edge_flow, unrolled_node_flow
-from zoo import batch_for, dag_zoo, random_dag, random_tree, tree_zoo
+from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
 
 
 def run_flows(circuit, params, batch):
@@ -144,30 +144,6 @@ class TestGradient:
         np.testing.assert_allclose(g_full, g_parts, atol=1e-10)
 
 
-def _shared_child_dag():
-    """Smooth decomposable DAG over three binary variables in which sum node
-    S1 (id 9) has two product parents at one level and a third two levels
-    higher, and sum node D0 (id 8) mixes two x0=1 indicators, so it is dead
-    (-inf) wherever x0 = 0."""
-    from circuit_sharp import Circuit, ParamSet, leaf_node, product_node, sum_node
-
-    nodes = [
-        leaf_node(0, "bern", [0.3]), leaf_node(0, "bern", [1.0]), leaf_node(0, "bern", [1.0]),  # 0-2
-        leaf_node(1, "bern", [0.6]), leaf_node(1, "bern", [0.2]),  # 3-4
-        leaf_node(2, "bern", [0.7]), leaf_node(2, "bern", [0.4]),  # 5-6
-        sum_node(0, 1), sum_node(1, 2), sum_node(3, 4), sum_node(5, 6),  # 7 S0, 8 D0, 9 S1, 10 S2
-        product_node(7, 10), product_node(0, 5), sum_node(11, 12),  # 11-12 over {0, 2}, 13 T
-        product_node(13, 9),  # 14 Q1: S1's parent at the top product level
-        product_node(7, 9), product_node(8, 9), sum_node(15, 16),  # 15-16 S1's parents, 17 U
-        product_node(17, 10), sum_node(14, 18),  # 18 Q2, 19 root
-    ]
-    circuit = Circuit.build(nodes, 19)
-    params = ParamSet.uniform(circuit)
-    weights = np.random.default_rng(11).dirichlet(np.ones(2), size=circuit.num_sum_edges // 2)
-    params.set_edge_vector(circuit, weights.ravel())
-    return circuit, params
-
-
 def _unroll(circuit, params):
     """The equivalent tree: one private copy of a node per path to it.
     Returns the tree, its params and each tree node's original node."""
@@ -200,7 +176,7 @@ class TestSharedChildAcrossLevels:
     def test_circuit_has_the_shape_under_test(self):
         from circuit_sharp import validate
 
-        circuit, params = _shared_child_dag()
+        circuit, params = shared_child_dag()
         assert validate(circuit).ok
         parent_levels = {}
         for level, (sums, prods) in enumerate(circuit.level_edges):
@@ -214,7 +190,7 @@ class TestSharedChildAcrossLevels:
         assert np.all(np.isfinite(lp[:, circuit.root]))
 
     def test_forward_matches_direct_evaluation(self):
-        circuit, params = _shared_child_dag()
+        circuit, params = shared_child_dag()
         weights, leaves = params.sum_weights, params.leaf_params
 
         def prob(v, x):
@@ -233,7 +209,7 @@ class TestSharedChildAcrossLevels:
     def test_flows_match_unrolled_tree(self):
         from circuit_sharp import SumEdge
 
-        circuit, params = _shared_child_dag()
+        circuit, params = shared_child_dag()
         tree, tree_params, origin = _unroll(circuit, params)
         _, flows = run_flows(circuit, params, self.batch)
         tree_trace = forward(tree, tree_params, self.batch)
@@ -258,7 +234,7 @@ class TestSharedChildAcrossLevels:
         from circuit_sharp.curvature import hessian_trace, trace_penalty_gradient
         from circuit_sharp.fd import central_diff
 
-        circuit, params = _shared_child_dag()
+        circuit, params = shared_child_dag()
         analytic = trace_penalty_gradient(circuit, params, self.batch)
         work = params.copy()
 
@@ -273,7 +249,7 @@ class TestSharedChildAcrossLevels:
         from circuit_sharp.curvature import hessian_operator
         from circuit_sharp.fd import fd_hessian
 
-        circuit, params = _shared_child_dag()
+        circuit, params = shared_child_dag()
         op = hessian_operator(circuit, params, self.batch)
         fd = fd_hessian(circuit, params, self.batch)
         for v in np.random.default_rng(12).standard_normal((3, circuit.num_sum_edges)):
@@ -285,7 +261,7 @@ class TestSharedChildAcrossLevels:
 def _ratio_zoo():
     """Trees, DAGs, and the shared-child DAG whose node D0 is -inf."""
     cases = [(c, p, batch_for(c, 5, 1)) for c, p in tree_zoo(5, max_edges=300) + dag_zoo(5, max_edges=300)]
-    return cases + [(*_shared_child_dag(), TestSharedChildAcrossLevels.batch)]
+    return cases + [(*shared_child_dag(), TestSharedChildAcrossLevels.batch)]
 
 
 class TestEdgeRatios:
@@ -352,5 +328,22 @@ class TestStaleTrace:
             trace_penalty_gradient(circuit, other, batch, trace=trace, flows=flows)
         np.testing.assert_array_equal(
             trace_penalty_gradient(circuit, params, other_batch, flows=other_flows),
+            trace_penalty_gradient(circuit, params, other_batch),
+        )
+
+    @given(st.integers(0, 300))
+    @settings(max_examples=15, deadline=None)
+    def test_penalty_rejects_trace_of_other_rows(self, seed):
+        maker = random_tree if seed % 2 else random_dag
+        circuit, params = maker(seed)
+        batch, other_batch = batch_for(circuit, 4, seed), batch_for(circuit, 4, seed + 1)
+        assume(not np.array_equal(batch, other_batch))
+        trace = forward(circuit, params, other_batch)
+        flows = backward(circuit, params, trace)
+        for given_passes in ({"trace": trace}, {"flows": flows}, {"trace": trace, "flows": flows}):
+            with pytest.raises(StaleTrace):
+                trace_penalty_gradient(circuit, params, batch, **given_passes)
+        np.testing.assert_array_equal(  # the same rows as a list are the same batch
+            trace_penalty_gradient(circuit, params, other_batch.tolist(), trace=trace, flows=flows),
             trace_penalty_gradient(circuit, params, other_batch),
         )

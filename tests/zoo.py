@@ -154,6 +154,28 @@ def batch_for(circuit: Circuit, size: int, seed: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def shared_child_dag():
+    """Smooth decomposable DAG over three binary variables in which sum node
+    S1 (id 9) has two product parents at one level and a third two levels
+    higher, and sum node D0 (id 8) mixes two x0=1 indicators, so it is dead
+    (-inf) wherever x0 = 0."""
+    nodes = [
+        leaf_node(0, "bern", [0.3]), leaf_node(0, "bern", [1.0]), leaf_node(0, "bern", [1.0]),  # 0-2
+        leaf_node(1, "bern", [0.6]), leaf_node(1, "bern", [0.2]),  # 3-4
+        leaf_node(2, "bern", [0.7]), leaf_node(2, "bern", [0.4]),  # 5-6
+        sum_node(0, 1), sum_node(1, 2), sum_node(3, 4), sum_node(5, 6),  # 7 S0, 8 D0, 9 S1, 10 S2
+        product_node(7, 10), product_node(0, 5), sum_node(11, 12),  # 11-12 over {0, 2}, 13 T
+        product_node(13, 9),  # 14 Q1: S1's parent at the top product level
+        product_node(7, 9), product_node(8, 9), sum_node(15, 16),  # 15-16 S1's parents, 17 U
+        product_node(17, 10), sum_node(14, 18),  # 18 Q2, 19 root
+    ]
+    circuit = Circuit.build(nodes, 19)
+    params = ParamSet.uniform(circuit)
+    weights = np.random.default_rng(11).dirichlet(np.ones(2), size=circuit.num_sum_edges // 2)
+    params.set_edge_vector(circuit, weights.ravel())
+    return circuit, params
+
+
 def tree_zoo(
     count: int, base_seed: int = 100, max_edges: int | None = None, **kw
 ) -> list[tuple[Circuit, ParamSet]]:
