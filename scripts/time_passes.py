@@ -7,15 +7,14 @@ then forward and log_likelihood on all 1000 spiral training rows, the size of
 an epoch's validation NLL.  Prints the median of REPEATS calls of each pass,
 in milliseconds.
 
-Each circuit is timed in a fresh process of this script (the parent passes
-the circuit's name as its one argument), so that no circuit is timed with an
-allocator that another circuit's passes have warmed.
+Each circuit is timed in a freshly spawned process, so that no circuit is
+timed with an allocator that another circuit's passes have warmed.
 
 The package comes from PYTHONPATH, so the same script times any checkout:
     PYTHONPATH=src python scripts/time_passes.py
 """
 
-import subprocess
+import multiprocessing
 import sys
 import time
 
@@ -78,13 +77,13 @@ def time_circuit(name):
 
 
 def main():
-    if len(sys.argv) > 1:
-        if sys.argv[1] not in CIRCUITS:
-            sys.exit(f"unknown circuit {sys.argv[1]!r}; expected one of {CIRCUITS}")
-        time_circuit(sys.argv[1])
-        return
+    spawn = multiprocessing.get_context("spawn")
     for name in CIRCUITS:
-        subprocess.run([sys.executable, __file__, name], check=True)
+        proc = spawn.Process(target=time_circuit, args=(name,))
+        proc.start()
+        proc.join()
+        if proc.exitcode != 0:
+            sys.exit(f"timing {name} failed with exit code {proc.exitcode}")
 
 
 if __name__ == "__main__":

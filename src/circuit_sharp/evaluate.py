@@ -8,8 +8,10 @@ so it is O(edges) numpy work regardless of circuit shape.
 
 The batch is walked in row tiles: each tile's leaf stage and level loop run
 in one [num_nodes, tile] buffer, allocated once per call and sized by
-``TILE_BYTES`` so that it stays in cache.  Every column is computed on its
-own, so the tiling changes no value.  :func:`forward` copies each tile into
+``TILE_BYTES`` so that it stays in cache, but wide enough (``LEVEL_CELLS``)
+that the level loop's fixed per-level cost, paid once per tile, stays small
+on deep narrow circuits.  Every column is computed on its own, so the tiling
+changes no value.  :func:`forward` copies each tile into
 the [samples, nodes] trace that backward passes need; :func:`log_likelihood`
 keeps only the root row and stores no trace, for callers that need the
 per-sample log-likelihoods alone.
@@ -29,6 +31,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Bytes of one [num_nodes, tile] buffer: about the L2 share that keeps a
 # tile's level loop out of main memory (timings in CHANGES.md).
 TILE_BYTES = 1 << 20
+# Least (node + sum edge) x row cells a tile gives each level on average:
+# a 3000-level chain takes one tile, as tiling it only repeats the loop.
+LEVEL_CELLS = 1 << 14
 
 
 @dataclass
@@ -92,7 +97,8 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray):
     groups = circuit.leaf_groups()
     theta, ms, cat_starts = params.theta, params.gauss, circuit.cat_segments.starts
     n = batch.shape[0]
-    tile = max(1, min(n, TILE_BYTES // (8 * circuit.num_nodes)))
+    cells = LEVEL_CELLS * max(1, len(circuit.level_edges)) // (circuit.num_nodes + circuit.num_sum_edges)
+    tile = max(1, min(n, max(TILE_BYTES // (8 * circuit.num_nodes), cells)))
     buf = np.empty((circuit.num_nodes, tile))
     for lo in range(0, n, tile):
         rows = slice(lo, min(lo + tile, n))

@@ -23,7 +23,7 @@ import scipy.special
 from .circuit import Circuit, ParamSet
 from .curvature import trace_penalty_gradient
 from .errors import DivergedNaN
-from .evaluate import EvalTrace, forward, log_likelihood
+from .evaluate import EvalTrace, forward
 from .flows import FlowTable, backward
 
 MU_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -265,7 +265,8 @@ def schedule_mu(state: ScheduleState, config: RegularizerConfig):
 
 
 def _mean_nll(circuit: Circuit, params: ParamSet, data: np.ndarray) -> float:
-    return float(-log_likelihood(circuit, params, data).mean())
+    # forward, not log_likelihood: perfbench's tracer spans forward only
+    return float(-forward(circuit, params, data).root_log_p.mean())
 
 
 def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, EvalTrace, FlowTable]:

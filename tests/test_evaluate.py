@@ -85,6 +85,7 @@ class TestForward:
         batch[row, var] = value
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluate, "TILE_BYTES", 2 * 8 * circuit.num_nodes)  # 2-row tiles
+            mp.setattr(evaluate, "LEVEL_CELLS", 0)
             for fn in (forward, log_likelihood):
                 with pytest.raises(OutOfDomain, match=rf"^row {row},"):
                     fn(circuit, params, batch)
@@ -118,6 +119,7 @@ class TestTiling:
 
     @pytest.mark.parametrize("tile_rows", [1, 3])
     def test_row_tiles_equal_one_tile_bit_for_bit(self, monkeypatch, tile_rows):
+        monkeypatch.setattr(evaluate, "LEVEL_CELLS", 0)
         for circuit, params, batch in _tiling_zoo():
             monkeypatch.setattr(evaluate, "TILE_BYTES", 8 * circuit.num_nodes * len(batch))
             whole = forward(circuit, params, batch)
@@ -125,6 +127,15 @@ class TestTiling:
             tiled = forward(circuit, params, batch)
             np.testing.assert_array_equal(tiled.log_p, whole.log_p)
             np.testing.assert_array_equal(log_likelihood(circuit, params, batch), whole.root_log_p)
+
+    def test_deep_narrow_circuit_takes_one_tile(self):
+        from circuit_sharp.structure import HcltConfig, build_hclt
+
+        # 400 levels of about two nodes each: the cache bound alone would cut
+        # 500 rows into 3 tiles and run the level loop 3 times
+        circuit, params = build_hclt([(i, i + 1) for i in range(199)], HcltConfig(num_latents=1))
+        assert evaluate.TILE_BYTES // (8 * circuit.num_nodes) < 500
+        assert len(list(evaluate._sweep(circuit, params, np.zeros((500, 200))))) == 1
 
     def test_trace_keeps_a_copy_of_its_rows(self):
         circuit, params = random_tree(5)
