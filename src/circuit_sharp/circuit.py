@@ -12,7 +12,7 @@ levels (per-parent runs plus a child-side :class:`Scatter`) share.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -63,7 +63,6 @@ class Node:
     kind: str
     children: tuple[int, ...] = ()
     leaf: LeafSpec | None = None
-    scope: tuple[int, ...] = ()  # filled in by Circuit.build
 
     def __post_init__(self):
         if self.kind == LEAF:
@@ -91,7 +90,7 @@ def product_node(*children: int) -> Node:
 def leaf_node(variable: int, family: str, params) -> Node:
     spec = LeafSpec(variable, family, tuple(float(x) for x in np.atleast_1d(params)))
     spec.check()
-    return Node(LEAF, (), spec, (variable,))
+    return Node(LEAF, (), spec)
 
 
 @dataclass(frozen=True)
@@ -210,9 +209,10 @@ class Circuit:
     Use :meth:`build`; the constructor is internal.
     """
 
-    def __init__(self, nodes, root, topo, parents, levels):
+    def __init__(self, nodes, root, topo, parents, levels, root_scope):
         self.nodes: list[Node] = nodes
         self.root: int = root
+        self.root_scope: tuple[int, ...] = root_scope  # sorted variables
         self.topo_order: np.ndarray = topo  # leaves first, root last
         self.parents: list[list[tuple[int, int]]] = parents
         self._levels = levels
@@ -253,20 +253,13 @@ class Circuit:
         if len(topo) != n:
             raise CyclicGraph("circuit graph contains a cycle")
 
-        scopes: list[tuple[int, ...]] = [()] * n
         levels = np.zeros(n, dtype=np.int64)
         for v in topo:
-            node = nodes[v]
-            if node.kind == LEAF:
-                scopes[v] = (node.leaf.variable,)
-            else:
-                seen: set[int] = set()
-                for c in node.children:
-                    seen.update(scopes[c])
-                scopes[v] = tuple(sorted(seen))
-                levels[v] = 1 + max(levels[c] for c in node.children)
-        nodes = [replace(node, scope=scopes[i]) for i, node in enumerate(nodes)]
-        return Circuit(nodes, root, np.asarray(topo), parents, levels)
+            if nodes[v].kind != LEAF:
+                levels[v] = 1 + max(levels[c] for c in nodes[v].children)
+        bits, variables = _scope_bits(nodes, topo)
+        root_scope = _scope(bits[root], variables)
+        return Circuit(list(nodes), root, np.asarray(topo), parents, levels, root_scope)
 
     # -- derived indexes ----------------------------------------------------
 
@@ -388,13 +381,6 @@ class Circuit:
 
     def kind(self, node: int) -> str:
         return self.nodes[node].kind
-
-    def scope(self, node: int) -> tuple[int, ...]:
-        return self.nodes[node].scope
-
-    @property
-    def root_scope(self) -> tuple[int, ...]:
-        return self.nodes[self.root].scope
 
     def edge(self, idx: int) -> SumEdge:
         return SumEdge(int(self.sum_edge_owner[idx]), int(self.sum_edge_slot[idx]))
@@ -530,38 +516,61 @@ class ValidationReport:
         return "\n".join(f"[{v.kind}] node {v.node}: {v.message}" for v in self.violations)
 
 
+def _scope_bits(nodes: list[Node], topo) -> tuple[list[int], list[int]]:
+    """Per node, its scope as an int bitset, in one pass over a children-first
+    order, plus the sorted leaf variables: bit i stands for variables[i], so
+    a bitset is no wider than the number of distinct variables."""
+    variables = sorted({node.leaf.variable for node in nodes if node.kind == LEAF})
+    rank = {v: i for i, v in enumerate(variables)}
+    bits = [0] * len(nodes)
+    for v in topo:
+        node = nodes[v]
+        if node.kind == LEAF:
+            bits[v] = 1 << rank[node.leaf.variable]
+        else:
+            for c in node.children:
+                bits[v] |= bits[c]
+    return bits, variables
+
+
+def _scope(bits: int, variables: list[int]) -> tuple[int, ...]:
+    """The variables of a scope bitset, ascending."""
+    return tuple(v for v, b in zip(variables, reversed(bin(bits)[2:])) if b == "1")
+
+
 def validate(circuit: Circuit) -> ValidationReport:
     """Check smoothness, decomposability, alternation and rootedness.
 
     An empty report means the circuit is a valid smooth, decomposable PC with
-    alternating sum/product layers and a single root.
+    alternating sum/product layers and a single root.  A sum node is smooth
+    when its children's scopes are equal; a product node is decomposable when
+    its children's scope sizes add up to its own.
     """
     out = ValidationReport()
+    bits, variables = _scope_bits(circuit.nodes, circuit.topo_order)
     for i, node in enumerate(circuit.nodes):
         if node.kind == SUM:
-            ref = circuit.scope(node.children[0])
+            ref = bits[node.children[0]]
             for c in node.children[1:]:
-                if circuit.scope(c) != ref:
-                    out.violations.append(
-                        Violation("non-smooth", i, f"child {c} scope {circuit.scope(c)} != {ref}")
-                    )
+                if bits[c] != ref:
+                    got, want = _scope(bits[c], variables), _scope(ref, variables)
+                    out.violations.append(Violation("non-smooth", i, f"child {c} scope {got} != {want}"))
             for c in node.children:
                 if circuit.kind(c) == SUM:
                     out.violations.append(Violation("non-alternating", i, f"sum child {c} of sum"))
         elif node.kind == PRODUCT:
-            seen: dict[int, int] = {}  # variable -> first child slot claiming it
-            for slot, c in enumerate(node.children):
-                for v in circuit.scope(c):
-                    if v in seen and seen[v] != slot:
+            if sum(bits[c].bit_count() for c in node.children) != bits[i].bit_count():
+                seen = 0  # union of the earlier children's scopes
+                for slot, c in enumerate(node.children):
+                    shared = seen & bits[c]
+                    if shared:
+                        low = shared & -shared  # the lowest shared variable
+                        first = next(d for d in node.children[:slot] if bits[d] & low)
+                        v = variables[low.bit_length() - 1]
                         out.violations.append(
-                            Violation(
-                                "non-decomposable",
-                                i,
-                                f"children {node.children[seen[v]]} and {c} share variable {v}",
-                            )
+                            Violation("non-decomposable", i, f"children {first} and {c} share variable {v}")
                         )
-                    else:
-                        seen[v] = slot
+                    seen |= bits[c]
             for c in node.children:
                 if circuit.kind(c) == PRODUCT:
                     out.violations.append(
@@ -573,81 +582,6 @@ def validate(circuit: Circuit) -> ValidationReport:
     if circuit.parents[circuit.root]:
         out.violations.append(Violation("root-has-parent", circuit.root, "root has a parent"))
     return out
-
-
-# -- edge-pair classification (tree circuits) ---------------------------------
-
-
-@dataclass(frozen=True)
-class SumPair:
-    pass
-
-
-@dataclass(frozen=True)
-class ProductPair:
-    ancestor: int
-    weight_above: SumEdge | None  # absent when the product node is the root
-
-
-@dataclass(frozen=True)
-class PathPair:
-    deeper: SumEdge
-    shallower: SumEdge
-
-
-PairClass = SumPair | ProductPair | PathPair
-
-
-def classify_pair(circuit: Circuit, e1: SumEdge, e2: SumEdge) -> PairClass:
-    """Classify two distinct sum edges of a tree circuit.
-
-    SumPair when the deepest common ancestor of the owning sum nodes is a sum
-    node, ProductPair when it is a product node, PathPair when one edge lies on
-    the unique root path of the other.
-    """
-    if not circuit.is_tree:
-        raise NotATree("pair classification requires a tree circuit")
-    if e1 == e2:
-        raise ValueError("edges must be distinct")
-    for e in (e1, e2):
-        circuit.edge_index(e)  # validates node/slot
-    tree = circuit.tree_index()
-
-    if e1.node == e2.node:
-        return SumPair()
-
-    c1 = circuit.nodes[e1.node].children[e1.slot]
-    c2 = circuit.nodes[e2.node].children[e2.slot]
-
-    # Root path of e1's owner, with the child through which it descends.
-    on_path: dict[int, int | None] = {}
-    v: int = e1.node
-    below: int | None = None
-    while v != -1:
-        on_path[v] = below
-        below = v
-        v = int(tree.parent[v])
-
-    v = e2.node
-    prev: int | None = None
-    while v not in on_path:
-        prev = v
-        v = int(tree.parent[v])
-    anc = v
-    down1 = on_path[anc]  # next node toward e1.node (None if anc == e1.node)
-    down2 = prev  # next node toward e2.node (None if anc == e2.node)
-
-    if anc == e1.node and down2 is not None:
-        return PathPair(deeper=e2, shallower=e1) if down2 == c1 else SumPair()
-    if anc == e2.node and down1 is not None:
-        return PathPair(deeper=e1, shallower=e2) if down1 == c2 else SumPair()
-    if circuit.kind(anc) == SUM:
-        return SumPair()
-    p = int(tree.parent[anc])
-    above = None
-    if p != -1 and circuit.kind(p) == SUM:
-        above = SumEdge(p, int(tree.parent_slot[anc]))
-    return ProductPair(ancestor=anc, weight_above=above)
 
 
 # -- serialization -------------------------------------------------------------
@@ -691,12 +625,15 @@ def deserialize(data: bytes) -> tuple[Circuit, ParamSet]:
         raise MalformedFile(f"bad header counts in {header!r}", lineno) from None
 
     nodes: list[Node | None] = [None] * num_nodes
-    weights: dict[int, np.ndarray] = {}
+    weights: dict[int, tuple[int, np.ndarray]] = {}  # node id -> (line, weights)
     for lineno, line in rows[1:]:
         tok = line.split()
         try:
             if tok[0] == "w":
-                weights[int(tok[1])] = np.array([float(x) for x in tok[2:]])
+                nid = int(tok[1])
+                if nid in weights:
+                    raise MalformedFile(f"second weight line for node {nid}", lineno)
+                weights[nid] = lineno, np.array([float(x) for x in tok[2:]])
                 continue
             nid = int(tok[0])
             if not (0 <= nid < num_nodes):
@@ -734,11 +671,15 @@ def deserialize(data: bytes) -> tuple[Circuit, ParamSet]:
         raise MalformedFile(f"missing node definitions for ids {missing[:5]}")
     circuit = Circuit.build(nodes, root)  # raises CyclicGraph on cycles
 
+    for n, (lineno, _) in weights.items():
+        if n not in circuit.sum_edge_offset:
+            raise MalformedFile(f"weights for node {n}, which is not a sum node", lineno)
     for n in circuit.sum_nodes:
         if n not in weights:
             raise MalformedFile(f"missing weights for sum node {n}")
-        if len(weights[n]) != len(circuit.nodes[n].children):
-            raise MalformedFile(f"weight count mismatch for sum node {n}")
+        lineno, w = weights[n]
+        if len(w) != len(circuit.nodes[n].children):
+            raise MalformedFile(f"weight count mismatch for sum node {n}", lineno)
     params = ParamSet.uniform(circuit)
-    params.set_edge_vector(circuit, np.concatenate([np.zeros(0)] + [weights[n] for n in circuit.sum_nodes]))
+    params.set_edge_vector(circuit, np.concatenate([np.zeros(0)] + [weights[n][1] for n in circuit.sum_nodes]))
     return circuit, params

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .circuit import Circuit, ParamSet, deserialize, serialize, validate
-from .curvature import CurvatureReport, hessian_diag, hessian_trace
+from .curvature import hessian_diag, hessian_trace
 from .data import (
     DATA_ROOT_ENV,
     Dataset,
@@ -28,7 +28,7 @@ from .data import (
     minmax_scale,
     subsample,
 )
-from .diagnostics import dof, landscape, nll_hessian_eigenvalues, write_eigenvalues_csv
+from .diagnostics import dof, landscape, nll_hessian_eigenvalues, write_diag_csv, write_eigenvalues_csv
 from .errors import CircuitError, CostGuardExceeded, DivergedNaN
 from .evaluate import log_likelihood
 from .fd import fd_gradient, analytic_gradient
@@ -185,7 +185,7 @@ def cmd_trace(args) -> int:
     value = hessian_trace(circuit, params, data)
     print(f"abs_trace {value!r}")
     if args.per_edge:
-        CurvatureReport(value, diag=hessian_diag(circuit, params, data)).write_diag(args.per_edge)
+        write_diag_csv(hessian_diag(circuit, params, data), args.per_edge)
     if args.fd_check:
         if circuit.num_sum_edges > 200:
             raise CostGuardExceeded("--fd-check supports at most 200 sum edges")

@@ -24,8 +24,6 @@ Four exact quantities, all driven by edge flows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -233,48 +231,3 @@ def trace_penalty_gradient(
     push_down(circuit, theta, ratio, lp_bar, fe_bar, rbar)
     theta_bar += fe_bar.sum(axis=1) / theta
     return theta_bar
-
-
-@dataclass
-class CurvatureReport:
-    """Bundle of curvature quantities plus CSV export per the artifact formats."""
-
-    abs_trace: float
-    diag: np.ndarray | None = None
-    dense: np.ndarray | None = None
-    eigvals: np.ndarray | None = None
-
-    def write_trace(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"{float(self.abs_trace)!r}\n")
-
-    def write_diag(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("edge,value\n")
-            for i, v in enumerate(self.diag):
-                fh.write(f"{i},{float(v)!r}\n")
-
-    def write_dense(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("edge_i,edge_j,value\n")
-            e = self.dense.shape[0]
-            for i in range(e):
-                for j in range(e):
-                    fh.write(f"{i},{j},{float(self.dense[i, j])!r}\n")
-
-
-def compute_report(
-    circuit: Circuit,
-    params: ParamSet,
-    batch: np.ndarray,
-    want_diag: bool = False,
-    want_dense: bool = False,
-    top_k: int = 0,
-) -> CurvatureReport:
-    diag = hessian_diag(circuit, params, batch) if (want_diag or not want_dense) else None
-    dense = full_hessian_tree(circuit, params, batch) if want_dense else None
-    if dense is not None and diag is None:
-        diag = np.diag(dense).copy()
-    abs_trace = float(-diag.sum()) if diag is not None else hessian_trace(circuit, params, batch)
-    eig = top_eigenvalues(dense, top_k) if (want_dense and top_k) else None
-    return CurvatureReport(abs_trace, diag if want_diag or want_dense else None, dense, eig)

@@ -9,7 +9,6 @@ the simplex before evaluation, so every probed point is a valid circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,22 +17,12 @@ from .curvature import hessian_operator, top_eigenvalues
 from .errors import ZeroTrainNLL
 from .evaluate import log_likelihood
 
-if TYPE_CHECKING:
-    from .learning import TrainReport
-
 
 def dof(train_nll: float, eval_nll: float) -> float:
     """Degree of overfitting: (eval - train) / |train|; sign-aware."""
     if train_nll == 0.0:
         raise ZeroTrainNLL("degree of overfitting undefined at train NLL 0")
     return (eval_nll - train_nll) / abs(train_nll)
-
-
-def dof_abs(train_nll: float, valid_nll: float) -> float:
-    """Absolute-gap variant used against the validation split."""
-    if train_nll == 0.0:
-        raise ZeroTrainNLL("degree of overfitting undefined at train NLL 0")
-    return abs(valid_nll - train_nll) / abs(train_nll)
 
 
 @dataclass
@@ -116,15 +105,6 @@ def landscape(
     return LandscapeGrid(dirs, alphas, betas, values, origin)
 
 
-def sharpness_curve(report: "TrainReport") -> tuple[np.ndarray, np.ndarray, int]:
-    """(epochs, sharpness) series plus the epoch of peak sharpness
-    (earliest on ties)."""
-    epochs = report.series("epoch").astype(int)
-    sharp = report.series("sharpness")
-    peak = int(epochs[int(np.argmax(sharp))])
-    return epochs, sharp, peak
-
-
 def nll_hessian_eigenvalues(
     circuit: Circuit,
     params: ParamSet,
@@ -143,4 +123,12 @@ def write_eigenvalues_csv(eigvals: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         fh.write("rank,eigenvalue\n")
         for i, v in enumerate(eigvals, start=1):
+            fh.write(f"{i},{float(v)!r}\n")
+
+
+def write_diag_csv(diag: np.ndarray, path) -> None:
+    """One ``edge,value`` row per sum edge, in the global edge order."""
+    with open(path, "w") as fh:
+        fh.write("edge,value\n")
+        for i, v in enumerate(diag):
             fh.write(f"{i},{float(v)!r}\n")

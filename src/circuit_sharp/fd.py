@@ -3,12 +3,11 @@
 Perturbations act on raw sum weights without renormalization: that is the
 unconstrained partial derivative the flow identities express.  Second
 derivatives difference the analytic gradient (one level of truncation error),
-not the scalar twice.
+not the scalar twice, with a step one decade coarser than the gradient's
+(1e-4 against 1e-5).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,17 +18,6 @@ from .flows import backward, loglik_gradient
 
 GRADIENT_EDGE_CAP = 10_000
 HESSIAN_EDGE_CAP = 500
-
-
-@dataclass
-class FdConfig:
-    """Central-difference steps: one decade coarser for second derivatives."""
-
-    step_gradient: float = 1e-5
-    step_hessian: float = 1e-4
-
-
-DEFAULTS = FdConfig()
 
 
 def batch_loglik(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> float:
@@ -53,7 +41,7 @@ def _weight_diff(params: ParamSet, fn, h: float) -> np.ndarray:
 
 
 def fd_gradient(
-    circuit: Circuit, params: ParamSet, batch: np.ndarray, h: float = DEFAULTS.step_gradient
+    circuit: Circuit, params: ParamSet, batch: np.ndarray, h: float = 1e-5
 ) -> np.ndarray:
     """Central difference of the batch log-likelihood per raw sum weight."""
     e = circuit.num_sum_edges
@@ -66,7 +54,7 @@ def fd_hessian(
     circuit: Circuit,
     params: ParamSet,
     batch: np.ndarray,
-    h: float = DEFAULTS.step_hessian,
+    h: float = 1e-4,
     symmetrize: bool = True,
 ) -> np.ndarray:
     """Central difference of the analytic gradient, symmetrized as (H + H^T)/2.

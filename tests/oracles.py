@@ -9,21 +9,100 @@ recursions so the two routes stay independent.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from circuit_sharp import (
-    Circuit,
-    EvalTrace,
-    ParamSet,
-    PathPair,
-    ProductPair,
-    SumEdge,
-    SumPair,
-    classify_pair,
-    forward,
-)
-from circuit_sharp.errors import NotAChild
+from circuit_sharp import Circuit, EvalTrace, ParamSet, SumEdge, forward
+from circuit_sharp.errors import NotAChild, NotATree
+
+
+def node_scopes(circuit: Circuit) -> list[tuple[int, ...]]:
+    """Every node's scope as a sorted variable tuple, by set unions over the
+    children: the reference for the scope bitsets in ``validate``."""
+    scopes: list[tuple[int, ...]] = [()] * circuit.num_nodes
+    for v in circuit.topo_order:
+        node = circuit.nodes[v]
+        if node.kind == "leaf":
+            scopes[v] = (node.leaf.variable,)
+        else:
+            scopes[v] = tuple(sorted(set().union(*(scopes[c] for c in node.children))))
+    return scopes
+
+
+# -- edge-pair classification (tree circuits) ---------------------------------
+
+
+@dataclass(frozen=True)
+class SumPair:
+    pass
+
+
+@dataclass(frozen=True)
+class ProductPair:
+    ancestor: int
+    weight_above: SumEdge | None  # absent when the product node is the root
+
+
+@dataclass(frozen=True)
+class PathPair:
+    deeper: SumEdge
+    shallower: SumEdge
+
+
+PairClass = SumPair | ProductPair | PathPair
+
+
+def classify_pair(circuit: Circuit, e1: SumEdge, e2: SumEdge) -> PairClass:
+    """Classify two distinct sum edges of a tree circuit.
+
+    SumPair when the deepest common ancestor of the owning sum nodes is a sum
+    node, ProductPair when it is a product node, PathPair when one edge lies on
+    the unique root path of the other.
+    """
+    if not circuit.is_tree:
+        raise NotATree("pair classification requires a tree circuit")
+    if e1 == e2:
+        raise ValueError("edges must be distinct")
+    for e in (e1, e2):
+        circuit.edge_index(e)  # validates node/slot
+    tree = circuit.tree_index()
+
+    if e1.node == e2.node:
+        return SumPair()
+
+    c1 = circuit.nodes[e1.node].children[e1.slot]
+    c2 = circuit.nodes[e2.node].children[e2.slot]
+
+    # Root path of e1's owner, with the child through which it descends.
+    on_path: dict[int, int | None] = {}
+    v: int = e1.node
+    below: int | None = None
+    while v != -1:
+        on_path[v] = below
+        below = v
+        v = int(tree.parent[v])
+
+    v = e2.node
+    prev: int | None = None
+    while v not in on_path:
+        prev = v
+        v = int(tree.parent[v])
+    anc = v
+    down1 = on_path[anc]  # next node toward e1.node (None if anc == e1.node)
+    down2 = prev  # next node toward e2.node (None if anc == e2.node)
+
+    if anc == e1.node and down2 is not None:
+        return PathPair(deeper=e2, shallower=e1) if down2 == c1 else SumPair()
+    if anc == e2.node and down1 is not None:
+        return PathPair(deeper=e1, shallower=e2) if down1 == c2 else SumPair()
+    if circuit.kind(anc) == "sum":
+        return SumPair()
+    p = int(tree.parent[anc])
+    above = None
+    if p != -1 and circuit.kind(p) == "sum":
+        above = SumEdge(p, int(tree.parent_slot[anc]))
+    return ProductPair(ancestor=anc, weight_above=above)
 
 
 def _root_path(circuit: Circuit, node: int) -> list[int]:

@@ -13,10 +13,6 @@ import pytest
 from circuit_sharp import (
     Circuit,
     ParamSet,
-    PathPair,
-    ProductPair,
-    SumPair,
-    classify_pair,
     forward,
     leaf_node,
     sum_node,
@@ -37,7 +33,7 @@ from circuit_sharp.learning import (
 )
 from circuit_sharp.structure import HcltConfig, RatConfig, build_hclt, build_rat, chow_liu_tree
 
-from oracles import cubic_update_oracle, enumerate_total_probability
+from oracles import ProductPair, SumPair, classify_pair, cubic_update_oracle, enumerate_total_probability
 from zoo import batch_for, dag_zoo, random_tree, tree_zoo
 
 

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from circuit_sharp import (
     Circuit,
     ParamSet,
-    PathPair,
-    ProductPair,
     SumEdge,
-    SumPair,
-    classify_pair,
     deserialize,
     leaf_node,
     product_node,
@@ -23,6 +19,7 @@ from circuit_sharp import (
 from circuit_sharp.circuit import Segments
 from circuit_sharp.errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
+from oracles import PathPair, ProductPair, SumPair, classify_pair, node_scopes
 from zoo import batch_for, random_dag, random_tree
 
 
@@ -35,11 +32,13 @@ class TestValidate:
         nodes = [leaf_node(0, "bern", [0.4]), leaf_node(0, "bern", [0.6]), product_node(0, 1)]
         report = validate(Circuit.build(nodes, 2))
         assert [v.kind for v in report.violations] == ["non-decomposable"]
+        assert report.violations[0].message == "children 0 and 1 share variable 0"
 
     def test_non_smooth_sum_reported(self):
         nodes = [leaf_node(0, "bern", [0.4]), leaf_node(1, "bern", [0.6]), sum_node(0, 1)]
         report = validate(Circuit.build(nodes, 2))
-        assert any(v.kind == "non-smooth" for v in report.violations)
+        assert [v.kind for v in report.violations] == ["non-smooth"]
+        assert report.violations[0].message.startswith("child 1 scope (1,)")
 
     def test_orphan_node_reported(self):
         nodes = [
@@ -71,14 +70,16 @@ class TestValidate:
     def test_smooth_and_decomposable_definitions(self):
         circuit, _ = random_tree(7)
         assert validate(circuit).ok
+        scope = node_scopes(circuit)
+        assert scope[circuit.root] == circuit.root_scope
         for i, node in enumerate(circuit.nodes):
             if node.kind == "sum":
-                scopes = {circuit.scope(c) for c in node.children}
+                scopes = {scope[c] for c in node.children}
                 assert len(scopes) == 1
             elif node.kind == "product":
                 seen = set()
                 for c in node.children:
-                    cs = set(circuit.scope(c))
+                    cs = set(scope[c])
                     assert not (seen & cs)
                     seen |= cs
 
@@ -107,7 +108,8 @@ class TestBuild:
     def test_leaf_scope_is_its_variable(self):
         nodes = [leaf_node(3, "gauss", [0.0, 1.0])]
         circuit = Circuit.build(nodes, 0)
-        assert circuit.scope(0) == (3,)
+        assert node_scopes(circuit)[0] == (3,)
+        assert circuit.root_scope == (3,)
 
     def test_edge_layers_count_sum_ancestors(self, path_chain):
         circuit, _ = path_chain
@@ -179,7 +181,8 @@ class TestSerialization:
         assert c2.num_nodes == circuit.num_nodes
         assert c2.root == circuit.root
         for a, b in zip(circuit.nodes, c2.nodes):
-            assert a.kind == b.kind and a.children == b.children and a.scope == b.scope
+            assert a.kind == b.kind and a.children == b.children
+        assert c2.root_scope == circuit.root_scope
         for n in circuit.sum_nodes:
             assert np.array_equal(params.sum_weights[n], p2.sum_weights[n])
         for i in params.leaf_params:
@@ -205,10 +208,17 @@ class TestSerialization:
             deserialize(b"")
 
     def test_bad_token_reports_line(self):
-        text = "pc v1 1 0\n0 L 0 bern oops\n"
-        with pytest.raises(MalformedFile) as err:
-            deserialize(text.encode())
-        assert err.value.line == 2
+        mixture = "pc v1 3 2\n0 L 0 bern 0.5\n1 L 0 bern 0.5\n2 S 0 1\nw 2 0.5 0.5\n"
+        cases = [
+            ("pc v1 1 0\n0 L 0 bern oops\n", 2),
+            (mixture + "w 2 0.9 0.1\n", 6),  # a second weight line for node 2
+            (mixture + "w 7 1.0\n", 6),  # no node 7
+            (mixture + "w 0 1.0\n", 6),  # node 0 is a leaf
+        ]
+        for text, line in cases:
+            with pytest.raises(MalformedFile) as err:
+                deserialize(text.encode())
+            assert err.value.line == line
 
     def test_missing_weights_raises(self):
         text = "pc v1 3 2\n0 L 0 bern 0.5\n1 L 0 bern 0.5\n2 S 0 1\n"

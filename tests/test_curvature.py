@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuit_sharp.curvature import (
-    CurvatureReport,
     full_hessian_tree,
     hessian_diag,
     hessian_operator,
@@ -336,21 +335,16 @@ class TestPenaltyGradient:
 
 class TestReport:
     def test_csv_exports(self, tmp_path, product_of_sums):
+        from circuit_sharp.diagnostics import write_diag_csv
+
         circuit, params = product_of_sums
         batch = np.array([[1.0, 0.0], [0.0, 1.0]])
-        dense = full_hessian_tree(circuit, params, batch)
         diag = hessian_diag(circuit, params, batch)
-        rep = CurvatureReport(hessian_trace(circuit, params, batch), diag, dense)
-        rep.write_trace(tmp_path / "trace.txt")
-        rep.write_diag(tmp_path / "diag.csv")
-        rep.write_dense(tmp_path / "dense.csv")
-        assert float((tmp_path / "trace.txt").read_text()) == rep.abs_trace
+        write_diag_csv(diag, tmp_path / "diag.csv")
         lines = (tmp_path / "diag.csv").read_text().splitlines()
         assert lines[0] == "edge,value"
         assert len(lines) == 1 + circuit.num_sum_edges
-        dense_lines = (tmp_path / "dense.csv").read_text().splitlines()
-        assert dense_lines[0] == "edge_i,edge_j,value"
-        assert len(dense_lines) == 1 + circuit.num_sum_edges**2
+        assert [float(line.split(",")[1]) for line in lines[1:]] == diag.tolist()
 
     def test_report_invariants(self, product_of_sums):
         circuit, params = product_of_sums
@@ -362,13 +356,3 @@ class TestReport:
         assert diag.max() <= 0
         np.testing.assert_allclose(dense, dense.T, atol=1e-10)
         np.testing.assert_allclose(np.diag(dense), diag, atol=1e-12)
-
-    def test_compute_report_bundles_consistently(self, product_of_sums):
-        from circuit_sharp.curvature import compute_report
-
-        circuit, params = product_of_sums
-        batch = np.array([[1.0, 0.0], [1.0, 1.0]])
-        rep = compute_report(circuit, params, batch, want_dense=True, top_k=2)
-        assert abs(rep.abs_trace - hessian_trace(circuit, params, batch)) < 1e-12
-        np.testing.assert_allclose(np.diag(rep.dense), rep.diag, atol=1e-12)
-        assert len(rep.eigvals) == 2

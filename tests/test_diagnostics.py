@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from circuit_sharp import forward
 from circuit_sharp.diagnostics import (
     dof,
-    dof_abs,
     landscape,
     nll_hessian_eigenvalues,
-    sharpness_curve,
     write_eigenvalues_csv,
 )
 from circuit_sharp.errors import ZeroTrainNLL
-from circuit_sharp.learning import EpochRow, TrainReport
 
 from zoo import batch_for, random_tree
 
@@ -38,9 +35,6 @@ class TestDof:
         a = dof(train, train + gap)
         b = dof(scale * train, scale * (train + gap))
         assert a == pytest.approx(b, rel=1e-9)
-
-    def test_abs_variant(self):
-        assert dof_abs(-10.0, -12.0) == pytest.approx(0.2)
 
 
 class TestLandscape:
@@ -97,26 +91,6 @@ class TestLandscape:
             params = em_step_vanilla(circuit, params, data, alpha=1.0)
         grid = landscape(circuit, params, data, grid_points=21, grid_radius=1.0, seed=0)
         assert np.argmin(grid.values) == 10  # converged point sits at the center
-
-
-class TestSharpnessCurve:
-    @staticmethod
-    def report_from(sharps):
-        rows = [EpochRow(i + 1, 1.0, 1.0, s, 0.0, 0.0, 0.0) for i, s in enumerate(sharps)]
-        return TrainReport(rows)
-
-    def test_constant_series_picks_first(self):
-        _, _, peak = sharpness_curve(self.report_from([2.0, 2.0, 2.0]))
-        assert peak == 1
-
-    def test_increasing_series_picks_last(self):
-        _, _, peak = sharpness_curve(self.report_from([1.0, 2.0, 3.0]))
-        assert peak == 3
-
-    def test_series_round_trip(self):
-        epochs, sharp, _ = sharpness_curve(self.report_from([5.0, 1.0]))
-        np.testing.assert_array_equal(epochs, [1, 2])
-        np.testing.assert_array_equal(sharp, [5.0, 1.0])
 
 
 class TestEigenDiagnostics:

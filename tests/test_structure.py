@@ -152,6 +152,7 @@ class TestHclt:
         circuit, params = build_hclt([(i, i + 1) for i in range(2999)], HcltConfig(num_latents=1))
         assert sys.getrecursionlimit() == limit
         assert len(circuit.root_scope) == 3000
+        assert validate(circuit).ok
         batch = np.random.default_rng(0).integers(0, 2, size=(2, 3000)).astype(float)
         assert np.isfinite(forward(circuit, params, batch).root_log_p).all()
 
