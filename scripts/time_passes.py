@@ -3,9 +3,11 @@
 and one Hessian-vector product (hvp; the operator is built outside the timer)
 on the trace-dag DAG (build_layered_dag(17, 79, seed=7), 16 binary rows) and
 the spiral RAT (RatConfig(num_vars=2, depth=1, seed=1), 200 training rows),
-then forward and log_likelihood on all 1000 spiral training rows, the size of
-an epoch's validation NLL.  Prints the median of REPEATS calls of each pass,
-in milliseconds.
+then on the spiral RAT log_likelihood, backward, penalty and hvp on 5 rows,
+the chunk size of the diagnose-tree workload, where per-call overhead
+dominates, and forward and log_likelihood on all 1000 spiral training rows,
+the size of an epoch's validation NLL.  Prints the median of REPEATS calls of
+each pass, in milliseconds.
 
 Each circuit is timed in a freshly spawned process, so that no circuit is
 timed with an allocator that another circuit's passes have warmed.
@@ -47,9 +49,25 @@ def report(name, circuit, batch, passes):
     )
 
 
+def passes(circuit, params, batch):
+    """Every pass on one batch, as zero-argument callables."""
+    trace = forward(circuit, params, batch)
+    flows = backward(circuit, params, trace)
+    hess = hessian_operator(circuit, params, batch)
+    v = np.random.default_rng(5).standard_normal(circuit.num_sum_edges)
+    return {
+        "forward": lambda: forward(circuit, params, batch),
+        "log_likelihood": lambda: log_likelihood(circuit, params, batch),
+        "backward": lambda: backward(circuit, params, trace),
+        "penalty": lambda: trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows),
+        "hvp": lambda: hess @ v,
+    }
+
+
 def time_circuit(name):
-    """Time every pass on one circuit; with the spiral RAT, also the NLL-only
-    passes on all of its training rows."""
+    """Time every pass on one circuit; with the spiral RAT, also the passes
+    of diagnose-tree's 5-row chunks and the NLL-only passes on all of its
+    training rows."""
     if name == "trace-dag DAG":
         circuit, params = build_layered_dag(17, 79, seed=7)
         batch = (np.random.default_rng(3).random((16, 17)) < 0.5).astype(float)
@@ -58,18 +76,10 @@ def time_circuit(name):
         spiral, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
         circuit, params = build_rat(RatConfig(num_vars=2, depth=1, seed=1))
         batch, large = spiral.train[:200], spiral.train
-    trace = forward(circuit, params, batch)
-    flows = backward(circuit, params, trace)
-    hess = hessian_operator(circuit, params, batch)
-    v = np.random.default_rng(5).standard_normal(circuit.num_sum_edges)
-    report(name, circuit, batch, {
-        "forward": lambda: forward(circuit, params, batch),
-        "log_likelihood": lambda: log_likelihood(circuit, params, batch),
-        "backward": lambda: backward(circuit, params, trace),
-        "penalty": lambda: trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows),
-        "hvp": lambda: hess @ v,
-    })
+    report(name, circuit, batch, passes(circuit, params, batch))
     if large is not None:
+        small = passes(circuit, params, batch[:5])
+        report(name, circuit, batch[:5], {k: small[k] for k in ("log_likelihood", "backward", "penalty", "hvp")})
         report(name, circuit, large, {
             "forward": lambda: forward(circuit, params, large),
             "log_likelihood": lambda: log_likelihood(circuit, params, large),

@@ -5,8 +5,9 @@ Sum edges are globally indexed by (owning node id, child slot) in sorted
 order; that order is stable across serialization round-trips and is the
 coordinate system for gradients, Hessians and traces.  The edges of one sum
 node form a contiguous run of that order, and :class:`Segments` holds the
-per-run operations that sum weights, categorical leaves and the compiled
-levels (per-parent runs plus a child-side :class:`Scatter`) share.
+per-run operations that sum weights and categorical leaves share.  The
+passes run over compiled levels, each split into buckets of parents with one
+fan-in (per-parent blocks plus a child-side :class:`Scatter`).
 """
 
 from __future__ import annotations
@@ -162,24 +163,44 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LevelEdges:
-    """The sum or product edges whose parents sit at one level, compiled once
-    for every pass.  Each parent's edges form one run of ``runs``, owned by
-    ``parents[r]``; ``index`` places each edge in the flat (for sum edges,
-    global) edge order, as a slice where contiguous; ``child`` is its child
-    node, and ``scatter`` adds per-edge rows into the children."""
+    """One fan-in bucket of the sum or product edges whose parents sit at one
+    level, compiled once for every pass.  Every parent of the bucket has k
+    edges, and ``parents[r]`` owns rows [r*k, (r+1)*k) of a per-edge array,
+    so :meth:`blocks` views one as [parents, k, samples] and a per-parent
+    [parents, 1, samples] array broadcasts against it with no gather.
+    ``index`` places each edge in the flat (for sum edges, global) edge
+    order, as a slice where contiguous; ``child`` is its child node, and
+    ``scatter`` adds per-edge rows into the children."""
 
     parents: np.ndarray
-    runs: Segments
+    k: int
     index: np.ndarray | slice
     child: np.ndarray
     scatter: Scatter
 
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(self.parents.size, self.k, *x.shape[1:])
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Per-parent sums of per-edge rows x, by np.add.reduceat as in
+        Segments.sum: a sum along axis 1 of the blocks adds a one-row tile's
+        runs in another order than a wider tile's, which changes rounding."""
+        return np.add.reduceat(x, np.arange(0, x.shape[0], self.k), axis=0)
+
     @staticmethod
-    def select(nodes: np.ndarray, seg: Segments, child: np.ndarray, keep: np.ndarray) -> "_LevelEdges":
-        """The runs of seg (edges of nodes, back to back) where keep holds."""
-        index = np.flatnonzero(keep[seg.ids])
-        at = slice(index[0], index[-1] + 1) if index.size and index[-1] - index[0] == index.size - 1 else index
-        return _LevelEdges(nodes[keep], Segments(seg.lengths[keep]), at, child[index], Scatter(child[index]))
+    def buckets(nodes: np.ndarray, seg: Segments, child: np.ndarray, level: np.ndarray) -> dict:
+        """level -> the buckets of the runs of seg (the edges of nodes, back
+        to back), one per fan-in, each in node order."""
+        out: dict = {}
+        order = np.lexsort((seg.lengths, level))  # by level, then fan-in; stable
+        cuts = np.flatnonzero(np.diff(level[order]) | np.diff(seg.lengths[order])) + 1
+        for group in np.split(order, cuts) if order.size else []:
+            k = int(seg.lengths[group[0]])
+            index = (seg.starts[group, None] + np.arange(k)).reshape(-1)
+            at = slice(index[0], index[-1] + 1) if index[-1] - index[0] == index.size - 1 else index
+            edges = _LevelEdges(nodes[group], k, at, child[index], Scatter(child[index]))
+            out.setdefault(int(level[group[0]]), []).append(edges)
+        return out
 
 
 @dataclass
@@ -270,6 +291,11 @@ class Circuit:
         self.sum_edge_owner = np.asarray(self.sum_nodes, dtype=np.int64)[seg.ids]
         self.sum_edge_slot = np.arange(self.num_sum_edges) - seg.starts[seg.ids]
         self.sum_edge_offset = dict(zip(self.sum_nodes, seg.starts.tolist()))  # node id -> first edge
+        # 0/1 [sum nodes, sum edges]: row i marks the edges of sum_nodes[i]
+        self.sum_node_edges = scipy.sparse.csr_array(
+            (np.ones(self.num_sum_edges), (seg.ids, np.arange(self.num_sum_edges))),
+            shape=(len(self.sum_nodes), self.num_sum_edges),
+        )
 
         # Layer of an edge = number of sum nodes strictly between its owner
         # and the root, taking the minimum over root paths in a DAG.
@@ -290,11 +316,12 @@ class Circuit:
         prod_nodes = np.array([i for i, nd in enumerate(self.nodes) if nd.kind == PRODUCT], dtype=np.int64)
         prod_seg = Segments([len(self.nodes[p].children) for p in prod_nodes])
         prod_child = np.array([c for p in prod_nodes for c in self.nodes[p].children], dtype=np.int64)
-        sum_level, prod_level = self._levels[sum_nodes], self._levels[prod_nodes]
-        self.level_edges: list[tuple[_LevelEdges, _LevelEdges]] = []  # (sums, products), leaves to root
-        for lv in np.unique(np.concatenate([sum_level, prod_level])):
-            sums = _LevelEdges.select(sum_nodes, self.sum_segments, sum_child, sum_level == lv)
-            self.level_edges.append((sums, _LevelEdges.select(prod_nodes, prod_seg, prod_child, prod_level == lv)))
+        sums = _LevelEdges.buckets(sum_nodes, self.sum_segments, sum_child, self._levels[sum_nodes])
+        prods = _LevelEdges.buckets(prod_nodes, prod_seg, prod_child, self._levels[prod_nodes])
+        # (sum buckets, product buckets) per level, leaves to root
+        self.level_edges: list[tuple[list[_LevelEdges], list[_LevelEdges]]] = [
+            (sums.get(lv, []), prods.get(lv, [])) for lv in sorted(sums.keys() | prods.keys())
+        ]
 
     def _index_leaves(self) -> None:
         leaves = [i for i, node in enumerate(self.nodes) if node.kind == LEAF]

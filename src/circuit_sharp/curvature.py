@@ -222,12 +222,16 @@ def trace_penalty_gradient(
     f_bar = np.zeros(trace.log_p.T.shape)
     pull_up(circuit, theta, ratio, f_bar, fe_bar)
     fnode = flows.node_flow.T
-    rbar = (fe_bar + f_bar[circuit.sum_edge_child]) * fnode[circuit.sum_edge_owner] * theta[:, None] * ratio
+    rbar = f_bar[circuit.sum_edge_child]
+    rbar += fe_bar
+    rbar *= fnode[circuit.sum_edge_owner]
+    rbar *= theta[:, None]
+    rbar *= ratio
 
     # Adjoint of the forward pass: push_down seeded with the -lp_n side of
     # rbar; its per-edge source adds the lp_c side and rbar's theta term.
     lp_bar = np.zeros_like(f_bar)
-    lp_bar[circuit.sum_nodes] = -circuit.sum_segments.sum(rbar)
+    lp_bar[circuit.sum_nodes] = -(circuit.sum_node_edges @ rbar)
     push_down(circuit, theta, ratio, lp_bar, fe_bar, rbar)
     theta_bar += fe_bar.sum(axis=1) / theta
     return theta_bar

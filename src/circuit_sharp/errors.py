@@ -18,7 +18,7 @@ class NotAChild(CircuitError):
 
 
 class ScopeMismatch(CircuitError):
-    """Batch width does not match the root scope."""
+    """The batch columns are not the root scope's variables 0..width-1."""
 
 
 class StaleTrace(CircuitError):

@@ -3,8 +3,10 @@
 Sum nodes use the log-sum-exp trick with a per-parent shift; -inf
 log-probabilities are legal values (deterministic-style supports) and are
 propagated, never raised.  The pass runs leaves-to-root over the compiled
-levels of ``Circuit.level_edges`` with per-parent segment sums and maxima,
-so it is O(edges) numpy work regardless of circuit shape.
+levels of ``Circuit.level_edges``, one fan-in bucket at a time: a parent's
+maximum is taken over the [k, samples] block of its edges, its shift
+broadcasts back over that block, and its sum is a segment sum, so it is
+O(edges) numpy work regardless of circuit shape.
 
 The batch is walked in row tiles: each tile's leaf stage and level loop run
 in one [num_nodes, tile] buffer, allocated once per call and sized by
@@ -58,12 +60,14 @@ class EvalTrace:
 
 def as_batch(circuit: Circuit, batch) -> np.ndarray:
     """The batch as a float [samples, variables] array; raises ScopeMismatch
-    unless it has one column per root-scope variable."""
+    unless the root scope is exactly the variables 0..width-1, the columns
+    that the leaves read."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if batch.shape[1] != len(circuit.root_scope):
-        raise ScopeMismatch(
-            f"batch width {batch.shape[1]} != root scope size {len(circuit.root_scope)}"
-        )
+    scope, width = circuit.root_scope, batch.shape[1]
+    if len(scope) != width:
+        raise ScopeMismatch(f"batch width {width} != root scope size {len(scope)}")
+    if scope and (scope[0] != 0 or scope[-1] != width - 1):  # sorted and distinct
+        raise ScopeMismatch(f"root scope {scope[0]}..{scope[-1]} is not the batch columns 0..{width - 1}")
     return batch
 
 
@@ -111,15 +115,17 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray):
             lp[groups["gauss"][0]] = (-np.log(ms[:, 1]) - 0.5 * _LOG_2PI - 0.5 * z * z).T
             lp[groups["cat"][0]] = np.log(params.cat)[cat_starts + xc[rows]].T
         for sums, prods in circuit.level_edges:
-            if prods.child.size:
-                lp[prods.parents] = prods.runs.sum(lp[prods.child])
-            if sums.child.size:
-                child_lp = lp[sums.child]
-                m = sums.runs.max(child_lp)
+            for b in prods:
+                lp[b.parents] = b.sum(lp[b.child])
+            for b in sums:
+                w = lp[b.child]
+                m = b.blocks(w).max(axis=1)
                 m_safe = np.where(np.isfinite(m), m, 0.0)
-                s = sums.runs.sum(theta[sums.index, None] * np.exp(child_lp - m_safe[sums.runs.ids]))
+                np.subtract(b.blocks(w), m_safe[:, None], out=b.blocks(w))
+                np.exp(w, out=w)
+                w *= theta[b.index, None]
                 with np.errstate(divide="ignore"):
-                    lp[sums.parents] = np.where(np.isfinite(m), m_safe + np.log(s), -np.inf)
+                    lp[b.parents] = np.where(np.isfinite(m), m_safe + np.log(b.sum(w)), -np.inf)
         yield rows, lp
 
 

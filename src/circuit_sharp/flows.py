@@ -6,8 +6,11 @@ passes the parent's full flow to the child.  :func:`edge_ratios` tabulates
 the clipped p_c / p_n once, and the two level sweeps read it: :func:`push_down`
 runs that recursion root-to-leaves from any seed (flows, log-probability
 adjoints, flow tangents), :func:`pull_up` leaves-to-root (flow adjoints,
-log-probability tangents).  Only sum edges keep their edge values.  Flows
-keep their trace, and a trace its weights, so stale pairings raise StaleTrace.
+log-probability tangents).  Each runs over the fan-in buckets of
+``Circuit.level_edges``: a parent's value (p_n, or its adjoint) broadcasts
+over the [k, samples] block of its edges, with no per-edge gather.  Only sum
+edges keep their edge values.  Flows keep their trace, and a trace its
+weights, so stale pairings raise StaleTrace.
 """
 
 from __future__ import annotations
@@ -38,12 +41,15 @@ def edge_ratios(circuit: Circuit, theta: np.ndarray, lp: np.ndarray) -> np.ndarr
     1/theta; the clip absorbs round-off from the log-space subtraction."""
     ratio = np.empty((theta.size, lp.shape[1]))
     for sums, _ in circuit.level_edges:  # level by level: no [edges, samples] gather of lp
-        if sums.child.size:
-            lp_n = lp[sums.parents][sums.runs.ids]
+        for b in sums:
+            lp_n = lp[b.parents][:, None]
+            r = lp[b.child]
             with np.errstate(invalid="ignore", over="ignore"):
-                r = np.minimum(np.exp(lp[sums.child] - lp_n), 1.0 / theta[sums.index, None])
-            r[~np.isfinite(lp_n)] = 0.0
-            ratio[sums.index] = r
+                np.subtract(b.blocks(r), lp_n, out=b.blocks(r))
+                np.exp(r, out=r)
+                np.minimum(r, 1.0 / theta[b.index, None], out=r)
+            np.copyto(b.blocks(r), 0.0, where=~np.isfinite(lp_n))
+            ratio[b.index] = r
     return ratio
 
 
@@ -53,11 +59,13 @@ def pull_up(circuit: Circuit, theta: np.ndarray, ratio: np.ndarray, acc: np.ndar
     sum_c theta_nc * ratio_nc * (acc_c + edge_src_nc), with edge_src
     [sum edges, samples or 1].  Leaves keep their values."""
     for sums, prods in circuit.level_edges:
-        if sums.child.size:
-            share = theta[sums.index, None] * ratio[sums.index]
-            acc[sums.parents] = sums.runs.sum(share * (acc[sums.child] + edge_src[sums.index]))
-        if prods.child.size:
-            acc[prods.parents] = prods.runs.sum(acc[prods.child])
+        for b in sums:
+            x = acc[b.child]
+            x += edge_src[b.index]
+            x *= theta[b.index, None] * ratio[b.index]
+            acc[b.parents] = b.sum(x)
+        for b in prods:
+            acc[b.parents] = b.sum(acc[b.child])
 
 
 def push_down(
@@ -73,14 +81,16 @@ def push_down(
     edges, samples] when given, to its child and writes it to edge_adj [sum
     edges, samples]; a product edge adds adj_n."""
     for sums, prods in reversed(circuit.level_edges):
-        if sums.child.size:
-            share = adj[sums.parents][sums.runs.ids] * theta[sums.index, None] * ratio[sums.index]
+        for b in sums:
+            share = adj[b.parents][:, None] * b.blocks(theta[b.index, None])
+            share *= b.blocks(ratio[b.index])
+            share = share.reshape(b.child.size, adj.shape[1])
             if source is not None:
-                share += source[sums.index]
-            edge_adj[sums.index] = share
-            sums.scatter.add_into(adj, share)
-        if prods.child.size:
-            prods.scatter.add_into(adj, adj[prods.parents][prods.runs.ids])
+                share += source[b.index]
+            edge_adj[b.index] = share
+            b.scatter.add_into(adj, share)
+        for b in prods:
+            b.scatter.add_into(adj, np.repeat(adj[b.parents], b.k, axis=0))
 
 
 def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:

@@ -20,7 +20,7 @@ from circuit_sharp.circuit import Segments
 from circuit_sharp.errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
 from oracles import PathPair, ProductPair, SumPair, classify_pair, node_scopes
-from zoo import batch_for, random_dag, random_tree
+from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
 
 
 class TestValidate:
@@ -300,6 +300,53 @@ class TestSegments:
         want = np.concatenate([floored_softmax(z[r]) for r in runs])
         np.testing.assert_allclose(seg.softmax(z), want, rtol=1e-14)
         assert seg.softmax(z).min() > 0.0
+
+
+def _random_tree_hclt():
+    """A 100-variable HCLT over a random spanning tree: 5 of its 20 level
+    groups mix parents of two fan-ins."""
+    from circuit_sharp.structure import HcltConfig, build_hclt
+
+    rng = np.random.default_rng(0)
+    return build_hclt([(int(rng.integers(i)), i) for i in range(1, 100)], HcltConfig(num_latents=2))
+
+
+class TestLevelBuckets:
+    def test_buckets_have_one_fan_in_and_cover_each_level_once(self):
+        cases = tree_zoo(8) + dag_zoo(8) + [shared_child_dag(), _random_tree_hclt()]
+        mixed = 0
+        for circuit, _ in cases:
+            levels = {}  # leaves 0, else one above the highest child
+            for v in circuit.topo_order.tolist():
+                kids = circuit.nodes[v].children
+                levels[v] = 1 + max(levels[c] for c in kids) if kids else 0
+            internal = sorted({lv for v, lv in levels.items() if circuit.nodes[v].children})
+            assert len(circuit.level_edges) == len(internal)  # the tile width reads it
+            for lv, buckets in zip(internal, circuit.level_edges):
+                mixed += any(len(kind) > 1 for kind in buckets)
+                for kind, bucket_list in zip(("sum", "product"), buckets):
+                    at_level = sorted(v for v, l in levels.items() if l == lv and circuit.kind(v) == kind)
+                    assert sorted(p for b in bucket_list for p in b.parents.tolist()) == at_level
+                    assert len({b.k for b in bucket_list}) == len(bucket_list)  # one bucket per fan-in
+                    for b in bucket_list:
+                        fan_in = [len(circuit.nodes[p].children) for p in b.parents.tolist()]
+                        assert fan_in == [b.k] * b.parents.size
+                        children = [c for p in b.parents.tolist() for c in circuit.nodes[p].children]
+                        np.testing.assert_array_equal(b.child, children)
+                    if kind == "sum":  # the global sum edges of the level, each once
+                        edges = [e for b in bucket_list for e in np.arange(circuit.num_sum_edges)[b.index].tolist()]
+                        want = [circuit.edge_index(SumEdge(p, s)) for p in at_level
+                                for s in range(len(circuit.nodes[p].children))]
+                        assert sorted(edges) == want
+                        for b in bucket_list:
+                            np.testing.assert_array_equal(circuit.sum_edge_owner[b.index], np.repeat(b.parents, b.k))
+        assert mixed >= 5
+
+    def test_sum_node_edges_sums_each_sum_nodes_edges(self):
+        for circuit, _ in tree_zoo(4) + dag_zoo(4) + [_random_tree_hclt()]:
+            x = np.random.default_rng(0).uniform(-1.0, 1.0, (circuit.num_sum_edges, 3))
+            want = [x[circuit.sum_edge_owner == n].sum(axis=0) for n in circuit.sum_nodes]
+            np.testing.assert_allclose(circuit.sum_node_edges @ x, want, rtol=1e-14, atol=1e-15)
 
 
 class TestTreeIndex:

@@ -99,18 +99,19 @@ class TestTrace:
 
 
     @pytest.mark.parametrize(
-        "weights,rows,message",
+        "variable,weights,rows,message",
         [
-            ("nan 0.5", "1,0\n0,1\n", "node 2: weights must lie in (0, 1]"),
-            ("-0.5 1.5", "1,0\n0,1\n", "node 2: weights must lie in (0, 1]"),
-            ("0.5 0.5", "1,0\n7,1\n", "outside the Bernoulli domain"),
+            (1, "nan 0.5", "1,0\n0,1\n", "node 2: weights must lie in (0, 1]"),
+            (1, "-0.5 1.5", "1,0\n0,1\n", "node 2: weights must lie in (0, 1]"),
+            (1, "0.5 0.5", "1,0\n7,1\n", "outside the Bernoulli domain"),
+            (5, "0.5 0.5", "1,0\n0,1\n", "root scope 0..5 is not the batch columns 0..1"),
         ],
-        ids=["nan-weight", "negative-weight", "out-of-domain-data"],
+        ids=["nan-weight", "negative-weight", "out-of-domain-data", "leaf-variable-out-of-range"],
     )
-    def test_bad_model_or_data_is_input_error(self, tmp_path, capsys, weights, rows, message):
+    def test_bad_model_or_data_is_input_error(self, tmp_path, capsys, variable, weights, rows, message):
         model = tmp_path / "model.pc"
         model.write_text(
-            "pc v1 5 4\n0 L 0 bern 0.3\n1 L 0 bern 0.8\n2 S 0 1\n3 L 1 bern 0.5\n4 P 2 3\n"
+            f"pc v1 5 4\n0 L 0 bern 0.3\n1 L 0 bern 0.8\n2 S 0 1\n3 L {variable} bern 0.5\n4 P 2 3\n"
             f"w 2 {weights}\n"
         )
         data = tmp_path / "data.csv"

@@ -40,9 +40,18 @@ class TestForward:
         assert trace.root_log_p[0] == -np.inf
 
     def test_scope_mismatch(self, indicator_mixture):
+        from circuit_sharp import Circuit, ParamSet, leaf_node, product_node
+
         circuit, params = indicator_mixture
         with pytest.raises(ScopeMismatch):
             forward(circuit, params, np.zeros((2, 3)))
+        # leaves over {0, 5} would index past a 2-column batch, and over
+        # {-1, 0} read variable -1 from its last column
+        for variables in ((0, 5), (-1, 0)):
+            nodes = [leaf_node(variables[0], "bern", 0.3), leaf_node(variables[1], "bern", 0.4), product_node(0, 1)]
+            circuit = Circuit.build(nodes, 2)
+            with pytest.raises(ScopeMismatch, match="not the batch columns"):
+                forward(circuit, ParamSet.uniform(circuit), np.array([[1.0, 0.0]]))
 
     def test_logsumexp_identity_at_sum_nodes(self):
         circuit, params = random_tree(17)

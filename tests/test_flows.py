@@ -34,6 +34,14 @@ class TestBackward:
         _, flows = run_flows(circuit, params, batch_for(circuit, 6, 0))
         np.testing.assert_array_equal(flows.node_flow[:, circuit.root], 1.0)
 
+    def test_empty_batch_gives_empty_tables(self):
+        circuit, params = random_dag(3)
+        batch = np.zeros((0, len(circuit.root_scope)))
+        trace, flows = run_flows(circuit, params, batch)
+        assert flows.node_flow.shape == (0, circuit.num_nodes) and flows.edge_flow.shape == (0, circuit.num_sum_edges)
+        penalty = trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows)
+        np.testing.assert_array_equal(penalty, np.zeros(circuit.num_sum_edges))
+
     def test_stale_trace_rejected(self, indicator_mixture, product_of_sums):
         c1, p1 = indicator_mixture
         c2, p2 = product_of_sums
@@ -180,7 +188,7 @@ class TestSharedChildAcrossLevels:
         assert validate(circuit).ok
         parent_levels = {}
         for level, (sums, prods) in enumerate(circuit.level_edges):
-            for child in np.concatenate([sums.child, prods.child]).tolist():
+            for child in np.concatenate([b.child for b in sums + prods]).tolist():
                 parent_levels.setdefault(child, []).append(level)
         levels = parent_levels[9]
         assert len(set(levels)) == 2 and len(levels) == 3  # two parents share a level
