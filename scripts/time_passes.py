@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Per-pass timings: forward, log_likelihood, backward, trace_penalty_gradient
-and one Hessian-vector product (hvp; the operator is built outside the timer)
-on the trace-dag DAG (build_layered_dag(17, 79, seed=7), 16 binary rows) and
-the spiral RAT (RatConfig(num_vars=2, depth=1, seed=1), 200 training rows),
-then on the spiral RAT log_likelihood, backward, penalty and hvp on 5 rows,
+"""Per-pass timings: forward, log_likelihood, backward, trace_penalty_gradient,
+one Hessian-vector product (hvp; the operator is built outside the timer) and
+one step (forward, backward and the penalty from their trace and flows: the
+trace-dag benchmark's step) on the trace-dag DAG (build_layered_dag(17, 79,
+seed=7), 16 binary rows) and the spiral RAT (RatConfig(num_vars=2, depth=1,
+seed=1), 200 training rows), then on the spiral RAT log_likelihood,
+backward, penalty and hvp on 5 rows,
 the chunk size of the diagnose-tree workload, where per-call overhead
 dominates, and forward and log_likelihood on all 1000 spiral training rows,
 the size of an epoch's validation NLL.  Prints the median of REPEATS calls of
@@ -55,12 +57,18 @@ def passes(circuit, params, batch):
     flows = backward(circuit, params, trace)
     hess = hessian_operator(circuit, params, batch)
     v = np.random.default_rng(5).standard_normal(circuit.num_sum_edges)
+
+    def step():
+        t = forward(circuit, params, batch)
+        return trace_penalty_gradient(circuit, params, batch, trace=t, flows=backward(circuit, params, t))
+
     return {
         "forward": lambda: forward(circuit, params, batch),
         "log_likelihood": lambda: log_likelihood(circuit, params, batch),
         "backward": lambda: backward(circuit, params, trace),
         "penalty": lambda: trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows),
         "hvp": lambda: hess @ v,
+        "step": step,
     }
 
 

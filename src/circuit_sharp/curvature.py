@@ -15,11 +15,14 @@ Four exact quantities, all driven by edge flows:
   over samples are matrix products over the batch, not a loop.
 * Hessian-vector products for any circuit, tree or DAG, without forming the
   Hessian: ``hessian_operator`` differentiates the flow recursion along v
-  (forward-over-reverse: a ``pull_up`` and a ``push_down`` per vector over a
-  cached ``edge_ratios`` table), which is what Lanczos in ``top_eigenvalues``
-  consumes.
+  (forward-over-reverse: a ``pull_up`` and a ``push_down`` per vector over the
+  ratio table of its one backward pass), which is what Lanczos in
+  ``top_eigenvalues`` consumes.
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
+
+Every pass reads the node-major tables of a ``FlowTable`` as they are, ratio
+table included: no ratio is rebuilt and no table transposed.
 """
 
 from __future__ import annotations
@@ -30,27 +33,27 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
 from .evaluate import as_batch, forward
-from .flows import FlowTable, backward, edge_ratios, pull_up, push_down
+from .flows import FlowTable, backward, pull_up, push_down
 
 DENSE_EDGE_CAP = 5000
 
 
 def edge_gradients(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, FlowTable]:
-    """Per-sample d log P / d theta for every sum edge, plus the flow table."""
+    """Per-sample d log P / d theta, [sum edges, samples], plus the flow table."""
     flows = backward(circuit, params, forward(circuit, params, batch))
-    return flows.edge_flow / params.theta, flows
+    return flows.edge_flow / params.theta[:, None], flows
 
 
 def hessian_trace(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> float:
     """Absolute Hessian trace: sum over samples and edges of (F_nc/theta_nc)^2."""
-    g, _ = edge_gradients(circuit, params, batch)
-    return float(np.sum(g * g))
+    return float(-hessian_diag(circuit, params, batch).sum())
 
 
 def hessian_diag(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
-    """Batch-summed Hessian diagonal, one nonpositive entry per sum edge."""
-    g, _ = edge_gradients(circuit, params, batch)
-    return -np.sum(g * g, axis=0)
+    """Batch-summed Hessian diagonal, one nonpositive entry per sum edge:
+    -sum_x F_nc(x)^2 / theta_nc^2, contracted without a table of squares."""
+    fe = backward(circuit, params, forward(circuit, params, batch)).edge_flow
+    return -np.einsum("es,es->e", fe, fe) / params.theta**2
 
 
 def full_hessian_tree(
@@ -61,9 +64,9 @@ def full_hessian_tree(
 ) -> np.ndarray:
     """Dense, batch-summed log-likelihood Hessian of a tree circuit.
 
-    Assembled from batch-level products of the per-sample gradients G [samples,
-    edges]: the base term -G^T G covers all sum pairs and the diagonal, each
-    product-pair block adds G_a^T diag(1/F_q) G_b, and nested path pairs add
+    Assembled from batch-level products of the per-sample gradients G [edges,
+    samples]: the base term -G G^T covers all sum pairs and the diagonal, each
+    product-pair block adds G_a diag(1/F_q) G_b^T, and nested path pairs add
     sum_x g_deep / theta_shallow.  Every entry gets at most one correction, the
     same on both sides of the diagonal, so the result is exactly symmetric.
     Pass a single-row batch for a per-sample Hessian.
@@ -76,22 +79,22 @@ def full_hessian_tree(
     tree = circuit.tree_index()
 
     g, flows = edge_gradients(circuit, params, batch)
-    hess = g.T @ g  # numpy's product of a matrix with its own transpose is exactly symmetric
+    hess = g @ g.T  # numpy's product of a matrix with its own transpose is exactly symmetric
     np.negative(hess, out=hess)
     order = tree.dfs_to_global
 
     # dead subtree (F_q < 1e-250): g below q scales with F_q, so the
     # correction g g' / F_q vanishes in the limit; weight 0 before 1/F_q overflows
-    fq = flows.node_flow[:, tree.prod_nodes]
+    fq = flows.node_flow[tree.prod_nodes]
     inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
-    g_dfs = g[:, order]  # every child subtree is a column slice
-    for w, blocks in zip(inv.T, tree.prod_blocks):
+    g_dfs = g[order]  # every child subtree is a row slice
+    for w, blocks in zip(inv, tree.prod_blocks):
         for a, (lo1, hi1) in enumerate(blocks):
             ia = order[lo1:hi1]
-            gw = g_dfs[:, lo1:hi1].T * w
+            gw = g_dfs[lo1:hi1] * w
             for lo2, hi2 in blocks[a + 1 :]:
                 ib = order[lo2:hi2]
-                corr = gw @ g_dfs[:, lo2:hi2]
+                corr = gw @ g_dfs[lo2:hi2].T
                 hess[np.ix_(ia, ib)] += corr
                 hess[np.ix_(ib, ia)] += corr.T
 
@@ -100,7 +103,7 @@ def full_hessian_tree(
     shallow = np.repeat(np.arange(e), size)
     deep = np.arange(size.sum()) + np.repeat(tree.edge_sub_lo - np.cumsum(size) + size, size)
     shallow, deep = order[shallow], order[deep]
-    corr = g.sum(axis=0)[deep] / params.theta[shallow]
+    corr = g.sum(axis=1)[deep] / params.theta[shallow]
     hess[deep, shallow] += corr
     hess[shallow, deep] += corr
     return hess
@@ -110,18 +113,17 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     """Exact batch-summed log-likelihood Hessian as a symmetric E x E operator.
 
     Each H v is forward-over-reverse (Pearlmutter 1994) through the compiled
-    levels, over the edge ratios cached here: ``pull_up`` with edge source
-    v / theta gives the tangents t = d log p along v, then ``push_down``
-    carries the flow tangents dF down with the per-edge source F_e (v / theta
-    + t_c - t_n), and H v = (sum_x dF_e - sum_x F_e v / theta) / theta.
+    levels, over the ratio table of the one backward pass made here:
+    ``pull_up`` with edge source v / theta gives the tangents t = d log p
+    along v, then ``push_down`` carries the flow tangents dF down with the
+    per-edge source F_e (v / theta + t_c - t_n), and H v = (sum_x dF_e -
+    sum_x F_e v / theta) / theta.
     Works for trees and DAGs alike; H v raises ValueError for a v that is not
     E finite values.
     """
     theta = params.theta
-    trace = forward(circuit, params, batch)
-    fe = backward(circuit, params, trace).edge_flow.T
-    lp = trace.log_p.T
-    ratio = edge_ratios(circuit, theta, lp)
+    flows = backward(circuit, params, forward(circuit, params, batch))
+    fe, ratio, shape = flows.edge_flow, flows.ratio, flows.node_flow.shape
     fe_sum = fe.sum(axis=1)
     e = theta.size
 
@@ -130,11 +132,11 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
         if u.shape != (e,) or not np.all(np.isfinite(u)):
             raise ValueError(f"v must be {e} finite values, got shape {np.shape(v)}")
         u = u / theta
-        t = np.zeros(lp.shape)
+        t = np.zeros(shape)
         pull_up(circuit, theta, ratio, t, u[:, None])
         dfe = np.empty_like(fe)
         source = fe * (u[:, None] + t[circuit.sum_edge_child] - t[circuit.sum_edge_owner])
-        push_down(circuit, theta, ratio, np.zeros(lp.shape), dfe, source)
+        push_down(circuit, theta, ratio, np.zeros(shape), dfe, source)
         return (dfe.sum(axis=1) - fe_sum * u) / theta
 
     return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, dtype=float)
@@ -212,19 +214,17 @@ def trace_penalty_gradient(
         raise StaleTrace("trace was evaluated under other sum weights than params")
     if not np.array_equal(trace.batch, as_batch(circuit, batch)):
         raise StaleTrace("trace was evaluated on other rows than batch")
-    ratio = edge_ratios(circuit, theta, trace.log_p.T)
-    fedge = flows.edge_flow.T
+    ratio, fedge = flows.ratio, flows.edge_flow
     fe_bar = (2.0 * w / (theta * theta))[:, None] * fedge
-    theta_bar = -np.sum(fe_bar * fedge, axis=1) / theta
+    theta_bar = -np.einsum("es,es->e", fe_bar, fedge) / theta
 
     # Adjoint of the flow recursion F_e = F_n theta_e ratio_e: f_bar, then
     # rbar_e, the adjoint of log ratio_e = lp_c - lp_n.
-    f_bar = np.zeros(trace.log_p.T.shape)
+    f_bar = np.zeros(flows.node_flow.shape)
     pull_up(circuit, theta, ratio, f_bar, fe_bar)
-    fnode = flows.node_flow.T
     rbar = f_bar[circuit.sum_edge_child]
     rbar += fe_bar
-    rbar *= fnode[circuit.sum_edge_owner]
+    rbar *= flows.node_flow[circuit.sum_edge_owner]
     rbar *= theta[:, None]
     rbar *= ratio
 

@@ -3,7 +3,10 @@ gradient they induce.
 
 A sum edge (n, c) carries flow F_n * theta_nc * p_c / p_n; a product edge
 passes the parent's full flow to the child.  :func:`edge_ratios` tabulates
-the clipped p_c / p_n once, and the two level sweeps read it: :func:`push_down`
+the clipped p_c / p_n once per backward pass, and the flow table keeps it, so
+the penalty adjoint and Hessian-vector products read the same table.  Every
+table is node-major, [nodes or sum edges, samples], the layout the level
+sweeps compute in.  The two sweeps read the ratios: :func:`push_down`
 runs that recursion root-to-leaves from any seed (flows, log-probability
 adjoints, flow tangents), :func:`pull_up` leaves-to-root (flow adjoints,
 log-probability tangents).  Each runs over the fan-in buckets of
@@ -26,11 +29,13 @@ from .evaluate import EvalTrace
 
 @dataclass
 class FlowTable:
-    """node_flow: [num_samples, num_nodes]; edge_flow: [num_samples, num_sum_edges];
-    trace: the forward pass they were computed from."""
+    """node_flow: [num_nodes, num_samples]; edge_flow and ratio: [num_sum_edges,
+    num_samples] in global edge order, ratio the edge_ratios table the flows
+    were pushed down with; trace: the forward pass they were computed from."""
 
     node_flow: np.ndarray
     edge_flow: np.ndarray
+    ratio: np.ndarray
     trace: EvalTrace
 
 
@@ -103,8 +108,9 @@ def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
     flow = np.zeros((circuit.num_nodes, n))
     flow[circuit.root] = 1.0
     edge_flow = np.empty((circuit.num_sum_edges, n))
-    push_down(circuit, params.theta, edge_ratios(circuit, params.theta, trace.log_p.T), flow, edge_flow)
-    return FlowTable(np.ascontiguousarray(flow.T), np.ascontiguousarray(edge_flow.T), trace)
+    ratio = edge_ratios(circuit, params.theta, trace.log_p.T)
+    push_down(circuit, params.theta, ratio, flow, edge_flow)
+    return FlowTable(flow, edge_flow, ratio, trace)
 
 
 def loglik_gradient(flows: FlowTable, params: ParamSet) -> np.ndarray:
@@ -112,4 +118,4 @@ def loglik_gradient(flows: FlowTable, params: ParamSet) -> np.ndarray:
 
     Equal to the batch sum of F_nc(x) / theta_nc; nonnegative everywhere.
     """
-    return flows.edge_flow.sum(axis=0) / params.theta
+    return flows.edge_flow.sum(axis=1) / params.theta

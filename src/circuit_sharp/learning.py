@@ -24,7 +24,7 @@ from .circuit import Circuit, ParamSet
 from .curvature import trace_penalty_gradient
 from .errors import DivergedNaN
 from .evaluate import EvalTrace, forward
-from .flows import FlowTable, backward
+from .flows import FlowTable, backward, loglik_gradient
 
 MU_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
 
@@ -118,7 +118,7 @@ def sharp_update(flow_sum, lam: float, mu) -> np.ndarray | float:
 
 def _edge_flow_sums(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, FlowTable]:
     flows = backward(circuit, params, forward(circuit, params, batch))
-    return flows.edge_flow.sum(axis=0), flows
+    return flows.edge_flow.sum(axis=1), flows
 
 
 def _m_step(
@@ -172,7 +172,7 @@ def em_step_sharp(
 def _leaf_columns(circuit: Circuit, flows: FlowTable, batch: np.ndarray) -> dict:
     """Per leaf family, the leaves' flows and data columns, both [samples, leaves]."""
     groups = circuit.leaf_groups()
-    return {f: (flows.node_flow[:, ids], batch[:, var]) for f, (ids, var) in groups.items()}
+    return {f: (flows.node_flow[ids].T, batch[:, var]) for f, (ids, var) in groups.items()}
 
 
 def _cat_counts(seg, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -270,13 +270,14 @@ def _mean_nll(circuit: Circuit, params: ParamSet, data: np.ndarray) -> float:
 
 
 def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, EvalTrace, FlowTable]:
-    """The epoch's log row, and the train-set trace and flows it was read from."""
+    """The epoch's log row, and the train-set trace and flows it was read from.
+    The validation pass runs first, so that it does not peak on top of them."""
+    valid_nll = _mean_nll(circuit, params, valid) if valid is not None else float("nan")
     trace = forward(circuit, params, train)
     flows = backward(circuit, params, trace)
-    g = flows.edge_flow / params.theta
+    fe = flows.edge_flow
     train_nll = float(-trace.root_log_p.mean())
-    sharp = float(np.sum(g * g))
-    valid_nll = _mean_nll(circuit, params, valid) if valid is not None else float("nan")
+    sharp = float((np.einsum("es,es->e", fe, fe) / params.theta**2).sum())  # hessian_trace's contraction
     dof = (valid_nll - train_nll) / abs(train_nll) if valid is not None else float("nan")
     mu_scalar = float(np.mean(mu))
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
@@ -284,7 +285,7 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
 
 def _adaptive_state(circuit, params, train, trace, flows, row, prev_mu) -> ScheduleState:
     """Schedule inputs from the train-set trace and flows of _epoch_row."""
-    g_data = float(np.linalg.norm(flows.edge_flow.sum(axis=0) / params.theta))
+    g_data = float(np.linalg.norm(loglik_gradient(flows, params)))
     g_reg = float(np.linalg.norm(trace_penalty_gradient(circuit, params, train, trace=trace, flows=flows)))
     return ScheduleState(row.train_nll, row.valid_nll, g_data, g_reg, prev_mu)
 
@@ -314,7 +315,7 @@ def em_train(
             batch = train[order[lo : lo + batch_size]]
             trace = forward(circuit, params, batch)
             flows = backward(circuit, params, trace)
-            flow_sums = flows.edge_flow.sum(axis=0)
+            flow_sums = flows.edge_flow.sum(axis=1)
             if config.schedule == LAYER_MEAN_FLOW:
                 mu = schedule_mu(
                     ScheduleState(edge_flow_sum=flow_sums, edge_layer=circuit.edge_layer),
@@ -323,6 +324,7 @@ def em_train(
             params = _m_step(circuit, params, flow_sums, config.smoothing_alpha, config.lam, mu)
             if update_leaf_params:
                 params = update_leaves(circuit, params, flows, batch, config.smoothing_alpha)
+        trace = flows = None  # the last batch's tables, freed before the full-train pass
         row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
         report.rows.append(row)
         if config.schedule == ADAPTIVE_DOF and valid is not None:
@@ -448,11 +450,11 @@ def sgd_train(
             if not np.all(np.isfinite(trace.root_log_p)):
                 raise DivergedNaN("non-finite log-likelihood", params=last_good, report=report)
             flows = backward(circuit, params, trace)
-            raw = -flows.edge_flow.sum(axis=0) / params.theta  # d(NLL)/d theta
+            raw = -loglik_gradient(flows, params)  # d(NLL)/d theta
             if config.schedule == LAYER_MEAN_FLOW:
                 mu = schedule_mu(
                     ScheduleState(
-                        edge_flow_sum=flows.edge_flow.sum(axis=0),
+                        edge_flow_sum=flows.edge_flow.sum(axis=1),
                         edge_layer=circuit.edge_layer,
                     ),
                     config,
@@ -468,6 +470,7 @@ def sgd_train(
             vec = vec + opt.step(grad)
             params = mapper.unflatten(vec, params)
         last_good = params.copy()
+        trace = flows = None  # the last batch's tables, freed before the full-train pass
         row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
         report.rows.append(row)
         if config.schedule == ADAPTIVE_DOF and valid is not None:

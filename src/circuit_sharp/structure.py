@@ -8,18 +8,26 @@ circuits that pass structural validation with zero violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .circuit import Circuit, ParamSet, leaf_node, product_node, sum_node
-from .errors import DepthTooLarge
+from .errors import CostGuardExceeded, DepthTooLarge
+
+# Most nodes a RatConfig may ask build_rat for.  A build peaks at about 850
+# bytes per node (1.8M nodes: 1.5 GiB and 51 s on a 2-core machine), so the
+# cap keeps a build under 1 GiB.
+RAT_NODE_CAP = 1_000_000
 
 
 @dataclass
 class RatConfig:
     """Random-tree architecture: per repetition, the variable set is
     recursively bipartitioned at random down to `depth`; sum nodes mix
-    num_sums components (num_input_distributions at the leaves)."""
+    num_sums components (num_input_distributions at the leaves).  Raises
+    CostGuardExceeded, before any node is built, when the circuit would
+    have more than RAT_NODE_CAP nodes."""
 
     num_vars: int
     num_input_distributions: int = 10
@@ -38,6 +46,27 @@ class RatConfig:
             raise DepthTooLarge(
                 f"depth {self.depth} exceeds floor(log2({self.num_vars})) = {max_depth}"
             )
+        nodes = self.num_nodes
+        if nodes > RAT_NODE_CAP:
+            raise CostGuardExceeded(f"RAT of {nodes:.3g} nodes exceeds cap {RAT_NODE_CAP}")
+
+    @property
+    def num_nodes(self) -> int:
+        """Nodes build_rat makes, counted from the config alone: splits are
+        even, and each of num_sums products grows its own subtrees."""
+        mix = self.num_input_distributions + 1  # a leaf mixture
+        if self.num_vars == 1 and self.num_repetitions == 1:
+            return mix
+
+        @cache
+        def part(size: int, depth: int) -> int:
+            if size == 1:
+                return mix
+            if depth == 0:  # unsplit block: num_sums factorized components
+                return self.num_sums * (1 + size * mix) + 1
+            return self.num_sums * (1 + part((size + 1) // 2, depth - 1) + part(size // 2, depth - 1)) + 1
+
+        return self.num_repetitions * (part(self.num_vars, self.depth) + 1) + 1
 
 
 @dataclass

@@ -178,23 +178,23 @@ def literal_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np
     trace = forward(circuit, params, batch)
     flows = backward(circuit, params, trace)
     theta = params.edge_vector(circuit)
-    g = flows.edge_flow / theta
+    g = flows.edge_flow / theta[:, None]
     e = circuit.num_sum_edges
     hess = np.zeros((e, e))
     edges = [circuit.edge(i) for i in range(e)]
 
     for i in range(e):
-        hess[i, i] = -np.sum(g[:, i] ** 2)
+        hess[i, i] = -np.sum(g[i] ** 2)
         for j in range(i + 1, e):
             cls = classify_pair(circuit, edges[i], edges[j])
             total = 0.0
             for s in range(batch.shape[0]):
-                gi, gj = g[s, i], g[s, j]
+                gi, gj = g[i, s], g[j, s]
                 if isinstance(cls, SumPair):
                     total += -gi * gj
                 elif isinstance(cls, PathPair):
                     deep = i if cls.deeper == edges[i] else j
-                    g_deep = g[s, deep]
+                    g_deep = g[deep, s]
                     idx_sh = j if deep == i else i
                     th_sh = theta[idx_sh]
                     total += g_deep / th_sh - gi * gj
@@ -228,15 +228,15 @@ def per_sample_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarra
     tree = circuit.tree_index()
     e = circuit.num_sum_edges
     g, flows = edge_gradients(circuit, params, batch)
-    g_dfs = g[:, tree.dfs_to_global]
+    g_dfs = g[tree.dfs_to_global]
     theta_dfs = params.theta[tree.dfs_to_global]
 
     hess = np.zeros((e, e))
-    for i in range(g.shape[0]):
-        gv = g_dfs[i]
+    for i in range(g.shape[1]):
+        gv = g_dfs[:, i]
         hess -= np.outer(gv, gv)
         for q, blocks in zip(tree.prod_nodes, tree.prod_blocks):
-            fq = flows.node_flow[i, q]
+            fq = flows.node_flow[q, i]
             if fq < 1e-250:
                 continue  # dead subtree: the correction vanishes in the limit
             inv = 1.0 / fq

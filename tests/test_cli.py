@@ -36,6 +36,14 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_oversized_rat_is_input_error(self, tmp_path, capsys):
+        code = run_cli(
+            "train", "--manifold", "spiral", "--structure", "rat:sums=100000,reps=100000",
+            "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert "exceeds cap" in capsys.readouterr().err
+
     def test_em_on_written_debd_files(self, tmp_path):
         rng = np.random.default_rng(0)
         for split, n in (("train", 60), ("valid", 20), ("test", 20)):

@@ -22,23 +22,24 @@ class TestBackward:
     def test_symmetric_split_when_both_fire(self, twin_indicator_mixture):
         circuit, params = twin_indicator_mixture
         _, flows = run_flows(circuit, params, np.array([[1.0]]))
-        np.testing.assert_allclose(flows.edge_flow[0], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(flows.edge_flow[:, 0], [0.5, 0.5], atol=1e-15)
 
     def test_dead_branch_gets_zero_flow(self, indicator_mixture):
         circuit, params = indicator_mixture
         _, flows = run_flows(circuit, params, np.array([[1.0]]))
-        np.testing.assert_allclose(flows.edge_flow[0], [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(flows.edge_flow[:, 0], [1.0, 0.0], atol=1e-15)
 
     def test_root_flow_is_one(self):
         circuit, params = random_dag(3)
         _, flows = run_flows(circuit, params, batch_for(circuit, 6, 0))
-        np.testing.assert_array_equal(flows.node_flow[:, circuit.root], 1.0)
+        np.testing.assert_array_equal(flows.node_flow[circuit.root], 1.0)
 
     def test_empty_batch_gives_empty_tables(self):
         circuit, params = random_dag(3)
         batch = np.zeros((0, len(circuit.root_scope)))
         trace, flows = run_flows(circuit, params, batch)
-        assert flows.node_flow.shape == (0, circuit.num_nodes) and flows.edge_flow.shape == (0, circuit.num_sum_edges)
+        assert flows.node_flow.shape == (circuit.num_nodes, 0)
+        assert flows.edge_flow.shape == flows.ratio.shape == (circuit.num_sum_edges, 0)
         penalty = trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows)
         np.testing.assert_array_equal(penalty, np.zeros(circuit.num_sum_edges))
 
@@ -55,8 +56,8 @@ class TestBackward:
         trace, flows = run_flows(circuit, params, batch_for(circuit, 10, seed))
         for n in circuit.sum_nodes:
             alive = np.isfinite(trace.log_p[:, n])
-            lhs = flows.edge_flow[alive][:, circuit.sum_edge_owner == n].sum(axis=1)
-            np.testing.assert_allclose(lhs, flows.node_flow[alive, n], atol=1e-10)
+            lhs = flows.edge_flow[circuit.sum_edge_owner == n][:, alive].sum(axis=0)
+            np.testing.assert_allclose(lhs, flows.node_flow[n, alive], atol=1e-10)
 
     def test_conservation_with_zeroed_subtrees(self):
         from circuit_sharp import Circuit, ParamSet, leaf_node, product_node, sum_node
@@ -73,7 +74,7 @@ class TestBackward:
         circuit = Circuit.build(nodes, 6)
         params = ParamSet.uniform(circuit)
         _, flows = run_flows(circuit, params, np.array([[0.0, 1.0]]))  # kills branch 0
-        np.testing.assert_allclose(flows.edge_flow[0], [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(flows.edge_flow[:, 0], [0.0, 1.0], atol=1e-15)
 
     def test_tree_flows_bounded_by_one(self):
         for seed in (12, 13, 14):
@@ -99,7 +100,7 @@ class TestUnrollingOracle:
                 continue
             for s in range(batch.shape[0]):
                 want = unrolled_node_flow(circuit, params, trace, s, n)
-                np.testing.assert_allclose(flows.node_flow[s, n], want, atol=1e-10)
+                np.testing.assert_allclose(flows.node_flow[n, s], want, atol=1e-10)
                 checked += 1
         assert checked > 0
 
@@ -111,7 +112,7 @@ class TestUnrollingOracle:
         for e in range(circuit.num_sum_edges):
             for s in range(batch.shape[0]):
                 want = unrolled_edge_flow(circuit, params, trace, s, circuit.edge(e))
-                np.testing.assert_allclose(flows.edge_flow[s, e], want, atol=1e-10)
+                np.testing.assert_allclose(flows.edge_flow[e, s], want, atol=1e-10)
 
 
 class TestGradient:
@@ -230,13 +231,13 @@ class TestSharedChildAcrossLevels:
             for v in product_parented:
                 copies = np.flatnonzero(origin == v)
                 want = sum(unrolled_node_flow(tree, tree_params, tree_trace, s, t) for t in copies)
-                np.testing.assert_allclose(flows.node_flow[s, v], want, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(flows.node_flow[v, s], want, rtol=1e-12, atol=1e-15)
             want = np.zeros(circuit.num_sum_edges)
             for te in range(tree.num_sum_edges):
                 edge = tree.edge(te)
                 dag_edge = circuit.edge_index(SumEdge(int(origin[edge.node]), edge.slot))
                 want[dag_edge] += unrolled_edge_flow(tree, tree_params, tree_trace, s, edge)
-            np.testing.assert_allclose(flows.edge_flow[s], want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(flows.edge_flow[:, s], want, rtol=1e-12, atol=1e-15)
 
     def test_penalty_gradient_matches_fd_of_trace(self):
         from circuit_sharp.curvature import hessian_trace, trace_penalty_gradient
@@ -287,6 +288,11 @@ class TestEdgeRatios:
             np.testing.assert_allclose(ratio[alive], want[alive], rtol=1e-12, atol=0)
             dead_parents += int((~alive).sum())
         assert dead_parents > 0  # the -inf node is covered
+
+    def test_flow_table_keeps_the_ratios_it_pushed_down(self):
+        for circuit, params, batch in _ratio_zoo():
+            trace, flows = run_flows(circuit, params, batch)
+            np.testing.assert_array_equal(flows.ratio, edge_ratios(circuit, params.theta, trace.log_p.T))
 
 
 class TestPullUp:

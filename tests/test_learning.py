@@ -183,7 +183,7 @@ class TestUpdateLeaves:
         for i, node in enumerate(circuit.nodes):
             if node.kind != "leaf":
                 continue
-            w, x, old = flows.node_flow[:, i], data[:, node.leaf.variable], params.leaf_params[i]
+            w, x, old = flows.node_flow[i], data[:, node.leaf.variable], params.leaf_params[i]
             total = w.sum()
             if node.leaf.family == "bern":
                 p = np.clip((w * x).sum() / total, 1e-6, 1 - 1e-6)
@@ -317,7 +317,7 @@ class TestSgdTrain:
         trace = forward(circuit, params, data)
         flows = backward(circuit, params, trace)
         theta = params.edge_vector(circuit)
-        raw = -flows.edge_flow.sum(axis=0) / theta
+        raw = -flows.edge_flow.sum(axis=1) / theta
         grad = mapper.gradient(params, raw, flows, data, nll_sign=-1.0)
 
         def nll_of(vec):

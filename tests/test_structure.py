@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circuit_sharp import ParamSet, forward, validate
-from circuit_sharp.errors import DepthTooLarge
+from circuit_sharp.errors import CostGuardExceeded, DepthTooLarge
 from circuit_sharp.structure import (
     HcltConfig,
     RatConfig,
@@ -42,6 +42,20 @@ class TestRat:
     def test_depth_guard(self):
         with pytest.raises(DepthTooLarge):
             RatConfig(num_vars=4, depth=3)
+
+    @pytest.mark.parametrize("num_vars,depth,sizes,reps", [
+        (1, 0, (3, 2), 1), (1, 0, (2, 3), 3), (2, 1, (3, 2), 2), (3, 1, (2, 3), 2),
+        (5, 2, (2, 2), 2), (7, 2, (1, 3), 1), (13, 3, (2, 1), 2), (16, 2, (2, 2), 2),
+    ])
+    def test_node_count_without_building(self, num_vars, depth, sizes, reps):
+        cfg = RatConfig(num_vars=num_vars, depth=depth, num_input_distributions=sizes[0],
+                        num_sums=sizes[1], num_repetitions=reps, seed=num_vars)
+        assert cfg.num_nodes == build_rat(cfg)[0].num_nodes
+
+    def test_size_guard_raises_before_building(self):
+        # about 2.2e12 nodes: hours and many GB if it were built
+        with pytest.raises(CostGuardExceeded, match="exceeds cap"):
+            RatConfig(num_vars=2000, depth=6, seed=1)
 
     def test_uniform_weight_init(self):
         circuit, params = build_rat(RatConfig(num_vars=2, depth=1, num_sums=3, seed=2))
