@@ -214,10 +214,7 @@ class _TreeIndex:
     product node, the child-subtree ranges used to fill product-pair blocks.
     """
 
-    parent: np.ndarray  # parent node id, -1 at root
-    parent_slot: np.ndarray
     dfs_to_global: np.ndarray
-    global_to_dfs: np.ndarray
     edge_sub_lo: np.ndarray
     edge_sub_hi: np.ndarray
     prod_nodes: list[int]
@@ -351,11 +348,8 @@ class Circuit:
         if self._tree is not None:
             return self._tree
 
-        parent = np.full(self.num_nodes, -1, dtype=np.int64)
-        pslot = np.full(self.num_nodes, -1, dtype=np.int64)
         E = self.num_sum_edges
         dfs_to_global = np.empty(E, dtype=np.int64)
-        global_to_dfs = np.empty(E, dtype=np.int64)
         sub_lo = np.empty(E, dtype=np.int64)
         sub_hi = np.empty(E, dtype=np.int64)
         start = np.empty(self.num_nodes, dtype=np.int64)
@@ -366,7 +360,8 @@ class Circuit:
 
         # Iterative DFS assigning each sum edge its index right before
         # descending, so the edges inside any subtree form one contiguous DFS
-        # range.  Stack entries: (node, global edge into it or -1, leaving).
+        # range.  Stack entries: (node, global edge into it or -1, leaving);
+        # a leaving entry carries the edge's DFS index instead.
         stack = [(self.root, -1, False)]
         while stack:
             v, g, leaving = stack.pop()
@@ -374,34 +369,25 @@ class Circuit:
             if leaving:
                 end[v] = counter
                 if g >= 0:
-                    sub_hi[global_to_dfs[g]] = counter
+                    sub_hi[g] = counter
                 if node.kind == PRODUCT:
                     prod_nodes.append(v)
                     prod_blocks.append([(int(start[c]), int(end[c])) for c in node.children])
                 continue
+            d = -1
             if g >= 0:
-                dfs_to_global[counter] = g
-                global_to_dfs[g] = counter
-                sub_lo[counter] = counter + 1
+                d = counter
+                dfs_to_global[d] = g
+                sub_lo[d] = d + 1
                 counter += 1
             start[v] = counter
-            stack.append((v, g, True))
+            stack.append((v, d, True))
             base = self.sum_edge_offset[v] if node.kind == SUM else None
             for slot in reversed(range(len(node.children))):
                 c = node.children[slot]
-                parent[c], pslot[c] = v, slot
                 stack.append((c, -1 if base is None else base + slot, False))
 
-        self._tree = _TreeIndex(
-            parent,
-            pslot,
-            dfs_to_global,
-            global_to_dfs,
-            sub_lo,
-            sub_hi,
-            prod_nodes,
-            prod_blocks,
-        )
+        self._tree = _TreeIndex(dfs_to_global, sub_lo, sub_hi, prod_nodes, prod_blocks)
         return self._tree
 
     # -- helpers -------------------------------------------------------------

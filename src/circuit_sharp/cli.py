@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -301,23 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "train":
-            cfg = RunConfig(
-                dataset=args.dataset,
-                manifold=args.manifold,
-                data_root=args.data_root,
-                fraction=args.fraction,
-                seed=args.seed,
-                structure=args.structure,
-                learner=args.learner,
-                mu=args.mu,
-                lam=args.lam,
-                alpha=args.alpha,
-                epochs=args.epochs,
-                batch_size=args.batch_size,
-                lr=args.lr,
-                noise=args.noise,
-                out_dir=args.out_dir,
-            )
+            cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
             return cmd_train(cfg)
         if args.command == "trace":
             return cmd_trace(args)

@@ -13,10 +13,6 @@ class NotATree(CircuitError):
     """Operation requires a tree-structured circuit."""
 
 
-class NotAChild(CircuitError):
-    """The named node is not a child of the given parent."""
-
-
 class ScopeMismatch(CircuitError):
     """The batch columns are not the root scope's variables 0..width-1."""
 

@@ -27,6 +27,7 @@ from .evaluate import EvalTrace, forward
 from .flows import FlowTable, backward, loglik_gradient
 
 MU_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
+KAPPA = 1.05  # adaptive_dof: mu grows by this factor per percentage point of DoF
 
 FIXED = "fixed"
 ADAPTIVE_DOF = "adaptive_dof"
@@ -40,16 +41,13 @@ class RegularizerConfig:
     mu is the regularization weight (0 disables), lam the simplex multiplier
     (fixed at 1 in practice, the KKT system has no closed form for it),
     smoothing_alpha the running-average factor, and schedule one of
-    fixed / adaptive_dof / layer_mean_flow.  kappa and balance_alpha only
-    matter for the adaptive schedule.
+    fixed / adaptive_dof / layer_mean_flow.
     """
 
     mu: float = 0.0
     lam: float = 1.0
     smoothing_alpha: float = 1.0
     schedule: str = FIXED
-    kappa: float = 1.05
-    balance_alpha: float = 1.0
 
     def __post_init__(self):
         if self.mu < 0:
@@ -58,8 +56,6 @@ class RegularizerConfig:
             raise ValueError("lambda must be > 0")
         if not 0.0 <= self.smoothing_alpha <= 1.0:
             raise ValueError("smoothing alpha must lie in [0, 1]")
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be >= 1")
         if self.schedule not in (FIXED, ADAPTIVE_DOF, LAYER_MEAN_FLOW):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -161,12 +157,10 @@ def em_step_sharp(
     params: ParamSet,
     batch: np.ndarray,
     config: RegularizerConfig,
-    mu_override=None,
 ) -> ParamSet:
     """Sharpness-aware EM step; with mu = 0 it equals em_step_vanilla exactly."""
     flow_sums, _ = _edge_flow_sums(circuit, params, batch)
-    mu = config.mu if mu_override is None else mu_override
-    return _m_step(circuit, params, flow_sums, config.smoothing_alpha, config.lam, mu)
+    return _m_step(circuit, params, flow_sums, config.smoothing_alpha, config.lam, config.mu)
 
 
 def _leaf_columns(circuit: Circuit, flows: FlowTable, batch: np.ndarray) -> dict:
@@ -222,43 +216,26 @@ def update_leaves(
 
 
 # -- mu schedules ----------------------------------------------------------------
+# fixed uses config.mu throughout; the other two replace it as training runs.
 
 
-@dataclass
-class ScheduleState:
-    """Inputs the schedules read at an epoch boundary."""
-
-    train_nll: float = float("nan")
-    valid_nll: float = float("nan")
-    g_data: float = 0.0
-    g_reg: float = 0.0
-    prev_mu: float | np.ndarray = 0.0
-    edge_flow_sum: np.ndarray | None = None
-    edge_layer: np.ndarray | None = None
-
-
-def schedule_mu(state: ScheduleState, config: RegularizerConfig):
-    """Resolve the regularization weight for the next epoch.
-
-    fixed: the configured constant.  adaptive_dof: kappa^DoF * balance_alpha
-    * g_data/g_reg with DoF = 100 |NLL_val - NLL_train| / |NLL_train|, falling
-    back to the previous value when the regularizer gradient vanishes.
-    layer_mean_flow: per-edge vector, the mean flow of each edge's layer.
-    """
-    if config.schedule == FIXED:
-        return config.mu
-    if config.schedule == ADAPTIVE_DOF:
-        if state.g_reg <= 0.0 or not np.isfinite(state.g_reg):
-            return state.prev_mu
-        dof_pct = 100.0 * abs(state.valid_nll - state.train_nll) / abs(state.train_nll)
-        return config.kappa**dof_pct * config.balance_alpha * state.g_data / state.g_reg
-    flows = state.edge_flow_sum
-    layers = state.edge_layer
-    mu = np.empty_like(flows)
+def layer_mean_flow(flow_sums: np.ndarray, layers: np.ndarray) -> np.ndarray:
+    """Per-edge mu for the minibatch: the mean flow of each edge's layer."""
+    mu = np.empty_like(flow_sums)
     for layer in np.unique(layers):
         sel = layers == layer
-        mu[sel] = flows[sel].mean()
+        mu[sel] = flow_sums[sel].mean()
     return mu
+
+
+def adaptive_mu(train_nll: float, valid_nll: float, g_data: float, g_reg: float, prev_mu):
+    """mu for the next epoch: KAPPA^DoF * g_data/g_reg with
+    DoF = 100 |NLL_val - NLL_train| / |NLL_train|, falling back to the
+    previous value when the regularizer gradient vanishes."""
+    if g_reg <= 0.0 or not np.isfinite(g_reg):
+        return prev_mu
+    dof_pct = 100.0 * abs(valid_nll - train_nll) / abs(train_nll)
+    return KAPPA**dof_pct * g_data / g_reg
 
 
 # -- training loops ---------------------------------------------------------------
@@ -283,11 +260,39 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
 
 
-def _adaptive_state(circuit, params, train, trace, flows, row, prev_mu) -> ScheduleState:
-    """Schedule inputs from the train-set trace and flows of _epoch_row."""
-    g_data = float(np.linalg.norm(loglik_gradient(flows, params)))
-    g_reg = float(np.linalg.norm(trace_penalty_gradient(circuit, params, train, trace=trace, flows=flows)))
-    return ScheduleState(row.train_nll, row.valid_nll, g_data, g_reg, prev_mu)
+def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) -> tuple[ParamSet, TrainReport]:
+    """The epoch loop of both learners.  Per minibatch one forward and one
+    backward, then step(params, batch, trace, flows, mu) -> params, the
+    learner's update; per epoch a log row, then the adaptive_dof mu.
+
+    A DivergedNaN raised by step leaves with the parameters the epoch started
+    from and the report so far."""
+    rng = np.random.default_rng(seed)
+    report = TrainReport()
+    t0 = time.perf_counter()
+    mu = config.mu
+    for epoch in range(1, epochs + 1):
+        start = params  # steps return new ParamSets, so this one stays as it is
+        order = rng.permutation(len(train))
+        for lo in range(0, len(train), batch_size):
+            batch = train[order[lo : lo + batch_size]]
+            trace = forward(circuit, params, batch)
+            flows = backward(circuit, params, trace)
+            if config.schedule == LAYER_MEAN_FLOW:
+                mu = layer_mean_flow(flows.edge_flow.sum(axis=1), circuit.edge_layer)
+            try:
+                params = step(params, batch, trace, flows, mu)
+            except DivergedNaN as exc:
+                exc.params, exc.report = start, report
+                raise
+        trace = flows = None  # the last batch's tables, freed before the full-train pass
+        row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
+        report.rows.append(row)
+        if config.schedule == ADAPTIVE_DOF and valid is not None:
+            g_data = float(np.linalg.norm(loglik_gradient(flows, params)))
+            g_reg = float(np.linalg.norm(trace_penalty_gradient(circuit, params, train, trace=trace, flows=flows)))
+            mu = adaptive_mu(row.train_nll, row.valid_nll, g_data, g_reg, mu)
+    return params, report
 
 
 def em_train(
@@ -303,34 +308,14 @@ def em_train(
 ) -> tuple[ParamSet, TrainReport]:
     """Mini-batch EM with the sharpness-aware M-step (vanilla when mu = 0)."""
     config = config or RegularizerConfig()
-    rng = np.random.default_rng(seed)
-    params = params.copy()
-    report = TrainReport()
-    t0 = time.perf_counter()
-    mu = config.mu if config.schedule != LAYER_MEAN_FLOW else np.zeros(circuit.num_sum_edges)
 
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(train))
-        for lo in range(0, len(train), batch_size):
-            batch = train[order[lo : lo + batch_size]]
-            trace = forward(circuit, params, batch)
-            flows = backward(circuit, params, trace)
-            flow_sums = flows.edge_flow.sum(axis=1)
-            if config.schedule == LAYER_MEAN_FLOW:
-                mu = schedule_mu(
-                    ScheduleState(edge_flow_sum=flow_sums, edge_layer=circuit.edge_layer),
-                    config,
-                )
-            params = _m_step(circuit, params, flow_sums, config.smoothing_alpha, config.lam, mu)
-            if update_leaf_params:
-                params = update_leaves(circuit, params, flows, batch, config.smoothing_alpha)
-        trace = flows = None  # the last batch's tables, freed before the full-train pass
-        row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
-        report.rows.append(row)
-        if config.schedule == ADAPTIVE_DOF and valid is not None:
-            state = _adaptive_state(circuit, params, train, trace, flows, row, mu)
-            mu = schedule_mu(state, config)
-    return params, report
+    def step(params, batch, trace, flows, mu):
+        params = _m_step(circuit, params, flows.edge_flow.sum(axis=1), config.smoothing_alpha, config.lam, mu)
+        if update_leaf_params:
+            params = update_leaves(circuit, params, flows, batch, config.smoothing_alpha)
+        return params
+
+    return _fit(circuit, params.copy(), train, valid, config, epochs, batch_size, seed, step)
 
 
 class Adam:
@@ -432,48 +417,21 @@ def sgd_train(
     the reals.
     """
     config = config or RegularizerConfig()
-    rng = np.random.default_rng(seed)
     mapper = _Unconstrained(circuit, update_leaf_params)
     vec = mapper.flatten(params)
     opt = Adam(vec.size, lr)
-    report = TrainReport()
-    t0 = time.perf_counter()
-    mu = config.mu
-    params = mapper.unflatten(vec, params)
-    last_good = params.copy()
 
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(train))
-        for lo in range(0, len(train), batch_size):
-            batch = train[order[lo : lo + batch_size]]
-            trace = forward(circuit, params, batch)
-            if not np.all(np.isfinite(trace.root_log_p)):
-                raise DivergedNaN("non-finite log-likelihood", params=last_good, report=report)
-            flows = backward(circuit, params, trace)
-            raw = -loglik_gradient(flows, params)  # d(NLL)/d theta
-            if config.schedule == LAYER_MEAN_FLOW:
-                mu = schedule_mu(
-                    ScheduleState(
-                        edge_flow_sum=flows.edge_flow.sum(axis=1),
-                        edge_layer=circuit.edge_layer,
-                    ),
-                    config,
-                )
-            mu_arr = np.asarray(mu, dtype=float)
-            if np.any(mu_arr > 0):
-                weights = None if mu_arr.ndim == 0 else mu_arr
-                pg = trace_penalty_gradient(
-                    circuit, params, batch, trace=trace, flows=flows, edge_weights=weights
-                )
-                raw = raw + (float(mu_arr) if mu_arr.ndim == 0 else 1.0) * pg
-            grad = mapper.gradient(params, raw, flows, batch, nll_sign=-1.0)
-            vec = vec + opt.step(grad)
-            params = mapper.unflatten(vec, params)
-        last_good = params.copy()
-        trace = flows = None  # the last batch's tables, freed before the full-train pass
-        row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
-        report.rows.append(row)
-        if config.schedule == ADAPTIVE_DOF and valid is not None:
-            state = _adaptive_state(circuit, params, train, trace, flows, row, mu)
-            mu = schedule_mu(state, config)
-    return params, report
+    def step(params, batch, trace, flows, mu):
+        nonlocal vec
+        if not np.all(np.isfinite(trace.root_log_p)):
+            raise DivergedNaN("non-finite log-likelihood")
+        raw = -loglik_gradient(flows, params)  # d(NLL)/d theta
+        if np.any(np.asarray(mu) > 0):
+            if np.ndim(mu):  # layer_mean_flow: per-edge weights inside the penalty
+                raw = raw + trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows, edge_weights=mu)
+            else:
+                raw = raw + float(mu) * trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows)
+        vec = vec + opt.step(mapper.gradient(params, raw, flows, batch, nll_sign=-1.0))
+        return mapper.unflatten(vec, params)
+
+    return _fit(circuit, mapper.unflatten(vec, params), train, valid, config, epochs, batch_size, seed, step)

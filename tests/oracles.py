@@ -14,7 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from circuit_sharp import Circuit, EvalTrace, ParamSet, SumEdge, forward
-from circuit_sharp.errors import NotAChild, NotATree
+from circuit_sharp.errors import CircuitError, NotATree
+
+
+class NotAChild(CircuitError):
+    """The named node is not a child of the given parent."""
+
+
+def tree_parent(circuit: Circuit, node: int) -> tuple[int, int]:
+    """(parent, slot) of a node of a tree circuit, (-1, -1) at the root."""
+    if not circuit.is_tree:
+        raise NotATree("parent lookup requires a tree circuit")
+    return circuit.parents[node][0] if circuit.parents[node] else (-1, -1)
 
 
 def node_scopes(circuit: Circuit) -> list[tuple[int, ...]]:
@@ -66,7 +77,6 @@ def classify_pair(circuit: Circuit, e1: SumEdge, e2: SumEdge) -> PairClass:
         raise ValueError("edges must be distinct")
     for e in (e1, e2):
         circuit.edge_index(e)  # validates node/slot
-    tree = circuit.tree_index()
 
     if e1.node == e2.node:
         return SumPair()
@@ -81,13 +91,13 @@ def classify_pair(circuit: Circuit, e1: SumEdge, e2: SumEdge) -> PairClass:
     while v != -1:
         on_path[v] = below
         below = v
-        v = int(tree.parent[v])
+        v = tree_parent(circuit, v)[0]
 
     v = e2.node
     prev: int | None = None
     while v not in on_path:
         prev = v
-        v = int(tree.parent[v])
+        v = tree_parent(circuit, v)[0]
     anc = v
     down1 = on_path[anc]  # next node toward e1.node (None if anc == e1.node)
     down2 = prev  # next node toward e2.node (None if anc == e2.node)
@@ -98,19 +108,17 @@ def classify_pair(circuit: Circuit, e1: SumEdge, e2: SumEdge) -> PairClass:
         return PathPair(deeper=e1, shallower=e2) if down1 == c2 else SumPair()
     if circuit.kind(anc) == "sum":
         return SumPair()
-    p = int(tree.parent[anc])
+    p, slot = tree_parent(circuit, anc)
     above = None
     if p != -1 and circuit.kind(p) == "sum":
-        above = SumEdge(p, int(tree.parent_slot[anc]))
+        above = SumEdge(p, slot)
     return ProductPair(ancestor=anc, weight_above=above)
 
 
 def _root_path(circuit: Circuit, node: int) -> list[int]:
-    tree = circuit.tree_index()
     path = [node]
     v = node
-    while tree.parent[v] != -1:
-        v = int(tree.parent[v])
+    while (v := tree_parent(circuit, v)[0]) != -1:
         path.append(v)
     return path  # node first, root last
 
@@ -253,7 +261,7 @@ def per_sample_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarra
             hess[lo:hi, d] += corr
             hess[d, lo:hi] += corr
 
-    inv_perm = tree.global_to_dfs
+    inv_perm = np.argsort(tree.dfs_to_global)
     return hess[np.ix_(inv_perm, inv_perm)]
 
 

@@ -59,13 +59,14 @@ class TestTrain:
         assert code == 0
         assert (out / "metrics.json").exists()
 
-    def test_manifest_reruns_reproduce_metrics(self, tmp_path):
+    @pytest.mark.parametrize("learner, mu", [("sgd", "0"), ("sgd", "adaptive"), ("em", "layerflow")])
+    def test_manifest_reruns_reproduce_metrics(self, tmp_path, learner, mu):
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
             code = run_cli(
-                "train", "--manifold", "two_moons", "--fraction", 0.1, "--learner", "sgd",
-                "--mu", 0, "--seed", 3, "--epochs", 4,
+                "train", "--manifold", "two_moons", "--fraction", 0.1, "--learner", learner,
+                "--mu", mu, "--seed", 3, "--epochs", 4,
                 "--structure", "rat:inputs=2,sums=2,reps=2", "--out", out,
             )
             assert code == 0

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import circuit_sharp.evaluate as evaluate
 from circuit_sharp import forward, log_likelihood
-from circuit_sharp.errors import NotAChild, OutOfDomain, ScopeMismatch
+from circuit_sharp.errors import OutOfDomain, ScopeMismatch
 
-from oracles import enumerate_total_probability, product_complement
+from oracles import NotAChild, enumerate_total_probability, product_complement
 from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
 
 ALL_FAMILIES = ("binary", "continuous", "cat3")

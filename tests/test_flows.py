@@ -9,7 +9,7 @@ from circuit_sharp.errors import StaleTrace
 from circuit_sharp.fd import analytic_gradient, fd_gradient
 from circuit_sharp.flows import edge_ratios, pull_up
 
-from oracles import unrolled_edge_flow, unrolled_node_flow
+from oracles import tree_parent, unrolled_edge_flow, unrolled_node_flow
 from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
 
 
@@ -91,12 +91,11 @@ class TestUnrollingOracle:
         circuit, params = random_tree(seed, max_depth=3)
         batch = batch_for(circuit, 5, seed)
         trace, flows = run_flows(circuit, params, batch)
-        tree = circuit.tree_index()
         checked = 0
         for n in range(circuit.num_nodes):
             if n == circuit.root or circuit.kind(n) == "product":
                 continue
-            if circuit.kind(int(tree.parent[n])) != "product":
+            if circuit.kind(tree_parent(circuit, n)[0]) != "product":
                 continue
             for s in range(batch.shape[0]):
                 want = unrolled_node_flow(circuit, params, trace, s, n)

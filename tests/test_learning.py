@@ -11,11 +11,11 @@ from circuit_sharp.learning import (
     LAYER_MEAN_FLOW,
     MU_GRID,
     RegularizerConfig,
-    ScheduleState,
+    adaptive_mu,
     em_step_sharp,
     em_step_vanilla,
     em_train,
-    schedule_mu,
+    layer_mean_flow,
     sgd_train,
     sharp_update,
     update_leaves,
@@ -220,31 +220,25 @@ class TestUpdateLeaves:
 
 class TestSchedules:
     def test_balanced_gradients_give_unit_mu(self):
-        cfg = RegularizerConfig(schedule=ADAPTIVE_DOF)
-        state = ScheduleState(train_nll=2.0, valid_nll=2.0, g_data=3.0, g_reg=3.0)
-        assert schedule_mu(state, cfg) == 1.0
+        assert adaptive_mu(train_nll=2.0, valid_nll=2.0, g_data=3.0, g_reg=3.0, prev_mu=0.0) == 1.0
 
     def test_layer_mean(self):
-        cfg = RegularizerConfig(schedule=LAYER_MEAN_FLOW)
-        state = ScheduleState(
-            edge_flow_sum=np.array([0.2, 0.4, 1.0]),
-            edge_layer=np.array([0, 0, 1]),
-        )
-        np.testing.assert_allclose(schedule_mu(state, cfg), [0.3, 0.3, 1.0], atol=1e-15)
+        mu = layer_mean_flow(np.array([0.2, 0.4, 1.0]), np.array([0, 0, 1]))
+        np.testing.assert_allclose(mu, [0.3, 0.3, 1.0], atol=1e-15)
 
     def test_dof_amplification(self):
-        cfg = RegularizerConfig(schedule=ADAPTIVE_DOF)
-        state = ScheduleState(train_nll=1.0, valid_nll=2.0, g_data=1.0, g_reg=1.0)
-        np.testing.assert_allclose(schedule_mu(state, cfg), 1.05**100, rtol=1e-12)
+        mu = adaptive_mu(train_nll=1.0, valid_nll=2.0, g_data=1.0, g_reg=1.0, prev_mu=0.0)
+        np.testing.assert_allclose(mu, 1.05**100, rtol=1e-12)
 
     def test_zero_reg_gradient_falls_back(self):
-        cfg = RegularizerConfig(schedule=ADAPTIVE_DOF)
-        state = ScheduleState(train_nll=1.0, valid_nll=2.0, g_data=1.0, g_reg=0.0, prev_mu=0.37)
-        assert schedule_mu(state, cfg) == 0.37
+        assert adaptive_mu(train_nll=1.0, valid_nll=2.0, g_data=1.0, g_reg=0.0, prev_mu=0.37) == 0.37
 
     def test_fixed(self):
-        cfg = RegularizerConfig(mu=0.25)
-        assert schedule_mu(ScheduleState(), cfg) == 0.25
+        """The fixed schedule has no function: every epoch trains and logs config.mu."""
+        circuit, params = random_tree(164)
+        data = batch_for(circuit, 8, 0)
+        _, report = em_train(circuit, params, data, data, config=RegularizerConfig(mu=0.25), epochs=2, batch_size=8)
+        assert report.series("mu").tolist() == [0.25, 0.25]
 
     def test_mu_grid_matches_protocol(self):
         assert MU_GRID == (0.01, 0.05, 0.1, 0.5, 1.0)
@@ -375,11 +369,13 @@ class TestScheduledTraining:
         assert report.series("mu")[1:].max() > 0.0  # the schedule ran
         assert calls == {"forward": 3 * (2 + 2), "backward": 3 * (2 + 1)}
 
-    def test_layer_mean_flow_em_runs(self):
+    @pytest.mark.parametrize("learner", ["em", "sgd"])
+    def test_layer_mean_flow_em_runs(self, learner):
         circuit, params = random_tree(161, families=("binary",))
         train = batch_for(circuit, 32, 3)
         cfg = RegularizerConfig(mu=0.0, schedule=LAYER_MEAN_FLOW, smoothing_alpha=0.5)
-        out, report = em_train(circuit, params, train, train, config=cfg,
+        train_fn = em_train if learner == "em" else sgd_train
+        out, report = train_fn(circuit, params, train, train, config=cfg,
                                epochs=3, batch_size=32, seed=0)
         assert np.isfinite(report.series("mu")).all()
         for n in circuit.sum_nodes:
@@ -396,3 +392,5 @@ class TestScheduledTraining:
         assert err.value.params is not None
         for n in circuit.sum_nodes:
             assert np.isfinite(err.value.params.sum_weights[n]).all()
+        rows = err.value.report.rows  # the epochs that finished before the failing minibatch
+        assert len(rows) >= 1 and [r.epoch for r in rows] == list(range(1, len(rows) + 1))
