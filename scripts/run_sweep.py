@@ -3,7 +3,8 @@
 
 Runs the CLI trainer once per cell and collects every run's metrics.json into
 a single summary CSV, so downstream comparison (regularized vs. vanilla per
-fraction) is one pivot away.
+fraction) is one pivot away.  Exits 1 when any run fails; the summary then
+holds the runs that succeeded, and is not written when none did.
 
 Example:
     python scripts/run_sweep.py --manifold spiral --learner sgd \
@@ -45,7 +46,7 @@ def main():
     mus = args.mus.split(",")
     os.makedirs(args.out, exist_ok=True)
 
-    rows = []
+    rows, failed = [], 0
     for fraction, seed, mu in itertools.product(fractions, seeds, mus):
         run_dir = os.path.join(args.out, f"f{fraction}_s{seed}_mu{mu}")
         argv = [
@@ -68,18 +69,23 @@ def main():
         code = cli_main(argv)
         if code != 0:
             print(f"run {run_dir} failed with exit code {code}", file=sys.stderr)
+            failed += 1
             continue
         with open(os.path.join(run_dir, "metrics.json")) as fh:
             metrics = json.load(fh)
         rows.append({"fraction": fraction, "seed": seed, "mu": mu, **metrics})
 
+    if not rows:
+        print(f"all {failed} runs failed; no summary written", file=sys.stderr)
+        return 1
     summary = os.path.join(args.out, "summary.csv")
     with open(summary, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     print(f"{len(rows)} runs -> {summary}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,9 +7,12 @@ seed=7), 16 binary rows) and the spiral RAT (RatConfig(num_vars=2, depth=1,
 seed=1), 200 training rows), then on the spiral RAT log_likelihood,
 backward, penalty and hvp on 5 rows,
 the chunk size of the diagnose-tree workload, where per-call overhead
-dominates, and forward and log_likelihood on all 1000 spiral training rows,
-the size of an epoch's validation NLL.  Prints the median of REPEATS calls of
-each pass, in milliseconds.
+dominates, and forward, log_likelihood and backward on all 1000 spiral
+training rows, the size of an epoch's validation NLL.  Prints the median of
+REPEATS calls of each pass and, after it, the first call's time, in
+milliseconds.  The first call meets the heap and caches that the calls before
+it left, so a wide gap between the two points to allocation or cache state
+rather than arithmetic.
 
 Each circuit is timed in a freshly spawned process, so that no circuit is
 timed with an allocator that another circuit's passes have warmed.
@@ -33,20 +36,21 @@ REPEATS = 40
 CIRCUITS = ("trace-dag DAG", "spiral RAT")
 
 
-def median_ms(fn):
+def times_ms(fn):
+    """(median, first) of REPEATS calls of fn, in milliseconds."""
     times = []
     for _ in range(REPEATS):
         t = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t)
-    return 1e3 * float(np.median(times))
+    return 1e3 * float(np.median(times)), 1e3 * times[0]
 
 
 def report(name, circuit, batch, passes):
-    ms = {k: median_ms(fn) for k, fn in passes.items()}
+    ms = {k: times_ms(fn) for k, fn in passes.items()}
     print(
         f"{name}: {circuit.num_sum_edges} sum edges x {len(batch)} rows: "
-        + ", ".join(f"{k} {v:.1f} ms" for k, v in ms.items()),
+        + ", ".join(f"{k} {med:.1f} ms (first {first:.1f})" for k, (med, first) in ms.items()),
         flush=True,
     )
 
@@ -74,8 +78,8 @@ def passes(circuit, params, batch):
 
 def time_circuit(name):
     """Time every pass on one circuit; with the spiral RAT, also the passes
-    of diagnose-tree's 5-row chunks and the NLL-only passes on all of its
-    training rows."""
+    of diagnose-tree's 5-row chunks, and the NLL passes and backward on all
+    of its training rows."""
     if name == "trace-dag DAG":
         circuit, params = build_layered_dag(17, 79, seed=7)
         batch = (np.random.default_rng(3).random((16, 17)) < 0.5).astype(float)
@@ -88,9 +92,11 @@ def time_circuit(name):
     if large is not None:
         small = passes(circuit, params, batch[:5])
         report(name, circuit, batch[:5], {k: small[k] for k in ("log_likelihood", "backward", "penalty", "hvp")})
+        trace = forward(circuit, params, large)
         report(name, circuit, large, {
             "forward": lambda: forward(circuit, params, large),
             "log_likelihood": lambda: log_likelihood(circuit, params, large),
+            "backward": lambda: backward(circuit, params, trace),
         })
 
 

@@ -209,13 +209,12 @@ class _TreeIndex:
 
     Sum edges are re-enumerated in DFS order so that the edges below any node
     form a contiguous index range; ``dfs_to_global`` maps back to the global
-    edge order.  ``edge_sub`` gives, per DFS edge, the [lo, hi) range of DFS
-    edges strictly inside the child subtree; ``prod_blocks`` gives, per
-    product node, the child-subtree ranges used to fill product-pair blocks.
+    edge order.  The DFS edges strictly inside the child subtree of DFS edge
+    d are [d + 1, edge_sub_hi[d]); ``prod_blocks`` gives, per product node,
+    the child-subtree ranges used to fill product-pair blocks.
     """
 
     dfs_to_global: np.ndarray
-    edge_sub_lo: np.ndarray
     edge_sub_hi: np.ndarray
     prod_nodes: list[int]
     prod_blocks: list[list[tuple[int, int]]]
@@ -329,6 +328,11 @@ class Circuit:
             for f in FAMILIES
         }
         self.cat_segments = Segments([len(s.params) for s in spec["cat"]])
+        # per family, the distinct variables its leaves read and each leaf's
+        # position among them; per categorical variable, its leaves' least k
+        self.leaf_vars = {f: np.unique(var, return_inverse=True) for f, (_, var) in self._leaf_groups.items()}
+        self.cat_var_size = np.full(self.leaf_vars["cat"][0].size, np.iinfo(np.int64).max)
+        np.minimum.at(self.cat_var_size, self.leaf_vars["cat"][1], self.cat_segments.lengths)
         self._leaf_spec_params = (
             np.array([s.params for s in spec["bern"]], dtype=float).reshape(-1),
             np.array([s.params for s in spec["gauss"]], dtype=float).reshape(-1, 2),
@@ -350,7 +354,6 @@ class Circuit:
 
         E = self.num_sum_edges
         dfs_to_global = np.empty(E, dtype=np.int64)
-        sub_lo = np.empty(E, dtype=np.int64)
         sub_hi = np.empty(E, dtype=np.int64)
         start = np.empty(self.num_nodes, dtype=np.int64)
         end = np.empty(self.num_nodes, dtype=np.int64)
@@ -378,7 +381,6 @@ class Circuit:
             if g >= 0:
                 d = counter
                 dfs_to_global[d] = g
-                sub_lo[d] = d + 1
                 counter += 1
             start[v] = counter
             stack.append((v, d, True))
@@ -387,7 +389,7 @@ class Circuit:
                 c = node.children[slot]
                 stack.append((c, -1 if base is None else base + slot, False))
 
-        self._tree = _TreeIndex(dfs_to_global, sub_lo, sub_hi, prod_nodes, prod_blocks)
+        self._tree = _TreeIndex(dfs_to_global, sub_hi, prod_nodes, prod_blocks)
         return self._tree
 
     # -- helpers -------------------------------------------------------------

@@ -98,10 +98,11 @@ def full_hessian_tree(
                 hess[np.ix_(ia, ib)] += corr
                 hess[np.ix_(ib, ia)] += corr.T
 
-    # path pairs: DFS edge d against each DFS edge below its child, [lo_d, hi_d)
-    size = tree.edge_sub_hi - tree.edge_sub_lo
+    # path pairs: DFS edge d against each DFS edge below its child, [d + 1, hi_d)
+    lo = np.arange(1, e + 1)
+    size = tree.edge_sub_hi - lo
     shallow = np.repeat(np.arange(e), size)
-    deep = np.arange(size.sum()) + np.repeat(tree.edge_sub_lo - np.cumsum(size) + size, size)
+    deep = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
     shallow, deep = order[shallow], order[deep]
     corr = g.sum(axis=1)[deep] / params.theta[shallow]
     hess[deep, shallow] += corr

@@ -8,15 +8,16 @@ maximum is taken over the [k, samples] block of its edges, its shift
 broadcasts back over that block, and its sum is a segment sum, so it is
 O(edges) numpy work regardless of circuit shape.
 
-The batch is walked in row tiles: each tile's leaf stage and level loop run
-in one [num_nodes, tile] buffer, allocated once per call and sized by
-``TILE_BYTES`` so that it stays in cache, but wide enough (``LEVEL_CELLS``)
+The batch is walked in row tiles, sized by ``TILE_BYTES`` so that a tile's
+[num_nodes, tile] block stays in cache, but wide enough (``LEVEL_CELLS``)
 that the level loop's fixed per-level cost, paid once per tile, stays small
-on deep narrow circuits.  Every column is computed on its own, so the tiling
-changes no value.  :func:`forward` copies each tile into
-the [samples, nodes] trace that backward passes need; :func:`log_likelihood`
-keeps only the root row and stores no trace, for callers that need the
-per-sample log-likelihoods alone.
+on deep narrow circuits.  The leaf stage checks the domain once per distinct
+variable of each leaf family and writes each family's [leaves, tile] rows
+node-major.  Every column is computed on its own, so the tiling changes no
+value.  :func:`forward` computes each tile in place in its columns of one
+[num_nodes, samples] buffer, the trace that backward passes read;
+:func:`log_likelihood` reuses one tile buffer, keeps only the root row and
+stores no trace, for callers that need the per-sample log-likelihoods alone.
 """
 
 from __future__ import annotations
@@ -42,10 +43,12 @@ LEVEL_CELLS = 1 << 14
 class EvalTrace:
     """Per-sample, per-node log outputs of one forward pass.
 
-    log_p has shape [num_samples, num_nodes]; the root column holds the
-    per-sample log-likelihood.  theta and batch are copies of the sum weights
-    and the rows it was evaluated on, against which later passes detect a
-    stale trace.
+    log_p has shape [num_samples, num_nodes]: it is the transposed view of
+    the node-major [num_nodes, num_samples] buffer that forward computes in,
+    so log_p.T is C-contiguous and the root column, the per-sample
+    log-likelihood, is a contiguous row of it.  theta and batch are copies of
+    the sum weights and the rows it was evaluated on, against which later
+    passes detect a stale trace.
     """
 
     log_p: np.ndarray
@@ -72,48 +75,57 @@ def as_batch(circuit: Circuit, batch) -> np.ndarray:
 
 
 def _leaf_inputs(circuit: Circuit, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each leaf family's data columns, [samples, leaves] in leaf_groups order.
+    """Per leaf family, the columns of the distinct variables its leaves read,
+    [variables, samples] in circuit.leaf_vars order; Bernoulli columns as
+    x > 0.5, categorical ones as int64.
 
-    Raises OutOfDomain, naming the first bad row of the batch, when a
-    Bernoulli leaf reads a value other than 0 or 1, a categorical leaf one
-    that is not an integer in [0, k), or a Gaussian leaf a non-finite value.
+    Raises OutOfDomain, naming the first bad row of the batch and its
+    lowest-numbered bad variable, when a Bernoulli leaf reads a value other
+    than 0 or 1, a categorical leaf one that is not an integer in [0, k), or a
+    Gaussian leaf a non-finite value.
     """
-    groups = circuit.leaf_groups()
-    bern_var, gauss_var, cat_var = groups["bern"][1], groups["gauss"][1], groups["cat"][1]
-    xb, xg, xc = batch[:, bern_var], batch[:, gauss_var], batch[:, cat_var]
-    for family, var, ok in (
-        ("Bernoulli", bern_var, (xb == 0) | (xb == 1)),
-        ("Gaussian", gauss_var, np.isfinite(xg)),
-        ("categorical", cat_var, (xc >= 0) & (xc < circuit.cat_segments.lengths) & (xc == np.floor(xc))),
+    xb, xg, xc = (batch[:, circuit.leaf_vars[f][0]] for f in ("bern", "gauss", "cat"))
+    for family, f, ok in (
+        ("Bernoulli", "bern", (xb == 0) | (xb == 1)),
+        ("Gaussian", "gauss", np.isfinite(xg)),
+        ("categorical", "cat", (xc >= 0) & (xc < circuit.cat_var_size) & (xc == np.floor(xc))),
     ):
         if not ok.all():
             row, col = np.argwhere(~ok)[0]
-            v = var[col]
+            v = circuit.leaf_vars[f][0][col]
             raise OutOfDomain(f"row {row}, variable {v}: {batch[row, v]!r} is outside the {family} domain")
-    return xb, xg, xc.astype(np.int64)
+    return np.ascontiguousarray(xb.T > 0.5), np.ascontiguousarray(xg.T), xc.T.astype(np.int64, order="C")
 
 
-def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray):
+def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarray | None = None):
     """Yield (rows, lp) for each row tile of batch, lp [num_nodes, tile] the
-    log-probabilities of every node on those rows.  lp is a view of one
-    buffer that the next tile overwrites."""
+    log-probabilities of every node on those rows.  lp is the view out[:,
+    rows] of a [num_nodes, samples] out, or else a view of one tile buffer
+    that the next tile overwrites."""
     xb, xg, xc = _leaf_inputs(circuit, batch)
-    groups = circuit.leaf_groups()
-    theta, ms, cat_starts = params.theta, params.gauss, circuit.cat_segments.starts
+    groups, leaf_vars = circuit.leaf_groups(), circuit.leaf_vars
+    theta, (mean, sd), cat_starts = params.theta, params.gauss.T, circuit.cat_segments.starts[:, None]
+    # divide: log 0 at indicator leaves; invalid: diverged (inf) parameters,
+    # whose NaN rows are the DivergedNaN signal handled by the trainers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b, log_nb = np.log(params.bern)[:, None], np.log1p(-params.bern)[:, None]
+        log_g, log_c = (-np.log(sd) - 0.5 * _LOG_2PI)[:, None], np.log(params.cat)
     n = batch.shape[0]
     cells = LEVEL_CELLS * max(1, len(circuit.level_edges)) // (circuit.num_nodes + circuit.num_sum_edges)
     tile = max(1, min(n, max(TILE_BYTES // (8 * circuit.num_nodes), cells)))
-    buf = np.empty((circuit.num_nodes, tile))
+    buf = np.empty((circuit.num_nodes, tile)) if out is None else out
     for lo in range(0, n, tile):
         rows = slice(lo, min(lo + tile, n))
-        lp = buf[:, : rows.stop - lo]
-        # divide: log 0 at indicator leaves; invalid: diverged (inf) parameters,
-        # whose NaN rows are the DivergedNaN signal handled by the trainers
+        lp = buf[:, rows] if out is not None else buf[:, : rows.stop - lo]
         with np.errstate(divide="ignore", invalid="ignore"):
-            lp[groups["bern"][0]] = np.where(xb[rows] > 0.5, np.log(params.bern), np.log1p(-params.bern)).T
-            z = (xg[rows] - ms[:, 0]) / ms[:, 1]
-            lp[groups["gauss"][0]] = (-np.log(ms[:, 1]) - 0.5 * _LOG_2PI - 0.5 * z * z).T
-            lp[groups["cat"][0]] = np.log(params.cat)[cat_starts + xc[rows]].T
+            lp[groups["bern"][0]] = np.where(xb[:, rows].take(leaf_vars["bern"][1], axis=0), log_b, log_nb)
+            z = xg[:, rows].take(leaf_vars["gauss"][1], axis=0)
+            z -= mean[:, None]
+            z /= sd[:, None]
+            h = 0.5 * z
+            h *= z  # (0.5 * z) * z in place: a fresh [leaves, tile] array per operation doubled this stage's time
+            lp[groups["gauss"][0]] = np.subtract(log_g, h, out=h)
+            lp[groups["cat"][0]] = log_c[cat_starts + xc[:, rows].take(leaf_vars["cat"][1], axis=0)]
         for sums, prods in circuit.level_edges:
             for b in prods:
                 lp[b.parents] = b.sum(lp[b.child])
@@ -137,10 +149,10 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
     lies outside the support of a leaf that reads it.
     """
     batch = as_batch(circuit, batch)
-    log_p = np.empty((batch.shape[0], circuit.num_nodes))
-    for rows, lp in _sweep(circuit, params, batch):
-        log_p[rows] = lp.T
-    return EvalTrace(log_p, circuit, params.theta.copy(), batch.copy())
+    log_p = np.empty((circuit.num_nodes, batch.shape[0]))
+    for _ in _sweep(circuit, params, batch, log_p):
+        pass  # each tile is computed in its columns of log_p
+    return EvalTrace(log_p.T, circuit, params.theta.copy(), batch.copy())
 
 
 def log_likelihood(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:

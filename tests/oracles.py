@@ -256,7 +256,7 @@ def per_sample_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarra
                     hess[lo1:hi1, lo2:hi2] += corr
                     hess[lo2:hi2, lo1:hi1] += corr.T
         for d in range(e):
-            lo, hi = tree.edge_sub_lo[d], tree.edge_sub_hi[d]
+            lo, hi = d + 1, tree.edge_sub_hi[d]
             corr = gv[lo:hi] / theta_dfs[d]
             hess[lo:hi, d] += corr
             hess[d, lo:hi] += corr

@@ -362,5 +362,4 @@ class TestTreeIndex:
         e = circuit.num_sum_edges
         # root-first DFS of a chain: each edge's subtree holds every deeper edge
         np.testing.assert_array_equal(tree.dfs_to_global, np.arange(e)[::-1])
-        np.testing.assert_array_equal(tree.edge_sub_lo, np.arange(1, e + 1))
         np.testing.assert_array_equal(tree.edge_sub_hi, np.full(e, e))

@@ -99,6 +99,32 @@ class TestForward:
                 with pytest.raises(OutOfDomain, match=rf"^row {row},"):
                     fn(circuit, params, batch)
 
+    def test_categorical_leaves_of_one_variable_check_the_least_size(self):
+        from circuit_sharp import Circuit, ParamSet, leaf_node, sum_node
+
+        nodes = [leaf_node(0, "cat", np.full(3, 1 / 3)), leaf_node(0, "cat", np.full(5, 0.2)), sum_node(0, 1)]
+        circuit = Circuit.build(nodes, 2)
+        params = ParamSet.uniform(circuit)
+        batch = np.array([[0.0], [2.0], [1.0]])
+        assert np.isfinite(forward(circuit, params, batch).root_log_p).all()
+        batch[1, 0] = 4.0  # inside the 5-category leaf's domain, outside the 3-category one's
+        for fn in (forward, log_likelihood):
+            with pytest.raises(OutOfDomain, match=r"^row 1, variable 0:"):
+                fn(circuit, params, batch)
+
+    def test_mixed_families_node_major_trace(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "LEVEL_CELLS", 0)
+        for seed in (2, 3, 5, 7):
+            circuit, params = random_dag(seed, families=ALL_FAMILIES)
+            assert all(ids.size for ids, _ in circuit.leaf_groups().values())
+            monkeypatch.setattr(evaluate, "TILE_BYTES", 3 * 8 * circuit.num_nodes)  # 3-row tiles
+            batch = batch_for(circuit, 10, seed)
+            trace = forward(circuit, params, batch)
+            assert trace.log_p.shape == (10, circuit.num_nodes) and trace.log_p.T.flags.c_contiguous
+            rows = np.concatenate([forward(circuit, params, batch[i : i + 1]).log_p for i in range(10)])
+            np.testing.assert_array_equal(trace.log_p, rows)
+            np.testing.assert_array_equal(log_likelihood(circuit, params, batch), trace.root_log_p)
+
     def test_permutation_invariance_bit_exact(self):
         circuit, params = random_dag(23)
         batch = batch_for(circuit, 16, 5)

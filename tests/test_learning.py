@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circuit_sharp import Circuit, ParamSet, backward, forward, leaf_node, sum_node
+from circuit_sharp import Circuit, ParamSet, backward, forward, leaf_node, log_likelihood, sum_node
 from circuit_sharp.curvature import hessian_trace
 from circuit_sharp.fd import central_diff
 from circuit_sharp.learning import (
@@ -387,10 +387,16 @@ class TestScheduledTraining:
 
         circuit, params = random_tree(162, families=("continuous",))
         train = batch_for(circuit, 16, 4)
-        with pytest.raises(DivergedNaN) as err:
-            sgd_train(circuit, params, train, epochs=50, batch_size=16, lr=1e4, seed=0)
-        assert err.value.params is not None
-        for n in circuit.sum_nodes:
-            assert np.isfinite(err.value.params.sum_weights[n]).all()
-        rows = err.value.report.rows  # the epochs that finished before the failing minibatch
-        assert len(rows) >= 1 and [r.epoch for r in rows] == list(range(1, len(rows) + 1))
+        finished = []
+        for lr in (1e4, 300.0):  # 1e4 diverges in the first epoch, 300 after finite ones
+            with pytest.raises(DivergedNaN) as err:
+                sgd_train(circuit, params, train, epochs=50, batch_size=16, lr=lr, seed=0)
+            assert err.value.params is not None
+            for n in circuit.sum_nodes:
+                assert np.isfinite(err.value.params.sum_weights[n]).all()
+            assert np.isfinite(log_likelihood(circuit, err.value.params, train)).all()
+            rows = err.value.report.rows  # the epochs that finished before the one that diverged
+            assert [r.epoch for r in rows] == list(range(1, len(rows) + 1))
+            assert all(np.isfinite(r.train_nll) and np.isfinite(r.sharpness) for r in rows)
+            finished.append(len(rows))
+        assert finished[1] >= 1
