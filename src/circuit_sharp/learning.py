@@ -260,16 +260,13 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
 
 
-def _fit(
-    circuit, params, train, valid, config, epochs, batch_size, seed, step, finite_nll=False
-) -> tuple[ParamSet, TrainReport]:
+def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) -> tuple[ParamSet, TrainReport]:
     """The epoch loop of both learners.  Per minibatch one forward and one
     backward, then step(params, batch, trace, flows, mu) -> params, the
     learner's update; per epoch a log row, then the adaptive_dof mu.
 
-    A DivergedNaN raised by step leaves with the parameters the epoch started
-    from and the report so far; with finite_nll, so does an epoch whose train
-    NLL is not finite."""
+    A DivergedNaN raised by step, or an epoch whose train NLL is not finite,
+    leaves with the parameters that epoch started from and the report so far."""
     rng = np.random.default_rng(seed)
     report = TrainReport()
     t0 = time.perf_counter()
@@ -290,7 +287,7 @@ def _fit(
                 raise
         trace = flows = None  # the last batch's tables, freed before the full-train pass
         row, trace, flows = _epoch_row(circuit, params, train, valid, epoch, mu, t0)
-        if finite_nll and not np.isfinite(row.train_nll):
+        if not np.isfinite(row.train_nll):
             raise DivergedNaN("non-finite log-likelihood", start, report)
         report.rows.append(row)
         if config.schedule == ADAPTIVE_DOF and valid is not None:
@@ -439,6 +436,4 @@ def sgd_train(
         vec = vec + opt.step(mapper.gradient(params, raw, flows, batch, nll_sign=-1.0))
         return mapper.unflatten(vec, params)
 
-    return _fit(
-        circuit, mapper.unflatten(vec, params), train, valid, config, epochs, batch_size, seed, step, finite_nll=True
-    )
+    return _fit(circuit, mapper.unflatten(vec, params), train, valid, config, epochs, batch_size, seed, step)
