@@ -6,14 +6,16 @@ order; that order is stable across serialization round-trips and is the
 coordinate system for gradients, Hessians and traces.  The edges of one sum
 node form a contiguous run of that order, and :class:`Segments` holds the
 per-run operations that sum weights and categorical leaves share.  The
-passes run over compiled levels, each split into buckets of parents with one
-fan-in (per-parent blocks plus a child-side :class:`Scatter`).
+passes run over compiled levels, each split into stacks of parents with one
+fan-in (per-parent blocks plus a child-side :class:`Scatter`); sum parents
+that share one child list are grouped, and groups of one shape stacked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -94,14 +96,6 @@ def leaf_node(variable: int, family: str, params) -> Node:
     return Node(LEAF, (), spec)
 
 
-@dataclass(frozen=True)
-class SumEdge:
-    """Identity of a weighted edge: owning sum node and child slot."""
-
-    node: int
-    slot: int
-
-
 class Segments:
     """Contiguous non-empty runs of a flat vector, such as the sum edges of
     each sum node or the probabilities of each categorical leaf.
@@ -161,25 +155,55 @@ def _read_only(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _run(x: np.ndarray) -> np.ndarray | slice:
+    """An increasing index array as a slice where it is one run."""
+    return slice(int(x[0]), int(x[-1]) + 1) if x.size and x[-1] - x[0] == x.size - 1 else x
+
+
 @dataclass
 class _LevelEdges:
-    """One fan-in bucket of the sum or product edges whose parents sit at one
-    level, compiled once for every pass.  Every parent of the bucket has k
-    edges, and ``parents[r]`` owns rows [r*k, (r+1)*k) of a per-edge array,
-    so :meth:`blocks` views one as [parents, k, samples] and a per-parent
-    [parents, 1, samples] array broadcasts against it with no gather.
-    ``index`` places each edge in the flat (for sum edges, global) edge
-    order, as a slice where contiguous; ``child`` is its child node, and
-    ``scatter`` adds per-edge rows into the children."""
+    """One stack of the sum or product edges whose parents sit at one level,
+    compiled once for every pass.  Every parent of the stack has k edges,
+    and ``parents[r]`` (in node order) owns rows [r*k, (r+1)*k) of a
+    per-edge array, in its slot order, so :meth:`blocks` views one as
+    [parents, k, samples] and a per-parent [parents, 1, samples] array
+    broadcasts against it with no gather.  ``index`` places each edge in the
+    flat (for sum edges, global) edge order, as a slice where contiguous;
+    ``child`` is its child node, and ``scatter`` adds per-edge rows into the
+    children.  ``rows`` places a singleton sum stack's edges in
+    ``Circuit.single_edges``.
+
+    Sum parents come in groups of g that share one child list, G groups of
+    one shape per stack.  A stack of singletons is a plain fan-in bucket,
+    with ``children`` its ``child``.  Otherwise ``members`` [G, g] lists each
+    group's parents and ``children`` [G * k] its sorted children;
+    ``edges[i, r, j]`` [G, g, k] is the global edge from member r of group i
+    to its child j, ``group`` each parent's group, ``src`` the row of
+    ``children`` each per-edge row reads, and ``child_scatter`` adds
+    per-child rows into the children."""
 
     parents: np.ndarray
     k: int
     index: np.ndarray | slice
     child: np.ndarray
-    scatter: Scatter
+    g: int = 1
+    children: np.ndarray | None = None
+    members: np.ndarray | None = None
+    edges: np.ndarray | None = None
+    group: np.ndarray | None = None
+    src: np.ndarray | None = None
+    rows: np.ndarray | slice | None = None
+
+    # built on first use: EM never scatters a group's per-edge rows
+    scatter = cached_property(lambda self: Scatter(self.child))
+    child_scatter = cached_property(lambda self: Scatter(self.children))
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.parents.size, self.k, *x.shape[1:])
+
+    def groups(self, x: np.ndarray) -> np.ndarray:
+        """Per-child rows [G * k, samples] as [G, k, samples]."""
+        return x.reshape(self.children.size // self.k, self.k, *x.shape[1:])
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """Per-parent sums of per-edge rows x, by np.add.reduceat as in
@@ -188,18 +212,41 @@ class _LevelEdges:
         return np.add.reduceat(x, np.arange(0, x.shape[0], self.k), axis=0)
 
     @staticmethod
-    def buckets(nodes: np.ndarray, seg: Segments, child: np.ndarray, level: np.ndarray) -> dict:
-        """level -> the buckets of the runs of seg (the edges of nodes, back
-        to back), one per fan-in, each in node order."""
+    def stacks(nodes: np.ndarray, seg: Segments, child: np.ndarray, level: np.ndarray, share: bool) -> dict:
+        """level -> the stacks of the runs of seg (the edges of nodes, back to
+        back), one per shape (g, k), each in node order.  With share, nodes
+        whose runs hold the same children form a group (they sit at one
+        level), its members in node order and the groups in the order of
+        their first node; without, every node is a group of one."""
+        first = nodes.copy()  # each node's group, named by its first node
+        if share:
+            by_child = np.lexsort((child, seg.ids))  # each run's edges by child, run by run
+            rank = np.empty_like(by_child)
+            rank[by_child] = np.arange(child.size) - seg.starts[seg.ids]
+            for k in np.unique(seg.lengths).tolist():
+                sel = np.flatnonzero(seg.lengths == k)
+                lists = child[by_child[seg.starts[sel, None] + np.arange(k)]]
+                _, at, group = np.unique(lists, axis=0, return_index=True, return_inverse=True)
+                first[sel] = nodes[sel[at[group.reshape(-1)]]]
+        _, group, sizes = np.unique(first, return_inverse=True, return_counts=True)
+        g = sizes[group.reshape(-1)]
+        order = np.lexsort((nodes, g, seg.lengths, level))
+        cuts = np.flatnonzero(np.diff(level[order]) | np.diff(seg.lengths[order]) | np.diff(g[order])) + 1
         out: dict = {}
-        order = np.lexsort((seg.lengths, level))  # by level, then fan-in; stable
-        cuts = np.flatnonzero(np.diff(level[order]) | np.diff(seg.lengths[order])) + 1
-        for group in np.split(order, cuts) if order.size else []:
-            k = int(seg.lengths[group[0]])
-            index = (seg.starts[group, None] + np.arange(k)).reshape(-1)
-            at = slice(index[0], index[-1] + 1) if index[-1] - index[0] == index.size - 1 else index
-            edges = _LevelEdges(nodes[group], k, at, child[index], Scatter(child[index]))
-            out.setdefault(int(level[group[0]]), []).append(edges)
+        for sel in np.split(order, cuts) if order.size else []:
+            k, size = int(seg.lengths[sel[0]]), int(g[sel[0]])
+            slots = seg.starts[sel, None] + np.arange(k)  # each parent's edges in slot order
+            index = slots.reshape(-1)
+            b = _LevelEdges(nodes[sel], k, _run(index), child[index], size, child[index])
+            if size > 1:
+                _, b.group = np.unique(first[sel], return_inverse=True)
+                by_group = np.argsort(b.group, kind="stable")
+                ranked = by_child[slots[by_group]]  # each member's edges by child
+                b.members = nodes[sel[by_group]].reshape(-1, size)
+                b.edges = ranked.reshape(-1, size, k)
+                b.children = child[ranked[::size]].reshape(-1)
+                b.src = (b.group[:, None] * k + rank[slots]).reshape(-1)
+            out.setdefault(int(level[sel[0]]), []).append(b)
         return out
 
 
@@ -285,7 +332,6 @@ class Circuit:
         seg = self.sum_segments = Segments([len(self.nodes[n].children) for n in self.sum_nodes])
         self.num_sum_edges = int(seg.ids.size)
         self.sum_edge_owner = np.asarray(self.sum_nodes, dtype=np.int64)[seg.ids]
-        self.sum_edge_slot = np.arange(self.num_sum_edges) - seg.starts[seg.ids]
         self.sum_edge_offset = dict(zip(self.sum_nodes, seg.starts.tolist()))  # node id -> first edge
         # 0/1 [sum nodes, sum edges]: row i marks the edges of sum_nodes[i]
         self.sum_node_edges = scipy.sparse.csr_array(
@@ -312,12 +358,18 @@ class Circuit:
         prod_nodes = np.array([i for i, nd in enumerate(self.nodes) if nd.kind == PRODUCT], dtype=np.int64)
         prod_seg = Segments([len(self.nodes[p].children) for p in prod_nodes])
         prod_child = np.array([c for p in prod_nodes for c in self.nodes[p].children], dtype=np.int64)
-        sums = _LevelEdges.buckets(sum_nodes, self.sum_segments, sum_child, self._levels[sum_nodes])
-        prods = _LevelEdges.buckets(prod_nodes, prod_seg, prod_child, self._levels[prod_nodes])
-        # (sum buckets, product buckets) per level, leaves to root
+        sums = _LevelEdges.stacks(sum_nodes, self.sum_segments, sum_child, self._levels[sum_nodes], True)
+        prods = _LevelEdges.stacks(prod_nodes, prod_seg, prod_child, self._levels[prod_nodes], False)
+        # (sum stacks, product stacks) per level, leaves to root
         self.level_edges: list[tuple[list[_LevelEdges], list[_LevelEdges]]] = [
             (sums.get(lv, []), prods.get(lv, [])) for lv in sorted(sums.keys() | prods.keys())
         ]
+        # the edges of the singleton sum stacks, whose flows backward keeps per edge
+        single = [b for level in sums.values() for b in level if b.g == 1]
+        edges = np.arange(self.num_sum_edges)
+        self.single_edges = np.sort(np.concatenate([edges[b.index] for b in single] + [edges[:0]]))
+        for b in single:
+            b.rows = _run(np.searchsorted(self.single_edges, edges[b.index]))
 
     def _index_leaves(self) -> None:
         leaves = [i for i, node in enumerate(self.nodes) if node.kind == LEAF]
@@ -396,17 +448,6 @@ class Circuit:
 
     def kind(self, node: int) -> str:
         return self.nodes[node].kind
-
-    def edge(self, idx: int) -> SumEdge:
-        return SumEdge(int(self.sum_edge_owner[idx]), int(self.sum_edge_slot[idx]))
-
-    def edge_index(self, edge: SumEdge) -> int:
-        if edge.node not in self.sum_edge_offset:
-            raise ValueError(f"node {edge.node} is not a sum node")
-        nchild = len(self.nodes[edge.node].children)
-        if not (0 <= edge.slot < nchild):
-            raise ValueError(f"slot {edge.slot} out of range for node {edge.node}")
-        return self.sum_edge_offset[edge.node] + edge.slot
 
 
 @dataclass(eq=False)

@@ -3,8 +3,9 @@
 Four exact quantities, all driven by edge flows:
 
 * Hessian diagonal and absolute trace for any circuit: each diagonal entry is
-  -(F_nc / theta_nc)^2, so one forward-backward pass per sample gives the
-  trace in time linear in edges times samples.
+  -(F_nc / theta_nc)^2, so one forward-backward pass gives the trace in time
+  linear in edges times samples, read from the flows' batch sums of squared
+  edge flows (matrix products of the group factors, no per-edge table).
 * The dense Hessian for tree circuits, assembled per edge pair from the pair
   class: sum pairs contribute -g g', product pairs g g' (1/F_q - 1) with F_q
   the node flow of the deepest common product ancestor, and nested path pairs
@@ -21,8 +22,10 @@ Four exact quantities, all driven by edge flows:
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
 
-Every pass reads the node-major tables of a ``FlowTable`` as they are, ratio
-table included: no ratio is rebuilt and no table transposed.
+The penalty adjoint, Hessian-vector products and per-sample gradients read
+the per-sample edge-flow and ratio tables of a ``FlowTable``, node-major as
+they are; a flow table builds them at most once, however many passes read
+them, and none is transposed.
 """
 
 from __future__ import annotations
@@ -51,9 +54,8 @@ def hessian_trace(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> floa
 
 def hessian_diag(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
     """Batch-summed Hessian diagonal, one nonpositive entry per sum edge:
-    -sum_x F_nc(x)^2 / theta_nc^2, contracted without a table of squares."""
-    fe = backward(circuit, params, forward(circuit, params, batch)).edge_flow
-    return -np.einsum("es,es->e", fe, fe) / params.theta**2
+    -sum_x F_nc(x)^2 / theta_nc^2, from the flows' batch sums of squares."""
+    return -backward(circuit, params, forward(circuit, params, batch)).edge_flow_sq_sum / params.theta**2
 
 
 def full_hessian_tree(

@@ -3,10 +3,14 @@
 Sum nodes use the log-sum-exp trick with a per-parent shift; -inf
 log-probabilities are legal values (deterministic-style supports) and are
 propagated, never raised.  The pass runs leaves-to-root over the compiled
-levels of ``Circuit.level_edges``, one fan-in bucket at a time: a parent's
-maximum is taken over the [k, samples] block of its edges, its shift
-broadcasts back over that block, and its sum is a segment sum, so it is
-O(edges) numpy work regardless of circuit shape.
+levels of ``Circuit.level_edges``, one stack at a time.  A stack holds
+groups of sum parents that share one child list (in a tree, groups of one):
+a group's children are gathered once, shifted by their per-sample maximum,
+which is every member's own maximum, and exponentiated once per child.  Each
+parent then weights its terms and adds them in its own slot order with the
+segment sum of its per-edge log-sum-exp, so the values are bit for bit
+those of that per-edge form, and the work is O(edges) numpy work regardless
+of circuit shape.
 
 The batch is walked in row tiles, sized by ``TILE_BYTES`` so that a tile's
 [num_nodes, tile] block stays in cache, but wide enough (``LEVEL_CELLS``)
@@ -105,8 +109,9 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
     xb, xg, xc = _leaf_inputs(circuit, batch)
     groups, leaf_vars = circuit.leaf_groups(), circuit.leaf_vars
     theta, (mean, sd), cat_starts = params.theta, params.gauss.T, circuit.cat_segments.starts[:, None]
-    # divide: log 0 at indicator leaves; invalid: diverged (inf) parameters,
-    # whose NaN rows are the DivergedNaN signal handled by the trainers
+    # divide: log 0 at indicator leaves; invalid and over: diverged (inf or
+    # tiny) parameters, whose non-finite rows are the DivergedNaN signal
+    # handled by the trainers
     with np.errstate(divide="ignore", invalid="ignore"):
         log_b, log_nb = np.log(params.bern)[:, None], np.log1p(-params.bern)[:, None]
         log_g, log_c = (-np.log(sd) - 0.5 * _LOG_2PI)[:, None], np.log(params.cat)
@@ -117,7 +122,7 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
     for lo in range(0, n, tile):
         rows = slice(lo, min(lo + tile, n))
         lp = buf[:, rows] if out is not None else buf[:, : rows.stop - lo]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lp[groups["bern"][0]] = np.where(xb[:, rows].take(leaf_vars["bern"][1], axis=0), log_b, log_nb)
             z = xg[:, rows].take(leaf_vars["gauss"][1], axis=0)
             z -= mean[:, None]
@@ -130,11 +135,14 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
             for b in prods:
                 lp[b.parents] = b.sum(lp[b.child])
             for b in sums:
-                w = lp[b.child]
-                m = b.blocks(w).max(axis=1)
+                w = lp[b.children]  # each group's children once: its max is every member's
+                wg = b.groups(w)
+                m = wg.max(axis=1)
                 m_safe = np.where(np.isfinite(m), m, 0.0)
-                np.subtract(b.blocks(w), m_safe[:, None], out=b.blocks(w))
+                np.subtract(wg, m_safe[:, None], out=wg)
                 np.exp(w, out=w)
+                if b.src is not None:  # each parent's terms in its slot order, and its group's max
+                    w, m, m_safe = w.take(b.src, axis=0), m.take(b.group, axis=0), m_safe.take(b.group, axis=0)
                 w *= theta[b.index, None]
                 with np.errstate(divide="ignore"):
                     lp[b.parents] = np.where(np.isfinite(m), m_safe + np.log(b.sum(w)), -np.inf)

@@ -2,60 +2,107 @@
 gradient they induce.
 
 A sum edge (n, c) carries flow F_n * theta_nc * p_c / p_n; a product edge
-passes the parent's full flow to the child.  :func:`edge_ratios` tabulates
-the clipped p_c / p_n once per backward pass, and the flow table keeps it, so
-the penalty adjoint and Hessian-vector products read the same table.  Every
-table is node-major, [nodes or sum edges, samples], the layout the level
-sweeps compute in.  The two sweeps read the ratios: :func:`push_down`
-runs that recursion root-to-leaves from any seed (flows, log-probability
-adjoints, flow tangents), :func:`pull_up` leaves-to-root (flow adjoints,
-log-probability tangents).  Each runs over the fan-in buckets of
-``Circuit.level_edges``: a parent's value (p_n, or its adjoint) broadcasts
-over the [k, samples] block of its edges, with no per-edge gather.  Only sum
-edges keep their edge values.  Flows keep their trace, and a trace its
-weights, so stale pairings raise StaleTrace.
+passes the parent's full flow to the child.  For a group of sum parents that
+share one child list, with m the per-sample maximum of its children's log p,
+that flow factors as theta_nc * a_n * s_c, a_n = F_n exp(m - log p_n) (0 where
+p_n = 0) and s_c = exp(log p_c - m): :func:`backward` pushes the group's flows
+down as s * (W^T a), one matrix product per stack of equal-shape groups, and
+the batch sums of edge flows and of their squares are theta * (a s^T) and
+theta^2 * ((a a) (s s)^T).  A group of one (every sum node of a tree) writes
+its clipped ratios and edge flows as rows during the sweep instead.  The
+per-sample [sum edges, samples] tables are completed once, for the readers
+that need them: the penalty adjoint, Hessian-vector products and per-sample
+gradients, whose two sweeps run per edge over the ratio table,
+:func:`push_down` root-to-leaves and :func:`pull_up` leaves-to-root.  Every
+table is node-major, [nodes or sum edges, samples].  Flows keep their trace,
+and a trace its weights, so stale pairings raise StaleTrace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, ParamSet
+from .circuit import Circuit, ParamSet, _read_only
 from .errors import StaleTrace
 from .evaluate import EvalTrace
 
 
-@dataclass
 class FlowTable:
-    """node_flow: [num_nodes, num_samples]; edge_flow and ratio: [num_sum_edges,
-    num_samples] in global edge order, ratio the edge_ratios table the flows
-    were pushed down with; trace: the forward pass they were computed from."""
+    """The flows of one backward pass over trace, the forward pass they were
+    computed from.
 
-    node_flow: np.ndarray
-    edge_flow: np.ndarray
-    ratio: np.ndarray
-    trace: EvalTrace
+    node_flow is [num_nodes, num_samples].  edge_flow_sum and edge_flow_sq_sum
+    are the batch sums of every sum edge's flow and of its square, in global
+    edge order.  edge_flow and ratio are [num_sum_edges, num_samples] in global
+    edge order, ratio the clipped p_c / p_n (0 where p_n = 0) that edge_flow
+    = F_n * theta * ratio; the rows of shared-child groups are filled on first
+    use.  Each is computed at most once and shared, so it is read-only.
+    """
+
+    def __init__(self, node_flow: np.ndarray, trace: EvalTrace, single: tuple, factors: list):
+        self.node_flow = node_flow
+        self.trace = trace
+        self._single = single  # (edge flows, ratios), [single edges, samples]: Circuit.single_edges
+        self._factors = factors  # (stack, a [G, g, samples], s [G, k, samples]) per shared-child stack
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        tables = self._single  # every sum edge a singleton's: its rows are the tables
+        if self._factors:
+            circuit, lp = self.trace.circuit, self.trace.log_p.T
+            tables = np.empty((circuit.num_sum_edges, lp.shape[1])), np.empty((circuit.num_sum_edges, lp.shape[1]))
+            for table, rows in zip(tables, self._single):
+                table[circuit.single_edges] = rows
+            for b, _, _ in self._factors:
+                _edge_rows(b, self.trace.theta, lp, self.node_flow, *tables, b.index)
+        return tuple(_read_only(t) for t in tables)
+
+    @property
+    def edge_flow(self) -> np.ndarray:
+        return self._tables[0]
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return self._tables[1]
+
+    edge_flow_sum = cached_property(lambda self: self._batch_sum(square=False))
+    edge_flow_sq_sum = cached_property(lambda self: self._batch_sum(square=True))
+
+    def _batch_sum(self, square: bool) -> np.ndarray:
+        theta, flow = self.trace.theta, self._single[0]
+        out = np.empty(theta.size)
+        out[self.trace.circuit.single_edges] = np.einsum("es,es->e", flow, flow) if square else flow.sum(axis=1)
+        for b, a, s in self._factors:
+            w = theta[b.edges]
+            if square:
+                w, a, s = w * w, a * a, s * s
+            out[b.edges] = w * np.matmul(a, s.transpose(0, 2, 1))
+        return _read_only(out)
 
 
-def edge_ratios(circuit: Circuit, theta: np.ndarray, lp: np.ndarray) -> np.ndarray:
-    """min(p_c / p_n, 1 / theta) for every sum edge, [sum edges, samples] in
-    global edge order, from node log-probabilities lp [nodes, samples]; 0
-    where p_n = 0.  p_c * theta <= p_n, so the true ratio is bounded by
-    1/theta; the clip absorbs round-off from the log-space subtraction."""
-    ratio = np.empty((theta.size, lp.shape[1]))
-    for sums, _ in circuit.level_edges:  # level by level: no [edges, samples] gather of lp
-        for b in sums:
-            lp_n = lp[b.parents][:, None]
-            r = lp[b.child]
-            with np.errstate(invalid="ignore", over="ignore"):
-                np.subtract(b.blocks(r), lp_n, out=b.blocks(r))
-                np.exp(r, out=r)
-                np.minimum(r, 1.0 / theta[b.index, None], out=r)
-            np.copyto(b.blocks(r), 0.0, where=~np.isfinite(lp_n))
-            ratio[b.index] = r
-    return ratio
+def _edge_rows(b, theta: np.ndarray, lp: np.ndarray, flow: np.ndarray, edge_flow, ratio, rows) -> np.ndarray:
+    """Write the per-edge rows of stack b to edge_flow[rows] and ratio[rows]
+    ([edges, samples]): the ratios min(p_c / p_n, 1 / theta), 0 where p_n =
+    0, and the flows F_n * theta * ratio, from node log-probabilities lp and
+    flows [nodes, samples].  Returns the flows.  p_c * theta <= p_n, so the
+    true ratio is bounded by 1/theta; the clip absorbs round-off from the
+    log-space subtraction."""
+    lp_n = lp[b.parents][:, None]
+    r = lp[b.child]
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(b.blocks(r), lp_n, out=b.blocks(r))
+        np.exp(r, out=r)
+        np.minimum(r, 1.0 / theta[b.index, None], out=r)
+    np.copyto(b.blocks(r), 0.0, where=~np.isfinite(lp_n))
+    ratio[rows] = r
+    del r  # read back from the table: one [edges, samples] temporary less at a time
+    share = flow[b.parents][:, None] * b.blocks(theta[b.index, None])
+    share *= b.blocks(ratio[rows])
+    share = share.reshape(b.child.size, lp.shape[1])
+    edge_flow[rows] = share
+    return share
 
 
 def pull_up(circuit: Circuit, theta: np.ndarray, ratio: np.ndarray, acc: np.ndarray, edge_src: np.ndarray) -> None:
@@ -82,7 +129,7 @@ def push_down(
     source: np.ndarray | None = None,
 ) -> None:
     """Propagate adj [nodes, samples] root-to-leaves in place: a sum edge adds
-    adj_n * theta_nc * ratio_nc (ratio from edge_ratios), plus source [sum
+    adj_n * theta_nc * ratio_nc (ratio a FlowTable's), plus source [sum
     edges, samples] when given, to its child and writes it to edge_adj [sum
     edges, samples]; a product edge adds adj_n."""
     for sums, prods in reversed(circuit.level_edges):
@@ -99,18 +146,40 @@ def push_down(
 
 
 def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
-    """Compute all node and sum-edge flows in one reverse pass over edges."""
+    """Compute all node flows, and the edge flows of singleton sum stacks, in
+    one reverse pass over the levels; shared-child groups keep their factors."""
     if trace.circuit is not circuit or trace.log_p.shape[1] != circuit.num_nodes:
         raise StaleTrace("trace does not match this circuit")
     if not np.array_equal(trace.theta, params.theta, equal_nan=True):
         raise StaleTrace("trace was evaluated under other sum weights than params")
-    n = trace.log_p.shape[0]
+    lp, theta = trace.log_p.T, params.theta
+    n = lp.shape[1]
     flow = np.zeros((circuit.num_nodes, n))
     flow[circuit.root] = 1.0
-    edge_flow = np.empty((circuit.num_sum_edges, n))
-    ratio = edge_ratios(circuit, params.theta, trace.log_p.T)
-    push_down(circuit, params.theta, ratio, flow, edge_flow)
-    return FlowTable(flow, edge_flow, ratio, trace)
+    single = np.empty((circuit.single_edges.size, n)), np.empty((circuit.single_edges.size, n))  # flows, ratios
+    factors = []
+    for sums, prods in reversed(circuit.level_edges):
+        for b in sums:
+            if b.g == 1:
+                b.scatter.add_into(flow, _edge_rows(b, theta, lp, flow, *single, b.rows))
+                continue
+            s = b.groups(lp[b.children])  # [G, k, samples]
+            m = s.max(axis=1, keepdims=True)
+            m_safe = np.where(np.isfinite(m), m, 0.0)
+            s -= m_safe
+            np.exp(s, out=s)
+            lp_n = lp[b.members]  # [G, g, samples]
+            a = m_safe - lp_n  # at most -log theta of the child that attains m
+            np.copyto(a, -np.inf, where=~np.isfinite(lp_n))
+            np.exp(a, out=a)
+            a *= flow[b.members]
+            down = np.matmul(theta[b.edges].transpose(0, 2, 1), a)
+            down *= s
+            b.child_scatter.add_into(flow, down.reshape(b.children.size, n))
+            factors.append((b, a, s))
+        for b in prods:
+            b.scatter.add_into(flow, np.repeat(flow[b.parents], b.k, axis=0))
+    return FlowTable(flow, trace, single, factors)
 
 
 def loglik_gradient(flows: FlowTable, params: ParamSet) -> np.ndarray:
@@ -118,4 +187,4 @@ def loglik_gradient(flows: FlowTable, params: ParamSet) -> np.ndarray:
 
     Equal to the batch sum of F_nc(x) / theta_nc; nonnegative everywhere.
     """
-    return flows.edge_flow.sum(axis=1) / params.theta
+    return flows.edge_flow_sum / params.theta

@@ -26,7 +26,6 @@ from .errors import DivergedNaN
 from .evaluate import EvalTrace, forward
 from .flows import FlowTable, backward, loglik_gradient
 
-MU_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
 KAPPA = 1.05  # adaptive_dof: mu grows by this factor per percentage point of DoF
 
 FIXED = "fixed"
@@ -112,9 +111,8 @@ def sharp_update(flow_sum, lam: float, mu) -> np.ndarray | float:
 # -- EM steps -------------------------------------------------------------------
 
 
-def _edge_flow_sums(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, FlowTable]:
-    flows = backward(circuit, params, forward(circuit, params, batch))
-    return flows.edge_flow.sum(axis=1), flows
+def _edge_flow_sums(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
+    return backward(circuit, params, forward(circuit, params, batch)).edge_flow_sum
 
 
 def _m_step(
@@ -148,7 +146,7 @@ def em_step_vanilla(circuit: Circuit, params: ParamSet, batch: np.ndarray, alpha
     Sum nodes whose children all received zero flow over the whole batch are
     left untouched.
     """
-    flow_sums, _ = _edge_flow_sums(circuit, params, batch)
+    flow_sums = _edge_flow_sums(circuit, params, batch)
     return _m_step(circuit, params, flow_sums, alpha, 1.0, 0.0)
 
 
@@ -159,7 +157,7 @@ def em_step_sharp(
     config: RegularizerConfig,
 ) -> ParamSet:
     """Sharpness-aware EM step; with mu = 0 it equals em_step_vanilla exactly."""
-    flow_sums, _ = _edge_flow_sums(circuit, params, batch)
+    flow_sums = _edge_flow_sums(circuit, params, batch)
     return _m_step(circuit, params, flow_sums, config.smoothing_alpha, config.lam, config.mu)
 
 
@@ -252,9 +250,8 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
     valid_nll = _mean_nll(circuit, params, valid) if valid is not None else float("nan")
     trace = forward(circuit, params, train)
     flows = backward(circuit, params, trace)
-    fe = flows.edge_flow
     train_nll = float(-trace.root_log_p.mean())
-    sharp = float((np.einsum("es,es->e", fe, fe) / params.theta**2).sum())  # hessian_trace's contraction
+    sharp = float((flows.edge_flow_sq_sum / params.theta**2).sum())  # hessian_trace's contraction
     dof = (valid_nll - train_nll) / abs(train_nll) if valid is not None else float("nan")
     mu_scalar = float(np.mean(mu))
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
@@ -279,7 +276,7 @@ def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) 
             trace = forward(circuit, params, batch)
             flows = backward(circuit, params, trace)
             if config.schedule == LAYER_MEAN_FLOW:
-                mu = layer_mean_flow(flows.edge_flow.sum(axis=1), circuit.edge_layer)
+                mu = layer_mean_flow(flows.edge_flow_sum, circuit.edge_layer)
             try:
                 params = step(params, batch, trace, flows, mu)
             except DivergedNaN as exc:
@@ -312,7 +309,7 @@ def em_train(
     config = config or RegularizerConfig()
 
     def step(params, batch, trace, flows, mu):
-        params = _m_step(circuit, params, flows.edge_flow.sum(axis=1), config.smoothing_alpha, config.lam, mu)
+        params = _m_step(circuit, params, flows.edge_flow_sum, config.smoothing_alpha, config.lam, mu)
         if update_leaf_params:
             params = update_leaves(circuit, params, flows, batch, config.smoothing_alpha)
         return params
@@ -332,7 +329,8 @@ class Adam:
     def step(self, grad: np.ndarray) -> np.ndarray:
         self.t += 1
         self.m = self.b1 * self.m + (1 - self.b1) * grad
-        self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
+        with np.errstate(over="ignore"):  # a diverging gradient; its non-finite NLL stops the run
+            self.v = self.b2 * self.v + (1 - self.b2) * grad * grad
         mhat = self.m / (1 - self.b1**self.t)
         vhat = self.v / (1 - self.b2**self.t)
         return -self.lr * mhat / (np.sqrt(vhat) + self.eps)
@@ -390,8 +388,9 @@ class _Unconstrained:
             parts.append(nll_sign * np.sum(w * ((x > 0.5) - params.bern), axis=0))
             w, x = columns["gauss"]
             mean, sd = params.gauss.T
-            z = (x - mean) / sd
-            dmean, dlogsd = np.sum(w * z / sd, axis=0), np.sum(w * (z * z - 1.0), axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverged sigma: DivergedNaN follows
+                z = (x - mean) / sd
+                dmean, dlogsd = np.sum(w * z / sd, axis=0), np.sum(w * (z * z - 1.0), axis=0)
             parts.append(nll_sign * np.column_stack([dmean, dlogsd]).ravel())
             w, x = columns["cat"]
             seg = self.circuit.cat_segments

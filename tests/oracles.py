@@ -13,12 +13,64 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circuit_sharp import Circuit, EvalTrace, ParamSet, SumEdge, forward
+from circuit_sharp import Circuit, EvalTrace, ParamSet, forward
 from circuit_sharp.errors import CircuitError, NotATree
 
 
 class NotAChild(CircuitError):
     """The named node is not a child of the given parent."""
+
+
+# The paper's protocol grid of regularization weights.
+MU_GRID = (0.01, 0.05, 0.1, 0.5, 1.0)
+
+
+@dataclass(frozen=True)
+class SumEdge:
+    """Identity of a weighted edge: owning sum node and child slot."""
+
+    node: int
+    slot: int
+
+
+def sum_edge(circuit: Circuit, idx: int) -> SumEdge:
+    """The sum edge at global index idx."""
+    node = int(circuit.sum_edge_owner[idx])
+    return SumEdge(node, idx - circuit.sum_edge_offset[node])
+
+
+def edge_index(circuit: Circuit, edge: SumEdge) -> int:
+    """The global index of a sum edge; ValueError unless it names one."""
+    if edge.node not in circuit.sum_edge_offset:
+        raise ValueError(f"node {edge.node} is not a sum node")
+    if not (0 <= edge.slot < len(circuit.nodes[edge.node].children)):
+        raise ValueError(f"slot {edge.slot} out of range for node {edge.node}")
+    return circuit.sum_edge_offset[edge.node] + edge.slot
+
+
+def per_edge_sum_log_p(lp: np.ndarray, weights: np.ndarray, children) -> np.ndarray:
+    """log p of one sum node from node-major lp [nodes, samples] by the
+    per-edge formula: a shift by the max over its own children, one exp per
+    edge, and the weighted terms in slot order added by one np.add.reduceat
+    block, which fixes the rounding; -inf where every child is."""
+    x = lp[list(children)]
+    m = x.max(axis=0)
+    m_safe = np.where(np.isfinite(m), m, 0.0)
+    terms = np.exp(x - m_safe) * weights[:, None]
+    total = np.add.reduceat(terms, [0], axis=0)[0]
+    with np.errstate(divide="ignore"):
+        return np.where(np.isfinite(m), m_safe + np.log(total), -np.inf)
+
+
+def edge_ratios(circuit: Circuit, theta: np.ndarray, lp: np.ndarray) -> np.ndarray:
+    """min(p_c / p_n, 1 / theta) for every sum edge, [sum edges, samples] in
+    global edge order, from node log-probabilities lp [nodes, samples]; 0
+    where p_n = 0: the per-edge reference for ``FlowTable.ratio``."""
+    lp_n = lp[circuit.sum_edge_owner]
+    with np.errstate(invalid="ignore", over="ignore"):
+        ratio = np.minimum(np.exp(lp[circuit.sum_edge_child] - lp_n), 1.0 / theta[:, None])
+    ratio[~np.isfinite(lp_n)] = 0.0
+    return ratio
 
 
 def tree_parent(circuit: Circuit, node: int) -> tuple[int, int]:
@@ -76,7 +128,7 @@ def classify_pair(circuit: Circuit, e1: SumEdge, e2: SumEdge) -> PairClass:
     if e1 == e2:
         raise ValueError("edges must be distinct")
     for e in (e1, e2):
-        circuit.edge_index(e)  # validates node/slot
+        edge_index(circuit, e)  # validates node/slot
 
     if e1.node == e2.node:
         return SumPair()
@@ -189,7 +241,7 @@ def literal_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np
     g = flows.edge_flow / theta[:, None]
     e = circuit.num_sum_edges
     hess = np.zeros((e, e))
-    edges = [circuit.edge(i) for i in range(e)]
+    edges = [sum_edge(circuit, i) for i in range(e)]
 
     for i in range(e):
         hess[i, i] = -np.sum(g[i] ** 2)

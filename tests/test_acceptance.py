@@ -23,7 +23,6 @@ from circuit_sharp.data import FractionSpec, gen_manifold, minmax_scale, subsamp
 from circuit_sharp.diagnostics import landscape, nll_hessian_eigenvalues
 from circuit_sharp.fd import analytic_gradient, fd_gradient, fd_hessian
 from circuit_sharp.learning import (
-    MU_GRID,
     RegularizerConfig,
     em_step_sharp,
     em_step_vanilla,
@@ -33,7 +32,15 @@ from circuit_sharp.learning import (
 )
 from circuit_sharp.structure import HcltConfig, RatConfig, build_hclt, build_rat, chow_liu_tree
 
-from oracles import ProductPair, SumPair, classify_pair, cubic_update_oracle, enumerate_total_probability
+from oracles import (
+    MU_GRID,
+    ProductPair,
+    SumPair,
+    classify_pair,
+    cubic_update_oracle,
+    enumerate_total_probability,
+    sum_edge,
+)
 from zoo import batch_for, dag_zoo, random_tree, tree_zoo
 
 
@@ -110,7 +117,7 @@ def test_c03_full_tree_hessian():
         e = circuit.num_sum_edges
         for i in range(e):
             for j in range(i + 1, e):
-                cls = classify_pair(circuit, circuit.edge(i), circuit.edge(j))
+                cls = classify_pair(circuit, sum_edge(circuit, i), sum_edge(circuit, j))
                 if isinstance(cls, SumPair):
                     counts["sum"] += 1
                 elif isinstance(cls, ProductPair):

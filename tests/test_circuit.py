@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from circuit_sharp import (
     Circuit,
     ParamSet,
-    SumEdge,
     deserialize,
     leaf_node,
     product_node,
@@ -17,9 +16,10 @@ from circuit_sharp import (
     validate,
 )
 from circuit_sharp.circuit import Segments
+from circuit_sharp.structure import build_layered_dag
 from circuit_sharp.errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
-from oracles import PathPair, ProductPair, SumPair, classify_pair, node_scopes
+from oracles import PathPair, ProductPair, SumEdge, SumPair, classify_pair, edge_index, node_scopes, sum_edge
 from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
 
 
@@ -140,7 +140,7 @@ class TestClassifyPair:
 
     def test_requires_tree(self):
         circuit, _ = random_dag(11)
-        e0, e1 = circuit.edge(0), circuit.edge(1)
+        e0, e1 = sum_edge(circuit, 0), sum_edge(circuit, 1)
         with pytest.raises(NotATree):
             classify_pair(circuit, e0, e1)
 
@@ -159,8 +159,8 @@ class TestClassifyPair:
             for j in range(e):
                 if i == j:
                     continue
-                a = classify_pair(circuit, circuit.edge(i), circuit.edge(j))
-                b = classify_pair(circuit, circuit.edge(j), circuit.edge(i))
+                a = classify_pair(circuit, sum_edge(circuit, i), sum_edge(circuit, j))
+                b = classify_pair(circuit, sum_edge(circuit, j), sum_edge(circuit, i))
                 assert isinstance(a, (SumPair, ProductPair, PathPair))
                 if isinstance(a, SumPair):
                     assert isinstance(b, SumPair)
@@ -327,7 +327,7 @@ class TestLevelBuckets:
                 for kind, bucket_list in zip(("sum", "product"), buckets):
                     at_level = sorted(v for v, l in levels.items() if l == lv and circuit.kind(v) == kind)
                     assert sorted(p for b in bucket_list for p in b.parents.tolist()) == at_level
-                    assert len({b.k for b in bucket_list}) == len(bucket_list)  # one bucket per fan-in
+                    assert len({(b.g, b.k) for b in bucket_list}) == len(bucket_list)  # one stack per shape
                     for b in bucket_list:
                         fan_in = [len(circuit.nodes[p].children) for p in b.parents.tolist()]
                         assert fan_in == [b.k] * b.parents.size
@@ -335,12 +335,41 @@ class TestLevelBuckets:
                         np.testing.assert_array_equal(b.child, children)
                     if kind == "sum":  # the global sum edges of the level, each once
                         edges = [e for b in bucket_list for e in np.arange(circuit.num_sum_edges)[b.index].tolist()]
-                        want = [circuit.edge_index(SumEdge(p, s)) for p in at_level
+                        want = [edge_index(circuit, SumEdge(p, s)) for p in at_level
                                 for s in range(len(circuit.nodes[p].children))]
                         assert sorted(edges) == want
                         for b in bucket_list:
                             np.testing.assert_array_equal(circuit.sum_edge_owner[b.index], np.repeat(b.parents, b.k))
         assert mixed >= 5
+
+    def test_sum_stacks_group_the_parents_that_share_children(self):
+        from zoo import indicator_groups_dag
+
+        cases = tree_zoo(4) + dag_zoo(8) + [shared_child_dag(), indicator_groups_dag(), _random_tree_hclt()]
+        cases.append(build_layered_dag(5, 6, seed=7))  # groups whose members interleave in node order
+        grouped = 0
+        for circuit, _ in cases:
+            edges = np.arange(circuit.num_sum_edges)
+            single = edges[circuit.single_edges]
+            for sums, _ in circuit.level_edges:
+                lists = {}  # sorted child list -> the level's parents that hold it
+                for p in [p for b in sums for p in b.parents.tolist()]:
+                    lists.setdefault(tuple(sorted(circuit.nodes[p].children)), []).append(p)
+                for b in sums:
+                    if b.g == 1:  # a fan-in bucket of parents whose child lists are their own
+                        np.testing.assert_array_equal(b.children, b.child)
+                        np.testing.assert_array_equal(single[b.rows], edges[b.index])
+                        assert all(len(lists[tuple(sorted(circuit.nodes[p].children))]) == 1 for p in b.parents)
+                        continue
+                    grouped += 1
+                    np.testing.assert_array_equal(b.children[b.src], b.child)
+                    assert all(p in b.members[i] for p, i in zip(b.parents.tolist(), b.group.tolist()))
+                    for members, kids, rows in zip(b.members, b.groups(b.children), b.edges):
+                        assert lists[tuple(kids.tolist())] == members.tolist()  # the whole group, sorted children
+                        np.testing.assert_array_equal(circuit.sum_edge_owner[rows], np.repeat(members[:, None], b.k, axis=1))
+                        np.testing.assert_array_equal(circuit.sum_edge_child[rows], np.tile(kids, (b.g, 1)))
+            assert sorted(single.tolist()) == single.tolist()
+        assert grouped >= 8
 
     def test_sum_node_edges_sums_each_sum_nodes_edges(self):
         for circuit, _ in tree_zoo(4) + dag_zoo(4) + [_random_tree_hclt()]:

@@ -178,34 +178,37 @@ class TestHessianOperator:
         assert abs(uhv - vhu) <= 1e-12 * max(abs(uhv), abs(vhu))
 
     def test_edge_ratio_table_built_once(self, monkeypatch):
-        """Each backward pass builds one ratio table and its flows keep it:
-        the penalty given trace= and flows= builds none, an operator none
-        beside its own backward pass, and none per H v."""
+        """Each stack's per-edge rows are built once per flow table: a
+        singleton's in backward, a group's on the first read of the tables.
+        The penalty given trace= and flows= builds none after that, an
+        operator only those of its own backward pass, and none per H v."""
         import circuit_sharp.curvature as curvature
         import circuit_sharp.flows as flows_module
 
-        calls = {"edge_ratios": 0, "backward": 0}
-        for module, name in ((flows_module, "edge_ratios"), (curvature, "backward")):
+        calls = {"_edge_rows": 0, "backward": 0}
+        for module, name in ((flows_module, "_edge_rows"), (curvature, "backward")):
             def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        assert not hasattr(curvature, "edge_ratios")
         circuit, params = random_dag(64)
+        stacks = [b for sums, _ in circuit.level_edges for b in sums]
+        singles = sum(b.g == 1 for b in stacks)
+        assert 0 < singles < len(stacks)
         batch = batch_for(circuit, 4, 1)
         trace = forward(circuit, params, batch)
         flows = backward(circuit, params, trace)
-        assert calls == {"edge_ratios": 1, "backward": 0}
+        assert calls == {"_edge_rows": singles, "backward": 0}
         for _ in range(2):
             trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows)
-        assert calls == {"edge_ratios": 1, "backward": 0}
+        assert calls == {"_edge_rows": len(stacks), "backward": 0}
         op = hessian_operator(circuit, params, batch)
-        assert calls == {"edge_ratios": 2, "backward": 1}
+        assert calls == {"_edge_rows": 2 * len(stacks), "backward": 1}
         for v in np.eye(circuit.num_sum_edges)[:3]:
             op @ v
         top_eigenvalues(op, 2)
-        assert calls == {"edge_ratios": 2, "backward": 1}
+        assert calls == {"_edge_rows": 2 * len(stacks), "backward": 1}
 
     @pytest.mark.parametrize("bad", ["short", "long", "row", "nan", "inf"])
     def test_rejects_malformed_vectors(self, bad):

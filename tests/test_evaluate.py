@@ -9,8 +9,18 @@ import circuit_sharp.evaluate as evaluate
 from circuit_sharp import forward, log_likelihood
 from circuit_sharp.errors import OutOfDomain, ScopeMismatch
 
-from oracles import NotAChild, enumerate_total_probability, product_complement
-from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
+from oracles import NotAChild, enumerate_total_probability, per_edge_sum_log_p, product_complement
+from zoo import (
+    INDICATOR_ROWS,
+    batch_for,
+    chain_hclt,
+    dag_zoo,
+    indicator_groups_dag,
+    random_dag,
+    random_tree,
+    shared_child_dag,
+    tree_zoo,
+)
 
 ALL_FAMILIES = ("binary", "continuous", "cat3")
 
@@ -166,6 +176,28 @@ class TestTiling:
         trace = forward(circuit, params, batch)
         batch[:] = batch[::-1]
         np.testing.assert_array_equal(trace.batch, batch[::-1])
+
+
+class TestSharedChildGroups:
+    def test_group_sums_match_the_per_edge_formula_bit_for_bit(self):
+        """A group takes one exp per child and shifts by the group max, yet
+        every member's log p equals its own per-edge log-sum-exp bit for bit,
+        whatever order it lists the shared children in, and where some or all
+        of them are -inf."""
+        cases = [(c, p, batch_for(c, 10, 2)) for c, p in dag_zoo(6, families=ALL_FAMILIES)]
+        chain, chain_params = chain_hclt()
+        cases += [(*indicator_groups_dag(), INDICATOR_ROWS), (chain, chain_params, batch_for(chain, 3, 1))]
+        reordered = dead = 0
+        for circuit, params, batch in cases:
+            lp = forward(circuit, params, batch).log_p.T
+            weights = params.sum_weights
+            for n in circuit.sum_nodes:
+                np.testing.assert_array_equal(lp[n], per_edge_sum_log_p(lp, weights[n], circuit.nodes[n].children))
+            for b in [b for sums, _ in circuit.level_edges for b in sums if b.g > 1]:
+                for members, kids in zip(b.members, b.groups(b.children)):
+                    reordered += len({circuit.nodes[p].children for p in members.tolist()}) > 1
+                    dead += int(np.isneginf(lp[kids]).all(axis=0).sum())
+        assert reordered >= 6 and dead > 0
 
 
 class TestProductComplement:

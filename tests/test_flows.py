@@ -7,10 +7,20 @@ from circuit_sharp import backward, forward, loglik_gradient
 from circuit_sharp.curvature import trace_penalty_gradient
 from circuit_sharp.errors import StaleTrace
 from circuit_sharp.fd import analytic_gradient, fd_gradient
-from circuit_sharp.flows import edge_ratios, pull_up
+from circuit_sharp.flows import pull_up
 
-from oracles import tree_parent, unrolled_edge_flow, unrolled_node_flow
-from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
+from oracles import SumEdge, edge_index, edge_ratios, sum_edge, tree_parent, unrolled_edge_flow, unrolled_node_flow
+from zoo import (
+    INDICATOR_ROWS,
+    batch_for,
+    chain_hclt,
+    dag_zoo,
+    indicator_groups_dag,
+    random_dag,
+    random_tree,
+    shared_child_dag,
+    tree_zoo,
+)
 
 
 def run_flows(circuit, params, batch):
@@ -110,7 +120,7 @@ class TestUnrollingOracle:
         trace, flows = run_flows(circuit, params, batch)
         for e in range(circuit.num_sum_edges):
             for s in range(batch.shape[0]):
-                want = unrolled_edge_flow(circuit, params, trace, s, circuit.edge(e))
+                want = unrolled_edge_flow(circuit, params, trace, s, sum_edge(circuit, e))
                 np.testing.assert_allclose(flows.edge_flow[e, s], want, atol=1e-10)
 
 
@@ -215,8 +225,6 @@ class TestSharedChildAcrossLevels:
         np.testing.assert_allclose(lp, want, rtol=1e-13, atol=0)
 
     def test_flows_match_unrolled_tree(self):
-        from circuit_sharp import SumEdge
-
         circuit, params = shared_child_dag()
         tree, tree_params, origin = _unroll(circuit, params)
         _, flows = run_flows(circuit, params, self.batch)
@@ -233,8 +241,8 @@ class TestSharedChildAcrossLevels:
                 np.testing.assert_allclose(flows.node_flow[v, s], want, rtol=1e-12, atol=1e-15)
             want = np.zeros(circuit.num_sum_edges)
             for te in range(tree.num_sum_edges):
-                edge = tree.edge(te)
-                dag_edge = circuit.edge_index(SumEdge(int(origin[edge.node]), edge.slot))
+                edge = sum_edge(tree, te)
+                dag_edge = edge_index(circuit, SumEdge(int(origin[edge.node]), edge.slot))
                 want[dag_edge] += unrolled_edge_flow(tree, tree_params, tree_trace, s, edge)
             np.testing.assert_allclose(flows.edge_flow[:, s], want, rtol=1e-12, atol=1e-15)
 
@@ -266,6 +274,56 @@ class TestSharedChildAcrossLevels:
             assert np.abs(hv - fd @ v).max() <= 1e-4 * max(1.0, np.abs(fd @ v).max())
 
 
+class TestSharedChildGroups:
+    def test_flows_match_unrolled_tree(self):
+        """Node and edge flows of groups with -inf children and a group that
+        is -inf as a whole, against the unrolled tree."""
+        circuit, params = indicator_groups_dag()
+        tree, tree_params, origin = _unroll(circuit, params)
+        _, flows = run_flows(circuit, params, INDICATOR_ROWS)
+        tree_trace = forward(tree, tree_params, INDICATOR_ROWS)
+        assert circuit.single_edges.size == 4  # the root's; every other sum node is in a group
+        for s in range(len(INDICATOR_ROWS)):
+            for v in range(6, 12):  # the grouped sum nodes, each with one product parent
+                want = sum(unrolled_node_flow(tree, tree_params, tree_trace, s, t) for t in np.flatnonzero(origin == v))
+                np.testing.assert_allclose(flows.node_flow[v, s], want, rtol=1e-12, atol=1e-15)
+            want = np.zeros(circuit.num_sum_edges)
+            for te in range(tree.num_sum_edges):
+                edge = sum_edge(tree, te)
+                dag_edge = edge_index(circuit, SumEdge(int(origin[edge.node]), edge.slot))
+                want[dag_edge] += unrolled_edge_flow(tree, tree_params, tree_trace, s, edge)
+            np.testing.assert_allclose(flows.edge_flow[:, s], want, rtol=1e-12, atol=1e-15)
+        assert np.all(flows.node_flow[6:8, INDICATOR_ROWS[:, 0] == 0] == 0.0)  # the dead group
+
+    def test_batch_sums_match_the_oracle_tables(self):
+        """The group-factor batch sums of edge flows and of their squares
+        against the per-edge oracle table F_n * theta * ratio, on trees, DAGs,
+        indicator groups and the 3000-variable chain HCLT, whose depth would
+        underflow unshifted factors."""
+        cases = [(c, p, batch_for(c, 5, 1)) for c, p in tree_zoo(3) + dag_zoo(6)]
+        chain, chain_params = chain_hclt()
+        cases += [(*indicator_groups_dag(), INDICATOR_ROWS), (chain, chain_params, batch_for(chain, 3, 1))]
+        for circuit, params, batch in cases:
+            trace, flows = run_flows(circuit, params, batch)
+            ratio = edge_ratios(circuit, params.theta, trace.log_p.T)
+            table = flows.node_flow[circuit.sum_edge_owner] * params.theta[:, None] * ratio
+            assert np.all(np.isfinite(flows.node_flow)) and np.all(np.isfinite(flows.edge_flow_sum))
+            np.testing.assert_allclose(flows.edge_flow_sum, table.sum(axis=1), rtol=1e-12, atol=1e-15)
+            want = np.einsum("es,es->e", table, table)
+            np.testing.assert_allclose(flows.edge_flow_sq_sum, want, rtol=1e-12, atol=1e-15)
+
+    def test_deep_chain_keeps_every_group_flow(self):
+        """In the chain HCLT every group is the mixture of one tree edge, so
+        its members' flows add to 1 on every row, 6000 levels down, which
+        the shift of a_n by the group max keeps from underflowing."""
+        circuit, params = chain_hclt()
+        _, flows = run_flows(circuit, params, batch_for(circuit, 3, 1))
+        groups = [b.members for sums, _ in circuit.level_edges for b in sums if b.g > 1]
+        assert sum(len(g) for g in groups) == 2999
+        for members in np.concatenate(groups):
+            np.testing.assert_allclose(flows.node_flow[members].sum(axis=0), 1.0, rtol=1e-10)
+
+
 def _ratio_zoo():
     """Trees, DAGs, and the shared-child DAG whose node D0 is -inf."""
     cases = [(c, p, batch_for(c, 5, 1)) for c, p in tree_zoo(5, max_edges=300) + dag_zoo(5, max_edges=300)]
@@ -276,8 +334,9 @@ class TestEdgeRatios:
     def test_clipped_ratio_of_child_and_parent(self):
         dead_parents = 0
         for circuit, params, batch in _ratio_zoo():
-            lp = forward(circuit, params, batch).log_p.T
-            ratio = edge_ratios(circuit, params.theta, lp)
+            trace, flows = run_flows(circuit, params, batch)
+            lp = trace.log_p.T
+            ratio = flows.ratio
             assert ratio.shape == (circuit.num_sum_edges, len(batch))
             lp_n, lp_c = lp[circuit.sum_edge_owner], lp[circuit.sum_edge_child]
             alive = np.isfinite(lp_n)
@@ -288,10 +347,20 @@ class TestEdgeRatios:
             dead_parents += int((~alive).sum())
         assert dead_parents > 0  # the -inf node is covered
 
-    def test_flow_table_keeps_the_ratios_it_pushed_down(self):
-        for circuit, params, batch in _ratio_zoo():
+    def test_flow_tables_match_the_per_edge_oracle(self):
+        """Singleton stacks write their rows in the sweep, groups fill theirs
+        on first read; either way the ratio is the clipped exp(lp_c - lp_n)
+        and the edge flow F_n * theta * ratio, read from one table."""
+        grouped = 0
+        for circuit, params, batch in _ratio_zoo() + [(*indicator_groups_dag(), INDICATOR_ROWS)]:
             trace, flows = run_flows(circuit, params, batch)
-            np.testing.assert_array_equal(flows.ratio, edge_ratios(circuit, params.theta, trace.log_p.T))
+            assert not (flows.ratio.flags.writeable or flows.edge_flow.flags.writeable)  # shared, built once
+            want = edge_ratios(circuit, params.theta, trace.log_p.T)
+            np.testing.assert_allclose(flows.ratio, want, rtol=1e-15, atol=0)
+            want = flows.node_flow[circuit.sum_edge_owner] * params.theta[:, None] * want
+            np.testing.assert_allclose(flows.edge_flow, want, rtol=1e-15, atol=0)
+            grouped += circuit.single_edges.size < circuit.num_sum_edges
+        assert grouped >= 5
 
 
 class TestPullUp:

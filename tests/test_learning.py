@@ -9,7 +9,6 @@ from circuit_sharp.fd import central_diff
 from circuit_sharp.learning import (
     ADAPTIVE_DOF,
     LAYER_MEAN_FLOW,
-    MU_GRID,
     RegularizerConfig,
     adaptive_mu,
     em_step_sharp,
@@ -21,7 +20,7 @@ from circuit_sharp.learning import (
     update_leaves,
 )
 
-from oracles import cubic_update_oracle
+from oracles import MU_GRID, cubic_update_oracle
 from zoo import batch_for, random_tree
 
 
@@ -382,6 +381,7 @@ class TestScheduledTraining:
             w = out.sum_weights[n]
             assert abs(w.sum() - 1.0) < 1e-10 and w.min() > 0
 
+    @pytest.mark.filterwarnings("error")  # divergence raises DivergedNaN, with no RuntimeWarning before it
     def test_diverged_nan_carries_last_good_params(self):
         from circuit_sharp.errors import DivergedNaN
 

@@ -176,6 +176,40 @@ def shared_child_dag():
     return circuit, params
 
 
+# every assignment of the two binary variables of indicator_groups_dag
+INDICATOR_ROWS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+
+def indicator_groups_dag():
+    """Smooth decomposable DAG over two binary variables whose sum nodes come
+    in pairs that share one child list in different slot orders: A (6, 7)
+    mixes two x0=1 indicators, so the whole group is -inf wherever x0 = 0; B
+    (8, 9) holds one such indicator among live leaves; C (10, 11) is over
+    x1.  A and C share one stack shape (g, k) = (2, 2); the root stays
+    finite through B."""
+    nodes = [
+        leaf_node(0, "bern", [1.0]), leaf_node(0, "bern", [1.0]),  # 0-1
+        leaf_node(0, "bern", [0.3]), leaf_node(0, "bern", [0.6]),  # 2-3
+        leaf_node(1, "bern", [0.2]), leaf_node(1, "bern", [0.7]),  # 4-5
+        sum_node(0, 1), sum_node(1, 0),  # 6-7 A
+        sum_node(2, 3, 0), sum_node(0, 3, 2),  # 8-9 B
+        sum_node(4, 5), sum_node(5, 4),  # 10-11 C
+        product_node(6, 10), product_node(7, 11), product_node(8, 10), product_node(9, 11),  # 12-15
+        sum_node(12, 13, 14, 15),  # 16 root
+    ]
+    circuit = Circuit.build(nodes, 16)
+    params = _random_params(circuit, np.random.default_rng(13))
+    return circuit, params
+
+
+def chain_hclt(num_vars: int = 3000, num_latents: int = 2) -> tuple[Circuit, ParamSet]:
+    """HCLT over a chain of binary variables: 2 * num_vars levels deep, its
+    sum nodes in groups of num_latents that share one child list."""
+    from circuit_sharp.structure import HcltConfig, build_hclt
+
+    return build_hclt([(i, i + 1) for i in range(num_vars - 1)], HcltConfig(num_latents=num_latents, seed=3))
+
+
 def tree_zoo(
     count: int, base_seed: int = 100, max_edges: int | None = None, **kw
 ) -> list[tuple[Circuit, ParamSet]]:
