@@ -5,16 +5,18 @@ one step (forward, backward and the penalty from their trace and flows: the
 trace-dag benchmark's step) on the trace-dag DAG (build_layered_dag(17, 79,
 seed=7), 16 binary rows) and the spiral RAT (RatConfig(num_vars=2, depth=1,
 seed=1), 200 training rows), then on the spiral RAT log_likelihood,
-backward, penalty and hvp on 5 rows,
-the chunk size of the diagnose-tree workload, where per-call overhead
-dominates, and forward, log_likelihood and backward on all 1000 spiral
-training rows, the size of an epoch's validation NLL.  Last, the em-hclt
-workload's HCLT (chow_liu_tree and build_hclt with HcltConfig(num_latents=16,
-seed=7) on 1000 rows of its 16-variable surrogate): forward, backward and
-one em_step_sharp (mu=0.1, smoothing 0.5) on a 200-row minibatch, and
-forward and backward on all 1000 rows, an EM epoch's log row.  The penalty
-reuses its flow table, so its first call also fills the per-edge tables
-that the median calls read.  Prints the median of
+backward, penalty, hvp and the top 15 Hessian eigenvalues
+(nll_hessian_eigenvalues, about a hundred H v products) on 5 rows, the chunk
+size of the diagnose-tree workload, where per-call overhead dominates, and
+forward, log_likelihood and backward on all 1000 spiral training rows, the
+size of an epoch's validation NLL.  Then the same eigenvalue call and one hvp
+on diagnose-tree's DAG (build_layered_dag(5, 6, seed=7), 5 binary rows).
+Last, the em-hclt workload's HCLT (chow_liu_tree and build_hclt with
+HcltConfig(num_latents=16, seed=7) on 1000 rows of its 16-variable
+surrogate): forward, backward and one em_step_sharp (mu=0.1, smoothing 0.5)
+on a 200-row minibatch, and forward and backward on all 1000 rows, an EM
+epoch's log row.  The penalty reuses its flow table, so its first call also
+fills the per-edge tables that the median calls read.  Prints the median of
 REPEATS calls of each pass and, after it, the first call's time, in
 milliseconds.  The first call meets the heap and caches that the calls before
 it left, so a wide gap between the two points to allocation or cache state
@@ -47,10 +49,12 @@ from circuit_sharp import (
 )
 from circuit_sharp.curvature import hessian_operator, trace_penalty_gradient
 from circuit_sharp.data import gen_manifold, minmax_scale
+from circuit_sharp.diagnostics import nll_hessian_eigenvalues
 from circuit_sharp.structure import build_layered_dag
 
 REPEATS = 40
-CIRCUITS = ("trace-dag DAG", "spiral RAT", "em-hclt HCLT")
+CIRCUITS = ("trace-dag DAG", "spiral RAT", "diagnose-tree DAG", "em-hclt HCLT")
+TOP_K = 15  # diagnose-tree's eigenvalue count
 
 
 def times_ms(fn):
@@ -93,6 +97,14 @@ def passes(circuit, params, batch):
     }
 
 
+def eigen_passes(circuit, params, batch):
+    """diagnose-tree's eigenvalue call and one hvp on one chunk."""
+    return {
+        "eigenvalues": lambda: nll_hessian_eigenvalues(circuit, params, batch, k=TOP_K),
+        "hvp": passes(circuit, params, batch)["hvp"],
+    }
+
+
 def surrogate_rows(n):
     """n rows of the em-hclt workload's data (seed 1): a fixed 3-factor
     logistic model over 16 binary variables."""
@@ -124,9 +136,13 @@ def time_hclt(name):
 def time_circuit(name):
     """Time every pass on one circuit; with the spiral RAT, also the passes
     of diagnose-tree's 5-row chunks, and the NLL passes and backward on all
-    of its training rows."""
+    of its training rows; on diagnose-tree's DAG, its eigenvalues and hvp."""
     if name == "em-hclt HCLT":
         return time_hclt(name)
+    if name == "diagnose-tree DAG":
+        circuit, params = build_layered_dag(5, 6, seed=7)
+        batch = (np.random.default_rng(3).random((5, 5)) < 0.5).astype(float)
+        return report(name, circuit, batch, eigen_passes(circuit, params, batch))
     if name == "trace-dag DAG":
         circuit, params = build_layered_dag(17, 79, seed=7)
         batch = (np.random.default_rng(3).random((16, 17)) < 0.5).astype(float)
@@ -137,8 +153,9 @@ def time_circuit(name):
         batch, large = spiral.train[:200], spiral.train
     report(name, circuit, batch, passes(circuit, params, batch))
     if large is not None:
-        small = passes(circuit, params, batch[:5])
-        report(name, circuit, batch[:5], {k: small[k] for k in ("log_likelihood", "backward", "penalty", "hvp")})
+        small = {**passes(circuit, params, batch[:5]), **eigen_passes(circuit, params, batch[:5])}
+        keep = ("log_likelihood", "backward", "penalty", "hvp", "eigenvalues")
+        report(name, circuit, batch[:5], {k: small[k] for k in keep})
         trace = forward(circuit, params, large)
         report(name, circuit, large, {
             "forward": lambda: forward(circuit, params, large),

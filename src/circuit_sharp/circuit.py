@@ -146,7 +146,9 @@ class Scatter:
             self.nodes, self.matrix = nodes, scipy.sparse.csr_array((np.ones(child.size), (inverse, edges)))
 
     def add_into(self, dst: np.ndarray, src: np.ndarray) -> None:
-        dst[self.nodes] += src if self.matrix is None else self.matrix @ src
+        rows = dst.take(self.nodes, axis=0)  # a C-contiguous dst: take gathers rows faster than dst[nodes]
+        rows += src if self.matrix is None else self.matrix @ src
+        dst[self.nodes] = rows
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -197,6 +199,7 @@ class _LevelEdges:
     # built on first use: EM never scatters a group's per-edge rows
     scatter = cached_property(lambda self: Scatter(self.child))
     child_scatter = cached_property(lambda self: Scatter(self.children))
+    starts = cached_property(lambda self: np.arange(0, self.parents.size * self.k, self.k))  # sum's offsets
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.parents.size, self.k, *x.shape[1:])
@@ -209,7 +212,12 @@ class _LevelEdges:
         """Per-parent sums of per-edge rows x, by np.add.reduceat as in
         Segments.sum: a sum along axis 1 of the blocks adds a one-row tile's
         runs in another order than a wider tile's, which changes rounding."""
-        return np.add.reduceat(x, np.arange(0, x.shape[0], self.k), axis=0)
+        return np.add.reduceat(x, self.starts, axis=0)
+
+    def at(self, x: np.ndarray, index: np.ndarray | slice | None = None) -> np.ndarray:
+        """Rows index (default ``index``) of an edge table x: a view of a slice, else gathered by take."""
+        index = self.index if index is None else index
+        return x[index] if isinstance(index, slice) else x.take(index, axis=0)
 
     @staticmethod
     def stacks(nodes: np.ndarray, seg: Segments, child: np.ndarray, level: np.ndarray, share: bool) -> dict:

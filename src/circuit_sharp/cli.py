@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-import time
+import timeit
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -217,6 +217,9 @@ def cmd_landscape(args) -> int:
     return 0
 
 
+BENCH_REPEATS = 3  # timed calls per size: their median keeps one slow call under load out of the fit
+
+
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if args.samples <= 0:
@@ -229,9 +232,8 @@ def cmd_bench(args) -> int:
         circuit, params = build_layered_dag(args.num_vars, width, seed=args.seed)
         batch = rng.integers(0, 2, size=(args.samples, args.num_vars)).astype(float)
         hessian_trace(circuit, params, batch)  # warm-up outside the clock
-        t0 = time.perf_counter()
-        hessian_trace(circuit, params, batch)
-        rows.append((circuit.num_sum_edges, time.perf_counter() - t0))
+        seconds = timeit.repeat(lambda: hessian_trace(circuit, params, batch), repeat=BENCH_REPEATS, number=1)
+        rows.append((circuit.num_sum_edges, float(np.median(seconds))))
         print(f"edges={rows[-1][0]} seconds={rows[-1][1]:.4f}")
     with open(args.out, "w") as fh:
         fh.write("edges,seconds\n")

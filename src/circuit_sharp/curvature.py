@@ -17,15 +17,15 @@ Four exact quantities, all driven by edge flows:
 * Hessian-vector products for any circuit, tree or DAG, without forming the
   Hessian: ``hessian_operator`` differentiates the flow recursion along v
   (forward-over-reverse: a ``pull_up`` and a ``push_down`` per vector over the
-  ratio table of its one backward pass), which is what Lanczos in
-  ``top_eigenvalues`` consumes.
+  ratio table of its one backward pass, which returns the batch sums of the
+  flow tangents), which is what Lanczos in ``top_eigenvalues`` consumes.
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
 
 The penalty adjoint, Hessian-vector products and per-sample gradients read
 the per-sample edge-flow and ratio tables of a ``FlowTable``, node-major as
 they are; a flow table builds them at most once, however many passes read
-them, and none is transposed.
+them, and none is transposed.  ``push_down`` writes no edge table of its own.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     levels, over the ratio table of the one backward pass made here:
     ``pull_up`` with edge source v / theta gives the tangents t = d log p
     along v, then ``push_down`` carries the flow tangents dF down with the
-    per-edge source F_e (v / theta + t_c - t_n), and H v = (sum_x dF_e -
-    sum_x F_e v / theta) / theta.
+    per-edge source F_e (v / theta + t_c - t_n) and returns sum_x dF_e, and
+    H v = (sum_x dF_e - sum_x F_e v / theta) / theta.
     Works for trees and DAGs alike; H v raises ValueError for a v that is not
     E finite values.
     """
@@ -137,10 +137,9 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
         u = u / theta
         t = np.zeros(shape)
         pull_up(circuit, theta, ratio, t, u[:, None])
-        dfe = np.empty_like(fe)
-        source = fe * (u[:, None] + t[circuit.sum_edge_child] - t[circuit.sum_edge_owner])
-        push_down(circuit, theta, ratio, np.zeros(shape), dfe, source)
-        return (dfe.sum(axis=1) - fe_sum * u) / theta
+        source = fe * (u[:, None] + t.take(circuit.sum_edge_child, axis=0) - t.take(circuit.sum_edge_owner, axis=0))
+        dfe_sum = push_down(circuit, theta, ratio, np.zeros(shape), source)
+        return (dfe_sum - fe_sum * u) / theta
 
     return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, dtype=float)
 
@@ -196,7 +195,8 @@ def trace_penalty_gradient(
     Reverse-mode sweep through the flow recursion and then the forward
     evaluation: flow adjoints propagate leaves-to-root (reverse of the
     backward pass), log-probability adjoints root-to-leaves (reverse of the
-    forward pass).  Raw partial derivatives, no simplex projection.
+    forward pass, a push_down that returns the edge adjoints' batch sums).
+    Raw partial derivatives, no simplex projection.
     edge_weights defaults to all ones (the plain trace penalty).  flows
     alone brings its own trace.  Raises StaleTrace when trace belongs to
     another circuit, other weights than params or other rows than batch, or
@@ -225,9 +225,9 @@ def trace_penalty_gradient(
     # rbar_e, the adjoint of log ratio_e = lp_c - lp_n.
     f_bar = np.zeros(flows.node_flow.shape)
     pull_up(circuit, theta, ratio, f_bar, fe_bar)
-    rbar = f_bar[circuit.sum_edge_child]
-    rbar += fe_bar
-    rbar *= flows.node_flow[circuit.sum_edge_owner]
+    rbar = fe_bar  # built in fe_bar's storage: fe_bar's last use is as rbar's first term
+    rbar += f_bar.take(circuit.sum_edge_child, axis=0)
+    rbar *= flows.node_flow.take(circuit.sum_edge_owner, axis=0)
     rbar *= theta[:, None]
     rbar *= ratio
 
@@ -235,6 +235,5 @@ def trace_penalty_gradient(
     # rbar; its per-edge source adds the lp_c side and rbar's theta term.
     lp_bar = np.zeros_like(f_bar)
     lp_bar[circuit.sum_nodes] = -(circuit.sum_node_edges @ rbar)
-    push_down(circuit, theta, ratio, lp_bar, fe_bar, rbar)
-    theta_bar += fe_bar.sum(axis=1) / theta
+    theta_bar += push_down(circuit, theta, ratio, lp_bar, rbar) / theta
     return theta_bar

@@ -131,6 +131,7 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
             h *= z  # (0.5 * z) * z in place: a fresh [leaves, tile] array per operation doubled this stage's time
             lp[groups["gauss"][0]] = np.subtract(log_g, h, out=h)
             lp[groups["cat"][0]] = log_c[cat_starts + xc[:, rows].take(leaf_vars["cat"][1], axis=0)]
+        # lp[idx], not take: lp of a multi-tile forward is a strided column view, which take copies whole
         for sums, prods in circuit.level_edges:
             for b in prods:
                 lp[b.parents] = b.sum(lp[b.child])

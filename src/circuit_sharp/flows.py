@@ -12,10 +12,11 @@ theta^2 * ((a a) (s s)^T).  A group of one (every sum node of a tree) writes
 its clipped ratios and edge flows as rows during the sweep instead.  The
 per-sample [sum edges, samples] tables are completed once, for the readers
 that need them: the penalty adjoint, Hessian-vector products and per-sample
-gradients, whose two sweeps run per edge over the ratio table,
-:func:`push_down` root-to-leaves and :func:`pull_up` leaves-to-root.  Every
-table is node-major, [nodes or sum edges, samples].  Flows keep their trace,
-and a trace its weights, so stale pairings raise StaleTrace.
+gradients.  The first two sweep per edge over the ratio table, gathering
+rows with take: :func:`push_down` root-to-leaves, returning its edge shares'
+batch sums (no table), and :func:`pull_up` leaves-to-root.  Every table is
+node-major, [nodes or sum edges, samples].  Flows keep their trace, and a
+trace its weights, so stale pairings raise StaleTrace.
 """
 
 from __future__ import annotations
@@ -89,17 +90,17 @@ def _edge_rows(b, theta: np.ndarray, lp: np.ndarray, flow: np.ndarray, edge_flow
     flows [nodes, samples].  Returns the flows.  p_c * theta <= p_n, so the
     true ratio is bounded by 1/theta; the clip absorbs round-off from the
     log-space subtraction."""
-    lp_n = lp[b.parents][:, None]
-    r = lp[b.child]
+    lp_n = lp.take(b.parents, axis=0)[:, None]
+    r = lp.take(b.child, axis=0)
     with np.errstate(invalid="ignore", over="ignore"):
         np.subtract(b.blocks(r), lp_n, out=b.blocks(r))
         np.exp(r, out=r)
-        np.minimum(r, 1.0 / theta[b.index, None], out=r)
+        np.minimum(r, 1.0 / b.at(theta)[:, None], out=r)
     np.copyto(b.blocks(r), 0.0, where=~np.isfinite(lp_n))
     ratio[rows] = r
     del r  # read back from the table: one [edges, samples] temporary less at a time
-    share = flow[b.parents][:, None] * b.blocks(theta[b.index, None])
-    share *= b.blocks(ratio[rows])
+    share = flow.take(b.parents, axis=0)[:, None] * b.blocks(b.at(theta)[:, None])
+    share *= b.blocks(b.at(ratio, rows))
     share = share.reshape(b.child.size, lp.shape[1])
     edge_flow[rows] = share
     return share
@@ -107,42 +108,40 @@ def _edge_rows(b, theta: np.ndarray, lp: np.ndarray, flow: np.ndarray, edge_flow
 
 def pull_up(circuit: Circuit, theta: np.ndarray, ratio: np.ndarray, acc: np.ndarray, edge_src: np.ndarray) -> None:
     """Propagate acc [nodes, samples] leaves-to-root in place, the twin of
-    push_down: a product node takes the sum of its children, a sum node
+    push_down without its edge sums: a product node sums its children, a sum node
     sum_c theta_nc * ratio_nc * (acc_c + edge_src_nc), with edge_src
     [sum edges, samples or 1].  Leaves keep their values."""
     for sums, prods in circuit.level_edges:
         for b in sums:
-            x = acc[b.child]
-            x += edge_src[b.index]
-            x *= theta[b.index, None] * ratio[b.index]
+            x = acc.take(b.child, axis=0)
+            x += b.at(edge_src)
+            x *= b.at(theta)[:, None] * b.at(ratio)
             acc[b.parents] = b.sum(x)
         for b in prods:
-            acc[b.parents] = b.sum(acc[b.child])
+            acc[b.parents] = b.sum(acc.take(b.child, axis=0))
 
 
 def push_down(
-    circuit: Circuit,
-    theta: np.ndarray,
-    ratio: np.ndarray,
-    adj: np.ndarray,
-    edge_adj: np.ndarray,
-    source: np.ndarray | None = None,
-) -> None:
+    circuit: Circuit, theta: np.ndarray, ratio: np.ndarray, adj: np.ndarray, source: np.ndarray | None = None
+) -> np.ndarray:
     """Propagate adj [nodes, samples] root-to-leaves in place: a sum edge adds
-    adj_n * theta_nc * ratio_nc (ratio a FlowTable's), plus source [sum
-    edges, samples] when given, to its child and writes it to edge_adj [sum
-    edges, samples]; a product edge adds adj_n."""
+    its share adj_n * theta_nc * ratio_nc (ratio a FlowTable's), plus source
+    [sum edges, samples] when given, to its child; a product edge adds adj_n.
+    Returns the shares' batch sums [sum edges], each row summed as a row of a
+    [sum edges, samples] table would be; no such table is written."""
+    out = np.empty(theta.size)
     for sums, prods in reversed(circuit.level_edges):
         for b in sums:
-            share = adj[b.parents][:, None] * b.blocks(theta[b.index, None])
-            share *= b.blocks(ratio[b.index])
+            share = adj.take(b.parents, axis=0)[:, None] * b.blocks(b.at(theta)[:, None])
+            share *= b.blocks(b.at(ratio))
             share = share.reshape(b.child.size, adj.shape[1])
             if source is not None:
-                share += source[b.index]
-            edge_adj[b.index] = share
+                share += b.at(source)
+            out[b.index] = share.sum(axis=1)
             b.scatter.add_into(adj, share)
         for b in prods:
-            b.scatter.add_into(adj, np.repeat(adj[b.parents], b.k, axis=0))
+            b.scatter.add_into(adj, np.repeat(adj.take(b.parents, axis=0), b.k, axis=0))
+    return out
 
 
 def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
@@ -163,22 +162,22 @@ def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
             if b.g == 1:
                 b.scatter.add_into(flow, _edge_rows(b, theta, lp, flow, *single, b.rows))
                 continue
-            s = b.groups(lp[b.children])  # [G, k, samples]
+            s = b.groups(lp.take(b.children, axis=0))  # [G, k, samples]
             m = s.max(axis=1, keepdims=True)
             m_safe = np.where(np.isfinite(m), m, 0.0)
             s -= m_safe
             np.exp(s, out=s)
-            lp_n = lp[b.members]  # [G, g, samples]
+            lp_n = lp.take(b.members, axis=0)  # [G, g, samples]
             a = m_safe - lp_n  # at most -log theta of the child that attains m
             np.copyto(a, -np.inf, where=~np.isfinite(lp_n))
             np.exp(a, out=a)
-            a *= flow[b.members]
+            a *= flow.take(b.members, axis=0)
             down = np.matmul(theta[b.edges].transpose(0, 2, 1), a)
             down *= s
             b.child_scatter.add_into(flow, down.reshape(b.children.size, n))
             factors.append((b, a, s))
         for b in prods:
-            b.scatter.add_into(flow, np.repeat(flow[b.parents], b.k, axis=0))
+            b.scatter.add_into(flow, np.repeat(flow.take(b.parents, axis=0), b.k, axis=0))
     return FlowTable(flow, trace, single, factors)
 
 

@@ -73,6 +73,29 @@ def edge_ratios(circuit: Circuit, theta: np.ndarray, lp: np.ndarray) -> np.ndarr
     return ratio
 
 
+def push_down_table(circuit: Circuit, theta, ratio, adj, edge_adj, source=None) -> None:
+    """``flows.push_down`` as it was before it returned batch sums: adj
+    [nodes, samples] propagated root-to-leaves in place, and every sum edge's
+    share adj_n * theta_nc * ratio_nc (+ source) written to edge_adj [sum
+    edges, samples], with fancy-index gathers and scatter-adds: the per-edge
+    reference whose table row sums push_down must equal bit for bit."""
+
+    def add_into(scatter, src):
+        adj[scatter.nodes] += src if scatter.matrix is None else scatter.matrix @ src
+
+    for sums, prods in reversed(circuit.level_edges):
+        for b in sums:
+            share = adj[b.parents][:, None] * b.blocks(theta[b.index, None])
+            share *= b.blocks(ratio[b.index])
+            share = share.reshape(b.child.size, adj.shape[1])
+            if source is not None:
+                share += source[b.index]
+            edge_adj[b.index] = share
+            add_into(b.scatter, share)
+        for b in prods:
+            add_into(b.scatter, np.repeat(adj[b.parents], b.k, axis=0))
+
+
 def tree_parent(circuit: Circuit, node: int) -> tuple[int, int]:
     """(parent, slot) of a node of a tree circuit, (-1, -1) at the root."""
     if not circuit.is_tree:

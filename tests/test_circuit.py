@@ -15,7 +15,7 @@ from circuit_sharp import (
     sum_node,
     validate,
 )
-from circuit_sharp.circuit import Segments
+from circuit_sharp.circuit import Scatter, Segments
 from circuit_sharp.structure import build_layered_dag
 from circuit_sharp.errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
@@ -300,6 +300,34 @@ class TestSegments:
         want = np.concatenate([floored_softmax(z[r]) for r in runs])
         np.testing.assert_allclose(seg.softmax(z), want, rtol=1e-14)
         assert seg.softmax(z).min() > 0.0
+
+
+class TestScatter:
+    @pytest.mark.parametrize("width", [1, 5, 56])
+    def test_add_into_equals_a_per_edge_loop(self, width):
+        """Each child's edge rows added from the left in edge order, then
+        into the child's row: distinct children (tree stacks) add directly,
+        repeated ones (shared children in DAGs) through the CSR matrix;
+        rows that no edge names stay as they were."""
+        rng = np.random.default_rng(width)
+        distinct = rng.permutation(40)[:25]
+        repeated = rng.integers(0, 12, size=60)
+        repeated[:3] = 5  # one child of three edges in a row
+        for child, csr in ((distinct, False), (repeated, True)):
+            scatter = Scatter(child)
+            assert (scatter.matrix is not None) == csr
+            dst = rng.standard_normal((45, width))
+            src = rng.standard_normal((child.size, width))
+            total = {}
+            for e, c in enumerate(child.tolist()):
+                total[c] = total[c] + src[e] if c in total else src[e].copy()
+            want, before = dst.copy(), dst.copy()
+            for c, rows in total.items():
+                want[c] = want[c] + rows
+            scatter.add_into(dst, src)
+            np.testing.assert_array_equal(dst, want)
+            untouched = np.setdiff1d(np.arange(45), child)
+            assert untouched.size > 0 and np.array_equal(dst[untouched], before[untouched])
 
 
 def _random_tree_hclt():

@@ -7,9 +7,18 @@ from circuit_sharp import backward, forward, loglik_gradient
 from circuit_sharp.curvature import trace_penalty_gradient
 from circuit_sharp.errors import StaleTrace
 from circuit_sharp.fd import analytic_gradient, fd_gradient
-from circuit_sharp.flows import pull_up
+from circuit_sharp.flows import pull_up, push_down
 
-from oracles import SumEdge, edge_index, edge_ratios, sum_edge, tree_parent, unrolled_edge_flow, unrolled_node_flow
+from oracles import (
+    SumEdge,
+    edge_index,
+    edge_ratios,
+    push_down_table,
+    sum_edge,
+    tree_parent,
+    unrolled_edge_flow,
+    unrolled_node_flow,
+)
 from zoo import (
     INDICATOR_ROWS,
     batch_for,
@@ -382,6 +391,48 @@ class TestPullUp:
             fd = (root_lp[0] - root_lp[1]) / (2 * eps)
             assert np.all(np.isfinite(acc[circuit.root]))
             np.testing.assert_allclose(acc[circuit.root], fd, rtol=1e-6, atol=1e-7)
+
+
+def _push_down_seeds(circuit, theta, flows, rng):
+    """(adj, source) pairs as push_down's callers seed it: the flows
+    themselves (root 1, no source), a Hessian-vector product's flow tangents
+    and the trace penalty's log-probability adjoints, each built from the
+    flow table as hessian_operator and trace_penalty_gradient build them."""
+    ratio, fe, shape = flows.ratio, flows.edge_flow, flows.node_flow.shape
+    child, owner = circuit.sum_edge_child, circuit.sum_edge_owner
+    root = np.zeros(shape)
+    root[circuit.root] = 1.0
+    u = rng.standard_normal(theta.size) / theta
+    t = np.zeros(shape)
+    pull_up(circuit, theta, ratio, t, u[:, None])
+    fe_bar = (2.0 * rng.uniform(0.5, 2.0, theta.size) / (theta * theta))[:, None] * fe
+    f_bar = np.zeros(shape)
+    pull_up(circuit, theta, ratio, f_bar, fe_bar)
+    rbar = (f_bar[child] + fe_bar) * flows.node_flow[owner] * theta[:, None] * ratio
+    lp_bar = np.zeros(shape)
+    lp_bar[circuit.sum_nodes] = -(circuit.sum_node_edges @ rbar)
+    return [(root, None), (np.zeros(shape), fe * (u[:, None] + t[child] - t[owner])), (lp_bar, rbar)]
+
+
+class TestPushDown:
+    def test_edge_sums_are_the_row_sums_of_the_oracle_table(self):
+        """push_down's per-edge batch sums equal the row sums of the edge
+        table that the per-edge reference writes, and both leave the same
+        node adjoints, bit for bit, for every way push_down is seeded."""
+        rng = np.random.default_rng(23)
+        chain, chain_params = chain_hclt()
+        cases = [(c, p, batch_for(c, 5, 2)) for c, p in tree_zoo(5, max_edges=300) + dag_zoo(5, max_edges=300)]
+        cases += [(*indicator_groups_dag(), INDICATOR_ROWS), (chain, chain_params, batch_for(chain, 3, 2))]
+        for circuit, params, batch in cases:
+            theta = params.theta
+            _, flows = run_flows(circuit, params, batch)
+            for adj, source in _push_down_seeds(circuit, theta, flows, rng):
+                want_adj, table = adj.copy(), np.full(flows.edge_flow.shape, np.nan)
+                push_down_table(circuit, theta, flows.ratio, want_adj, table, source)
+                sums = push_down(circuit, theta, flows.ratio, adj, source)
+                assert np.all(np.isfinite(table))  # every sum edge written
+                np.testing.assert_array_equal(sums, table.sum(axis=1))
+                np.testing.assert_array_equal(adj, want_adj)
 
 
 class TestStaleTrace:
