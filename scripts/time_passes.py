@@ -5,12 +5,14 @@ one step (forward, backward and the penalty from their trace and flows: the
 trace-dag benchmark's step) on the trace-dag DAG (build_layered_dag(17, 79,
 seed=7), 16 binary rows) and the spiral RAT (RatConfig(num_vars=2, depth=1,
 seed=1), 200 training rows), then on the spiral RAT log_likelihood,
-backward, penalty, hvp and the top 15 Hessian eigenvalues
-(nll_hessian_eigenvalues, about a hundred H v products) on 5 rows, the chunk
-size of the diagnose-tree workload, where per-call overhead dominates, and
-forward, log_likelihood and backward on all 1000 spiral training rows, the
-size of an epoch's validation NLL.  Then the same eigenvalue call and one hvp
-on diagnose-tree's DAG (build_layered_dag(5, 6, seed=7), 5 binary rows).
+backward, penalty, hvp, one 15-vector Hessian block product (matmat), the
+top 15 Hessian eigenvalues (nll_hessian_eigenvalues: Lanczos, about a
+hundred H v products) and diagnose-tree's 2-D 5 x 5 landscape on 5 rows, the
+chunk size of the diagnose-tree workload, where per-call overhead dominates,
+and forward, log_likelihood and backward on all 1000 spiral training rows,
+the size of an epoch's validation NLL.  Then the same eigenvalue call (there
+the dense route, one block product H I), one hvp and one matmat on
+diagnose-tree's DAG (build_layered_dag(5, 6, seed=7), 5 binary rows).
 Last, the em-hclt workload's HCLT (chow_liu_tree and build_hclt with
 HcltConfig(num_latents=16, seed=7) on 1000 rows of its 16-variable
 surrogate): forward, backward and one em_step_sharp (mu=0.1, smoothing 0.5)
@@ -49,7 +51,7 @@ from circuit_sharp import (
 )
 from circuit_sharp.curvature import hessian_operator, trace_penalty_gradient
 from circuit_sharp.data import gen_manifold, minmax_scale
-from circuit_sharp.diagnostics import nll_hessian_eigenvalues
+from circuit_sharp.diagnostics import landscape, nll_hessian_eigenvalues
 from circuit_sharp.structure import build_layered_dag
 
 REPEATS = 40
@@ -98,10 +100,14 @@ def passes(circuit, params, batch):
 
 
 def eigen_passes(circuit, params, batch):
-    """diagnose-tree's eigenvalue call and one hvp on one chunk."""
+    """diagnose-tree's eigenvalue call, one hvp and one TOP_K-vector matmat
+    on one chunk."""
+    hess = hessian_operator(circuit, params, batch)
+    block = np.random.default_rng(5).standard_normal((circuit.num_sum_edges, TOP_K))
     return {
         "eigenvalues": lambda: nll_hessian_eigenvalues(circuit, params, batch, k=TOP_K),
         "hvp": passes(circuit, params, batch)["hvp"],
+        "matmat": lambda: hess @ block,
     }
 
 
@@ -136,7 +142,8 @@ def time_hclt(name):
 def time_circuit(name):
     """Time every pass on one circuit; with the spiral RAT, also the passes
     of diagnose-tree's 5-row chunks, and the NLL passes and backward on all
-    of its training rows; on diagnose-tree's DAG, its eigenvalues and hvp."""
+    of its training rows; on diagnose-tree's DAG, its eigenvalues, hvp and
+    matmat."""
     if name == "em-hclt HCLT":
         return time_hclt(name)
     if name == "diagnose-tree DAG":
@@ -154,7 +161,8 @@ def time_circuit(name):
     report(name, circuit, batch, passes(circuit, params, batch))
     if large is not None:
         small = {**passes(circuit, params, batch[:5]), **eigen_passes(circuit, params, batch[:5])}
-        keep = ("log_likelihood", "backward", "penalty", "hvp", "eigenvalues")
+        small["landscape"] = lambda: landscape(circuit, params, batch[:5], mode="2d", grid_points=5, seed=1)
+        keep = ("log_likelihood", "backward", "penalty", "hvp", "matmat", "eigenvalues", "landscape")
         report(name, circuit, batch[:5], {k: small[k] for k in keep})
         trace = forward(circuit, params, large)
         report(name, circuit, large, {

@@ -132,11 +132,12 @@ class Segments:
 
 
 class Scatter:
-    """Adds per-edge rows into the rows of the edges' children, summing each
-    child's rows from the left in edge order.  Where children repeat, a 0/1
-    CSR incidence matrix over the distinct children sums them first; where
-    every edge has its own child, as in trees, the rows are added directly,
-    which skips the sparse product's fixed cost per call."""
+    """Adds per-edge rows (of any trailing shape) into the rows of the edges'
+    children, summing each child's rows from the left in edge order.  Where
+    children repeat, a 0/1 CSR incidence matrix over the distinct children
+    sums them first; where every edge has its own child, as in trees, the
+    rows are added directly, which skips the sparse product's fixed cost per
+    call."""
 
     def __init__(self, child: np.ndarray):
         nodes, inverse = np.unique(child, return_inverse=True)
@@ -147,7 +148,7 @@ class Scatter:
 
     def add_into(self, dst: np.ndarray, src: np.ndarray) -> None:
         rows = dst.take(self.nodes, axis=0)  # a C-contiguous dst: take gathers rows faster than dst[nodes]
-        rows += src if self.matrix is None else self.matrix @ src
+        rows += src if self.matrix is None else (self.matrix @ src.reshape(len(src), -1)).reshape(rows.shape)
         dst[self.nodes] = rows
 
 

@@ -16,9 +16,14 @@ Four exact quantities, all driven by edge flows:
   over samples are matrix products over the batch, not a loop.
 * Hessian-vector products for any circuit, tree or DAG, without forming the
   Hessian: ``hessian_operator`` differentiates the flow recursion along v
-  (forward-over-reverse: a ``pull_up`` and a ``push_down`` per vector over the
-  ratio table of its one backward pass, which returns the batch sums of the
-  flow tangents), which is what Lanczos in ``top_eigenvalues`` consumes.
+  (forward-over-reverse: a ``pull_up`` and a ``push_down`` over the ratio
+  table of its one backward pass, which returns the batch sums of the flow
+  tangents).  A block of vectors shares each sweep, side by side in
+  [nodes, vectors, samples] tables, and the stacks' weight and ratio rows
+  are gathered once per operator.  Lanczos in ``top_eigenvalues`` consumes
+  one vector at a time; its residual check takes all k pairs in one block,
+  and an operator of at most ``DENSE_SIZE`` rows is first formed as the
+  matrix H I, itself a block product.
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
 
@@ -30,15 +35,22 @@ them, and none is transposed.  ``push_down`` writes no edge table of its own.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
-from .evaluate import as_batch, forward
-from .flows import FlowTable, backward, pull_up, push_down
+from .evaluate import as_batch, forward, probe_width
+from .flows import FlowTable, backward, pull_up, push_down, stack_rows
 
 DENSE_EDGE_CAP = 5000
+# Largest operator that top_eigenvalues forms as a matrix, H I by block
+# products, before Lanczos: at 5 rows and k = 15 that is faster than Lanczos
+# on the operator up to about 410 sum edges on layered DAGs and 170-330 on
+# RAT trees (timings in CHANGES.md).
+DENSE_SIZE = 300
 
 
 def edge_gradients(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, FlowTable]:
@@ -120,28 +132,48 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     ``pull_up`` with edge source v / theta gives the tangents t = d log p
     along v, then ``push_down`` carries the flow tangents dF down with the
     per-edge source F_e (v / theta + t_c - t_n) and returns sum_x dF_e, and
-    H v = (sum_x dF_e - sum_x F_e v / theta) / theta.
-    Works for trees and DAGs alike; H v raises ValueError for a v that is not
-    E finite values.
+    H v = (sum_x dF_e - sum_x F_e v / theta) / theta.  H V for a block of
+    vectors carries up to ``probe_width`` of them through each sweep, side
+    by side; each column equals its own H v bit for bit, and H v is the
+    one-column case.  Works for trees and DAGs alike; raises ValueError for
+    a v that is not E finite values, or a V that is not E rows of them.
     """
     theta = params.theta
     flows = backward(circuit, params, forward(circuit, params, batch))
-    fe, ratio, shape = flows.edge_flow, flows.ratio, flows.node_flow.shape
-    fe_sum = fe.sum(axis=1)
-    e = theta.size
+    fe, ratio = flows.edge_flow, flows.ratio
+    fe_sum = fe.sum(axis=1)[:, None]
+    (nodes, n), e = flows.node_flow.shape, theta.size
+    width = probe_width(circuit, n)
+
+    @functools.lru_cache(maxsize=2)  # the Lanczos width and the full blocks' width
+    def rows(m):
+        """Stack rows for m vectors side by side: the ratio table once per vector."""
+        return stack_rows(circuit, theta, np.tile(ratio, m).reshape(e, m, n) if m > 1 else ratio[:, None])
+
+    def products(u):
+        m = u.shape[1]
+        t = np.zeros((nodes, m, n))
+        pull_up(circuit, rows(m), t, u[:, :, None])
+        source = u[:, :, None] + t.take(circuit.sum_edge_child, axis=0)
+        source -= t.take(circuit.sum_edge_owner, axis=0)
+        source *= fe[:, None]
+        dfe_sum = push_down(circuit, rows(m), np.zeros(t.shape), source)
+        return (dfe_sum - fe_sum * u) / theta[:, None]
+
+    def matmat(v):
+        u = np.asarray(v, dtype=float)
+        if u.ndim != 2 or u.shape[0] != e or not np.all(np.isfinite(u)):
+            raise ValueError(f"V must be {e} rows of finite values, got shape {np.shape(v)}")
+        u = u / theta[:, None]
+        out = np.empty(u.shape)
+        for lo in range(0, u.shape[1], width):
+            out[:, lo : lo + width] = products(u[:, lo : lo + width])
+        return out
 
     def matvec(v):
-        u = np.asarray(v, dtype=float).reshape(-1)
-        if u.shape != (e,) or not np.all(np.isfinite(u)):
-            raise ValueError(f"v must be {e} finite values, got shape {np.shape(v)}")
-        u = u / theta
-        t = np.zeros(shape)
-        pull_up(circuit, theta, ratio, t, u[:, None])
-        source = fe * (u[:, None] + t.take(circuit.sum_edge_child, axis=0) - t.take(circuit.sum_edge_owner, axis=0))
-        dfe_sum = push_down(circuit, theta, ratio, np.zeros(shape), source)
-        return (dfe_sum - fe_sum * u) / theta
+        return matmat(np.reshape(v, (-1, 1)))[:, 0]
 
-    return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, dtype=float)
+    return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, matmat=matmat, rmatmat=matmat, dtype=float)
 
 
 def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: float = 1e-8) -> np.ndarray:
@@ -149,10 +181,13 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     descending in magnitude.
 
     Uses an iterative Lanczos solver from a fixed start vector, so repeated
-    calls return identical values, falling back to a dense solve (an operator
-    is applied to the identity) when k is too close to the dimension for the
-    iteration to run.  Arrays must be symmetric.  Each returned pair is
-    residual-checked against ||H v - lambda v|| <= tol_scale * ||H||, with
+    calls return identical values, falling back to a dense solve when k is
+    too close to the dimension for the iteration to run.  An operator of at
+    most DENSE_SIZE rows, or one solved densely, is first formed as a matrix
+    by one block product H I, so that Lanczos multiplies by a matrix instead
+    of sweeping the operator.  Arrays must be symmetric.  The returned pairs
+    are residual-checked together, with one product H V by the matrix or
+    operator given, against ||H v - lambda v|| <= tol_scale * ||H||, with
     ||H|| the spectral norm, the largest returned |lambda|.
     """
     h = matrix if isinstance(matrix, LinearOperator) else np.asarray(matrix, dtype=float)
@@ -163,22 +198,22 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     n = h.shape[0]
     k = min(k, n)
 
+    a = h @ np.eye(n) if isinstance(h, LinearOperator) and (n <= DENSE_SIZE or k >= n - 1) else h
     if k >= n - 1 or n < 4:
-        vals, vecs = np.linalg.eigh(h if isinstance(h, np.ndarray) else h @ np.eye(n))
+        vals, vecs = np.linalg.eigh(a)
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            vals, vecs = eigsh(h, k=k, which="LM", v0=v0)
+            vals, vecs = eigsh(a, k=k, which="LM", v0=v0)
         except ArpackNoConvergence as exc:
             raise NotConverged(f"eigensolver did not converge: {exc}") from exc
 
     order = np.argsort(-np.abs(vals))[:k]
     vals, vecs = vals[order], vecs[:, order]
     norm = np.abs(vals).max(initial=0.0)
-    for lam, v in zip(vals, vecs.T):
-        resid = np.linalg.norm(h @ v - lam * v)
-        if resid > tol_scale * max(norm, 1e-300):
-            raise NotConverged(f"residual {resid:.3e} exceeds {tol_scale:.0e} * ||H||")
+    resid = np.linalg.norm(h @ vecs - vecs * vals, axis=0).max(initial=0.0)
+    if resid > tol_scale * max(norm, 1e-300):
+        raise NotConverged(f"residual {resid:.3e} exceeds {tol_scale:.0e} * ||H||")
     return vals
 
 
@@ -224,7 +259,8 @@ def trace_penalty_gradient(
     # Adjoint of the flow recursion F_e = F_n theta_e ratio_e: f_bar, then
     # rbar_e, the adjoint of log ratio_e = lp_c - lp_n.
     f_bar = np.zeros(flows.node_flow.shape)
-    pull_up(circuit, theta, ratio, f_bar, fe_bar)
+    rows = stack_rows(circuit, theta, ratio[:, None])
+    pull_up(circuit, rows, f_bar[:, None], fe_bar[:, None])
     rbar = fe_bar  # built in fe_bar's storage: fe_bar's last use is as rbar's first term
     rbar += f_bar.take(circuit.sum_edge_child, axis=0)
     rbar *= flows.node_flow.take(circuit.sum_edge_owner, axis=0)
@@ -235,5 +271,5 @@ def trace_penalty_gradient(
     # rbar; its per-edge source adds the lp_c side and rbar's theta term.
     lp_bar = np.zeros_like(f_bar)
     lp_bar[circuit.sum_nodes] = -(circuit.sum_node_edges @ rbar)
-    theta_bar += push_down(circuit, theta, ratio, lp_bar, rbar) / theta
+    theta_bar += push_down(circuit, rows, lp_bar[:, None], rbar[:, None])[:, 0] / theta
     return theta_bar

@@ -4,6 +4,11 @@ Landscape directions are drawn in the unconstrained-logit parameterization
 and rescaled per sum-node block to that node's weight norm (the circuit
 analogue of per-filter normalization); perturbed logits are mapped back to
 the simplex before evaluation, so every probed point is a valid circuit.
+The grid points are evaluated in chunks of ``evaluate.probe_width``: one
+forward sweep per chunk over its rows repeated point by point, each row
+with its point's weights, which gives every point the value of its own
+``log_likelihood`` bit for bit.  Hessian eigenvalues come from
+``curvature.top_eigenvalues`` on the exact Hessian operator.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from .circuit import Circuit, ParamSet
 from .curvature import hessian_operator, top_eigenvalues
 from .errors import ZeroTrainNLL
-from .evaluate import log_likelihood
+from .evaluate import _sweep, as_batch, log_likelihood, probe_width
 
 
 def dof(train_nll: float, eval_nll: float) -> float:
@@ -85,24 +90,30 @@ def landscape(
         dirs.append(v)
 
     alphas = np.linspace(-grid_radius, grid_radius, grid_points) if grid_points > 1 else np.zeros(1)
-    origin = float(-log_likelihood(circuit, params, data).mean())
-
-    def value_at(offset: np.ndarray) -> float:
-        if not np.any(offset):
-            return origin
-        probed = params.copy()
-        probed.theta = circuit.sum_segments.softmax(logits0 + offset)
-        return float(-log_likelihood(circuit, probed, data).mean())
-
     if mode == "1d":
-        values = np.array([value_at(a * u) for a in alphas])
+        offsets = [a * u for a in alphas]
+    else:
+        offsets = [a * u + b * dirs[1] for a in alphas for b in alphas]
+    batch = as_batch(circuit, data)
+    origin = float(-log_likelihood(circuit, params, batch).mean())
+    values = np.full(len(offsets), origin)
+    # the other probes in chunks of probe_width: one sweep over the chunk's
+    # rows, repeated probe by probe, each row with its probe's weights
+    probes = [i for i, offset in enumerate(offsets) if np.any(offset)]
+    n = batch.shape[0]
+    width = probe_width(circuit, n)
+    for chunk in (probes[lo : lo + width] for lo in range(0, len(probes), width)):
+        weights = np.stack([circuit.sum_segments.softmax(logits0 + offsets[i]) for i in chunk], axis=1)
+        if len(chunk) > 1:  # one column per row; a lone probe's column broadcasts
+            weights = np.repeat(weights, n, axis=1)
+        ll = np.empty(len(chunk) * n)
+        for rows, lp in _sweep(circuit, params, np.tile(batch, (len(chunk), 1)), theta=weights):
+            ll[rows] = lp[circuit.root]
+        for j, i in enumerate(chunk):
+            values[i] = float(-ll[j * n : (j + 1) * n].mean())
+    if mode == "1d":
         return LandscapeGrid(dirs, alphas, None, values, origin)
-    betas = alphas.copy()
-    values = np.empty((len(alphas), len(betas)))
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            values[i, j] = value_at(a * u + b * dirs[1])
-    return LandscapeGrid(dirs, alphas, betas, values, origin)
+    return LandscapeGrid(dirs, alphas, alphas.copy(), values.reshape(len(alphas), len(alphas)), origin)
 
 
 def nll_hessian_eigenvalues(
@@ -113,8 +124,9 @@ def nll_hessian_eigenvalues(
 ) -> np.ndarray:
     """Top-k eigenvalues of the batch NLL Hessian (positive at sharp minima).
 
-    Lanczos on exact Hessian-vector products (``curvature.hessian_operator``),
-    the same route for trees and DAGs of any size; the Hessian is never formed.
+    Lanczos on exact Hessian-vector products (``curvature.hessian_operator``)
+    for trees and DAGs alike; up to ``DENSE_SIZE`` sum edges on the Hessian
+    formed from them by block products.
     """
     return top_eigenvalues(-hessian_operator(circuit, params, batch), k)
 

@@ -22,6 +22,9 @@ value.  :func:`forward` computes each tile in place in its columns of one
 [num_nodes, samples] buffer, the trace that backward passes read;
 :func:`log_likelihood` reuses one tile buffer, keeps only the root row and
 stores no trace, for callers that need the per-sample log-likelihoods alone.
+The sweep can also read each row's own sum weights, so that several weight
+probes (landscape points) share one sweep; :func:`probe_width` bounds how
+many, and how many Hessian vectors share one reverse sweep, by TILE_BYTES.
 """
 
 from __future__ import annotations
@@ -101,14 +104,24 @@ def _leaf_inputs(circuit: Circuit, batch: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.ascontiguousarray(xb.T > 0.5), np.ascontiguousarray(xg.T), xc.T.astype(np.int64, order="C")
 
 
-def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarray | None = None):
+def probe_width(circuit: Circuit, samples: int) -> int:
+    """How many probes (Hessian vectors, landscape points) one sweep carries
+    side by side on samples rows each: as many as keep a [num_nodes or sum
+    edges, probes x samples] table within TILE_BYTES, and at least one."""
+    return max(1, TILE_BYTES // (8 * max(1, samples) * max(circuit.num_nodes, circuit.num_sum_edges)))
+
+
+def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarray | None = None, theta=None):
     """Yield (rows, lp) for each row tile of batch, lp [num_nodes, tile] the
     log-probabilities of every node on those rows.  lp is the view out[:,
     rows] of a [num_nodes, samples] out, or else a view of one tile buffer
-    that the next tile overwrites."""
+    that the next tile overwrites.  theta [sum edges, samples], when given,
+    holds each row's own sum weights in place of params.theta ([sum edges,
+    1]: one column for every row)."""
     xb, xg, xc = _leaf_inputs(circuit, batch)
     groups, leaf_vars = circuit.leaf_groups(), circuit.leaf_vars
-    theta, (mean, sd), cat_starts = params.theta, params.gauss.T, circuit.cat_segments.starts[:, None]
+    theta = params.theta[:, None] if theta is None else theta  # [sum edges, 1 or samples]
+    (mean, sd), cat_starts = params.gauss.T, circuit.cat_segments.starts[:, None]
     # divide: log 0 at indicator leaves; invalid and over: diverged (inf or
     # tiny) parameters, whose non-finite rows are the DivergedNaN signal
     # handled by the trainers
@@ -122,6 +135,7 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
     for lo in range(0, n, tile):
         rows = slice(lo, min(lo + tile, n))
         lp = buf[:, rows] if out is not None else buf[:, : rows.stop - lo]
+        weights = theta if theta.shape[1] == 1 else theta[:, rows]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lp[groups["bern"][0]] = np.where(xb[:, rows].take(leaf_vars["bern"][1], axis=0), log_b, log_nb)
             z = xg[:, rows].take(leaf_vars["gauss"][1], axis=0)
@@ -144,7 +158,7 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
                 np.exp(w, out=w)
                 if b.src is not None:  # each parent's terms in its slot order, and its group's max
                     w, m, m_safe = w.take(b.src, axis=0), m.take(b.group, axis=0), m_safe.take(b.group, axis=0)
-                w *= theta[b.index, None]
+                w *= weights[b.index]
                 with np.errstate(divide="ignore"):
                     lp[b.parents] = np.where(np.isfinite(m), m_safe + np.log(b.sum(w)), -np.inf)
         yield rows, lp

@@ -12,11 +12,13 @@ theta^2 * ((a a) (s s)^T).  A group of one (every sum node of a tree) writes
 its clipped ratios and edge flows as rows during the sweep instead.  The
 per-sample [sum edges, samples] tables are completed once, for the readers
 that need them: the penalty adjoint, Hessian-vector products and per-sample
-gradients.  The first two sweep per edge over the ratio table, gathering
-rows with take: :func:`push_down` root-to-leaves, returning its edge shares'
-batch sums (no table), and :func:`pull_up` leaves-to-root.  Every table is
-node-major, [nodes or sum edges, samples].  Flows keep their trace, and a
-trace its weights, so stale pairings raise StaleTrace.
+gradients.  The first two sweep per edge over each stack's weight and ratio
+rows (:func:`stack_rows`), gathering rows with take: :func:`push_down`
+root-to-leaves, returning its edge shares' batch sums (no table), and
+:func:`pull_up` leaves-to-root, both on [nodes, m, samples] tables that
+carry m probes (Hessian vectors) side by side.  Every table is node-major,
+[nodes or sum edges, samples].  Flows keep their trace, and a trace its
+weights, so stale pairings raise StaleTrace.
 """
 
 from __future__ import annotations
@@ -106,38 +108,47 @@ def _edge_rows(b, theta: np.ndarray, lp: np.ndarray, flow: np.ndarray, edge_flow
     return share
 
 
-def pull_up(circuit: Circuit, theta: np.ndarray, ratio: np.ndarray, acc: np.ndarray, edge_src: np.ndarray) -> None:
-    """Propagate acc [nodes, samples] leaves-to-root in place, the twin of
-    push_down without its edge sums: a product node sums its children, a sum node
-    sum_c theta_nc * ratio_nc * (acc_c + edge_src_nc), with edge_src
-    [sum edges, samples or 1].  Leaves keep their values."""
-    for sums, prods in circuit.level_edges:
-        for b in sums:
+def stack_rows(circuit: Circuit, theta: np.ndarray, ratio: np.ndarray) -> list:
+    """Per level of circuit.level_edges, per sum stack, the rows that the
+    reverse sweeps read: theta [stack edges] and ratio [stack edges, m,
+    samples] (a FlowTable's ratio, once per table of [nodes, m, samples]).
+    Views where the stack's index is a slice, else gathered here once for
+    every sweep over them."""
+    return [[(b.at(theta), b.at(ratio)) for b in sums] for sums, _ in circuit.level_edges]
+
+
+def pull_up(circuit: Circuit, rows: list, acc: np.ndarray, edge_src: np.ndarray) -> None:
+    """Propagate acc [nodes, m, samples], m tables side by side, leaves-to-root
+    in place, the twin of push_down without its edge sums: a product node sums
+    its children, a sum node sum_c theta_nc * ratio_nc * (acc_c + edge_src_nc),
+    with rows from stack_rows and edge_src [sum edges, m or 1, samples or 1].
+    Leaves keep their values."""
+    for (sums, prods), level in zip(circuit.level_edges, rows):
+        for b, (theta, ratio) in zip(sums, level):
             x = acc.take(b.child, axis=0)
             x += b.at(edge_src)
-            x *= b.at(theta)[:, None] * b.at(ratio)
+            x *= theta[:, None, None] * ratio
             acc[b.parents] = b.sum(x)
         for b in prods:
             acc[b.parents] = b.sum(acc.take(b.child, axis=0))
 
 
-def push_down(
-    circuit: Circuit, theta: np.ndarray, ratio: np.ndarray, adj: np.ndarray, source: np.ndarray | None = None
-) -> np.ndarray:
-    """Propagate adj [nodes, samples] root-to-leaves in place: a sum edge adds
-    its share adj_n * theta_nc * ratio_nc (ratio a FlowTable's), plus source
-    [sum edges, samples] when given, to its child; a product edge adds adj_n.
-    Returns the shares' batch sums [sum edges], each row summed as a row of a
-    [sum edges, samples] table would be; no such table is written."""
-    out = np.empty(theta.size)
-    for sums, prods in reversed(circuit.level_edges):
-        for b in sums:
-            share = adj.take(b.parents, axis=0)[:, None] * b.blocks(b.at(theta)[:, None])
-            share *= b.blocks(b.at(ratio))
-            share = share.reshape(b.child.size, adj.shape[1])
+def push_down(circuit: Circuit, rows: list, adj: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
+    """Propagate adj [nodes, m, samples], m tables side by side, root-to-leaves
+    in place: a sum edge adds its share adj_n * theta_nc * ratio_nc (rows from
+    stack_rows), plus source [sum edges, m, samples] when given, to its child;
+    a product edge adds adj_n.  Returns the shares' batch sums [sum edges, m],
+    each summed as a row of a [sum edges, samples] table would be; no such
+    table is written."""
+    out = np.empty((circuit.num_sum_edges, adj.shape[1]))
+    for (sums, prods), level in zip(reversed(circuit.level_edges), reversed(rows)):
+        for b, (theta, ratio) in zip(sums, level):
+            share = np.repeat(adj.take(b.parents, axis=0), b.k, axis=0)
+            share *= theta[:, None, None]
+            share *= ratio
             if source is not None:
                 share += b.at(source)
-            out[b.index] = share.sum(axis=1)
+            out[b.index] = share.sum(axis=2)
             b.scatter.add_into(adj, share)
         for b in prods:
             b.scatter.add_into(adj, np.repeat(adj.take(b.parents, axis=0), b.k, axis=0))

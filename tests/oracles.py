@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from circuit_sharp import Circuit, EvalTrace, ParamSet, forward
+from circuit_sharp import Circuit, EvalTrace, ParamSet, forward, log_likelihood
 from circuit_sharp.errors import CircuitError, NotATree
 
 
@@ -94,6 +94,32 @@ def push_down_table(circuit: Circuit, theta, ratio, adj, edge_adj, source=None) 
             add_into(b.scatter, share)
         for b in prods:
             add_into(b.scatter, np.repeat(adj[b.parents], b.k, axis=0))
+
+
+def landscape_values(circuit: Circuit, params: ParamSet, data, directions, alphas) -> np.ndarray:
+    """``diagnostics.landscape``'s grid values as it computed them point by
+    point: one ``log_likelihood`` per grid point under the softmax of the
+    perturbed logits, and the unperturbed NLL itself at the zero offset.
+    1-D for one direction, [alphas, alphas] for two: the reference that the
+    block evaluation must equal bit for bit."""
+    logits0 = np.log(params.theta)
+    origin = float(-log_likelihood(circuit, params, data).mean())
+
+    def value_at(offset: np.ndarray) -> float:
+        if not np.any(offset):
+            return origin
+        probed = params.copy()
+        probed.theta = circuit.sum_segments.softmax(logits0 + offset)
+        return float(-log_likelihood(circuit, probed, data).mean())
+
+    u = directions[0]
+    if len(directions) == 1:
+        return np.array([value_at(a * u) for a in alphas])
+    values = np.empty((len(alphas), len(alphas)))
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas):
+            values[i, j] = value_at(a * u + b * directions[1])
+    return values
 
 
 def tree_parent(circuit: Circuit, node: int) -> tuple[int, int]:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circuit_sharp.curvature as curvature
 from circuit_sharp.curvature import (
+    DENSE_SIZE,
     full_hessian_tree,
     hessian_diag,
     hessian_operator,
@@ -11,13 +13,22 @@ from circuit_sharp.curvature import (
     top_eigenvalues,
     trace_penalty_gradient,
 )
-from circuit_sharp.errors import CostGuardExceeded, NotATree, StaleTrace
-from circuit_sharp.evaluate import forward
+from circuit_sharp.errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
+from circuit_sharp.evaluate import forward, probe_width
 from circuit_sharp.flows import backward
 from circuit_sharp.fd import central_diff, fd_hessian
 
 from oracles import jacobi_eigenvalues, literal_hessian, per_sample_tree_hessian
-from zoo import batch_for, dag_zoo, random_dag, random_tree, tree_zoo
+from zoo import (
+    INDICATOR_ROWS,
+    batch_for,
+    chain_hclt,
+    dag_zoo,
+    indicator_groups_dag,
+    random_dag,
+    random_tree,
+    tree_zoo,
+)
 
 
 class TestTrace:
@@ -177,6 +188,21 @@ class TestHessianOperator:
         uhv, vhu = u @ (op @ v), v @ (op @ u)
         assert abs(uhv - vhu) <= 1e-12 * max(abs(uhv), abs(vhu))
 
+    def test_block_products_equal_the_columns(self):
+        """H V carries a block of vectors through each sweep side by side;
+        every column equals its own H v bit for bit, for one column, three,
+        and more than one block holds."""
+        rng = np.random.default_rng(3)
+        chain, chain_params = chain_hclt()
+        cases = [(c, p, batch_for(c, 5, 2)) for c, p in tree_zoo(4, max_edges=300) + dag_zoo(4, max_edges=300)]
+        cases += [(*indicator_groups_dag(), INDICATOR_ROWS), (chain, chain_params, batch_for(chain, 3, 2))]
+        for circuit, params, batch in cases:
+            op = hessian_operator(circuit, params, batch)
+            for m in (1, 3, probe_width(circuit, len(batch)) + 1):
+                v = rng.standard_normal((circuit.num_sum_edges, m))
+                want = np.stack([op.matvec(col) for col in v.T], axis=1)
+                np.testing.assert_array_equal(op.matmat(v), want)
+
     def test_edge_ratio_table_built_once(self, monkeypatch):
         """Each stack's per-edge rows are built once per flow table: a
         singleton's in backward, a group's on the first read of the tables.
@@ -207,10 +233,12 @@ class TestHessianOperator:
         assert calls == {"_edge_rows": 2 * len(stacks), "backward": 1}
         for v in np.eye(circuit.num_sum_edges)[:3]:
             op @ v
+        op @ np.eye(circuit.num_sum_edges)[:, :3]
+        assert circuit.num_sum_edges <= DENSE_SIZE  # formed as a matrix by one block product H I
         top_eigenvalues(op, 2)
         assert calls == {"_edge_rows": 2 * len(stacks), "backward": 1}
 
-    @pytest.mark.parametrize("bad", ["short", "long", "row", "nan", "inf"])
+    @pytest.mark.parametrize("bad", ["short", "long", "row", "nan", "inf", "nan_block", "tall_block"])
     def test_rejects_malformed_vectors(self, bad):
         circuit, params = random_dag(63)
         op = hessian_operator(circuit, params, batch_for(circuit, 3, 0))
@@ -221,6 +249,8 @@ class TestHessianOperator:
             "row": np.ones((1, e)),
             "nan": np.where(np.arange(e) == 2, np.nan, 1.0),
             "inf": np.where(np.arange(e) == 0, -np.inf, 1.0),
+            "nan_block": np.where(np.arange(3 * e).reshape(e, 3) == 4, np.nan, 1.0),
+            "tall_block": np.ones((e + 1, 3)),
         }[bad]
         with pytest.raises(ValueError):
             op @ v
@@ -267,6 +297,36 @@ class TestTopEigenvalues:
         want = top_eigenvalues(full_hessian_tree(circuit, params, batch), 4)
         got = top_eigenvalues(hessian_operator(circuit, params, batch), 4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [6, DENSE_SIZE + 40])
+    def test_asymmetric_operator_fails_the_residual_check(self, n):
+        """Lanczos assumes symmetry; an operator that breaks it gets pairs
+        whose residuals, checked together, exceed the tolerance, whether it
+        is formed as a matrix first or not."""
+        from scipy.sparse.linalg import aslinearoperator
+
+        m = np.random.default_rng(9).standard_normal((n, n))
+        h = 0.5 * (m + m.T) + np.triu(np.full((n, n), 0.01), 1)
+        with pytest.raises(NotConverged, match="residual"):
+            top_eigenvalues(aslinearoperator(h), 3)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_routes_either_side_of_the_dense_size(self, monkeypatch, dense):
+        """An operator of DENSE_SIZE rows is formed as a matrix before
+        Lanczos, and one row more is not; both match eigvalsh of the dense
+        tree Hessian."""
+        circuit, params = random_tree(64)
+        batch = batch_for(circuit, 4, 4)
+        e = circuit.num_sum_edges
+        monkeypatch.setattr(curvature, "DENSE_SIZE", e if dense else e - 1)
+        runs = []
+        solve = curvature.eigsh
+        monkeypatch.setattr(curvature, "eigsh", lambda h, *a, **kw: runs.append(type(h)) or solve(h, *a, **kw))
+        got = top_eigenvalues(hessian_operator(circuit, params, batch), 6)
+        assert len(runs) == 1 and (runs[0] is np.ndarray) == dense
+        want = np.linalg.eigvalsh(full_hessian_tree(circuit, params, batch))
+        want = want[np.argsort(-np.abs(want))][:6]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

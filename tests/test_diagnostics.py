@@ -12,6 +12,7 @@ from circuit_sharp.diagnostics import (
 )
 from circuit_sharp.errors import ZeroTrainNLL
 
+from oracles import landscape_values
 from zoo import batch_for, random_tree
 
 
@@ -77,6 +78,35 @@ class TestLandscape:
         lines = out.read_text().splitlines()
         assert lines[0] == "alpha,beta,nll"
         assert len(lines) == 1 + 25
+
+    def test_block_values_equal_the_point_by_point_loop(self):
+        """Chunks of probes in one sweep give each grid point the value of its
+        own log_likelihood, bit for bit: on the spiral RAT in 1-D and 2-D (a
+        chunk of many probes on 5 rows), on a DAG whose groups share child
+        lists, and on 60 rows, where each probe is a chunk of its own and
+        spans two row tiles; the origin stays the unperturbed NLL."""
+        from circuit_sharp import ParamSet
+        from circuit_sharp.data import FractionSpec, gen_manifold, minmax_scale, subsample
+        from circuit_sharp.evaluate import TILE_BYTES, probe_width
+        from circuit_sharp.structure import RatConfig, build_layered_dag, build_rat
+
+        ds, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
+        spiral = subsample(ds, FractionSpec(0.05, 1)).train
+        rat, _ = build_rat(RatConfig(num_vars=2, depth=1, seed=7))
+        rat_params = ParamSet.uniform(rat, np.random.default_rng(7))
+        dag, dag_params = build_layered_dag(5, 6, seed=7)
+        assert any(b.src is not None for sums, _ in dag.level_edges for b in sums)
+        dag_rows = (np.random.default_rng(1).random((5, 5)) < 0.5).astype(float)
+        assert probe_width(rat, 5) > 1 and probe_width(rat, 60) == 1
+        assert 60 * 8 * rat.num_nodes > TILE_BYTES  # one probe's rows take two tiles
+        cases = [(rat, rat_params, spiral[:5], "1d"), (rat, rat_params, spiral[:5], "2d")]
+        cases += [(dag, dag_params, dag_rows, "2d"), (rat, rat_params, ds.train[:60], "2d")]
+        for circuit, params, data, mode in cases:
+            grid = landscape(circuit, params, data, mode=mode, grid_points=5, seed=3)
+            want = landscape_values(circuit, params, data, grid.directions, grid.alphas)
+            np.testing.assert_array_equal(grid.values, want)
+            nll = float(-forward(circuit, params, data).root_log_p.mean())
+            assert grid.origin_value == nll and grid.values[(2,) * grid.values.ndim] == nll
 
     def test_minimum_at_origin_after_convergence(self):
         from circuit_sharp import Circuit, ParamSet, leaf_node, sum_node

@@ -7,7 +7,7 @@ from circuit_sharp import backward, forward, loglik_gradient
 from circuit_sharp.curvature import trace_penalty_gradient
 from circuit_sharp.errors import StaleTrace
 from circuit_sharp.fd import analytic_gradient, fd_gradient
-from circuit_sharp.flows import pull_up, push_down
+from circuit_sharp.flows import pull_up, push_down, stack_rows
 
 from oracles import (
     SumEdge,
@@ -382,7 +382,8 @@ class TestPullUp:
             lp = forward(circuit, params, batch).log_p.T
             v = rng.standard_normal(theta.size)
             acc = np.zeros(lp.shape)
-            pull_up(circuit, theta, edge_ratios(circuit, theta, lp), acc, (v / theta)[:, None])
+            rows = stack_rows(circuit, theta, edge_ratios(circuit, theta, lp)[:, None])
+            pull_up(circuit, rows, acc[:, None], (v / theta)[:, None, None])
             probe = params.copy()
             root_lp = []
             for sign in (1.0, -1.0):
@@ -399,15 +400,16 @@ def _push_down_seeds(circuit, theta, flows, rng):
     and the trace penalty's log-probability adjoints, each built from the
     flow table as hessian_operator and trace_penalty_gradient build them."""
     ratio, fe, shape = flows.ratio, flows.edge_flow, flows.node_flow.shape
+    rows = stack_rows(circuit, theta, ratio[:, None])
     child, owner = circuit.sum_edge_child, circuit.sum_edge_owner
     root = np.zeros(shape)
     root[circuit.root] = 1.0
     u = rng.standard_normal(theta.size) / theta
     t = np.zeros(shape)
-    pull_up(circuit, theta, ratio, t, u[:, None])
+    pull_up(circuit, rows, t[:, None], u[:, None, None])
     fe_bar = (2.0 * rng.uniform(0.5, 2.0, theta.size) / (theta * theta))[:, None] * fe
     f_bar = np.zeros(shape)
-    pull_up(circuit, theta, ratio, f_bar, fe_bar)
+    pull_up(circuit, rows, f_bar[:, None], fe_bar[:, None])
     rbar = (f_bar[child] + fe_bar) * flows.node_flow[owner] * theta[:, None] * ratio
     lp_bar = np.zeros(shape)
     lp_bar[circuit.sum_nodes] = -(circuit.sum_node_edges @ rbar)
@@ -429,7 +431,8 @@ class TestPushDown:
             for adj, source in _push_down_seeds(circuit, theta, flows, rng):
                 want_adj, table = adj.copy(), np.full(flows.edge_flow.shape, np.nan)
                 push_down_table(circuit, theta, flows.ratio, want_adj, table, source)
-                sums = push_down(circuit, theta, flows.ratio, adj, source)
+                rows = stack_rows(circuit, theta, flows.ratio[:, None])
+                sums = push_down(circuit, rows, adj[:, None], None if source is None else source[:, None])[:, 0]
                 assert np.all(np.isfinite(table))  # every sum edge written
                 np.testing.assert_array_equal(sums, table.sum(axis=1))
                 np.testing.assert_array_equal(adj, want_adj)
