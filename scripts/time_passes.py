@@ -11,7 +11,7 @@ hundred H v products) and diagnose-tree's 2-D 5 x 5 landscape on 5 rows, the
 chunk size of the diagnose-tree workload, where per-call overhead dominates,
 and forward, log_likelihood and backward on all 1000 spiral training rows,
 the size of an epoch's validation NLL.  Then the same eigenvalue call (there
-the dense route, one block product H I), one hvp and one matmat on
+on the Hessian formed by one block product H I), one hvp and one matmat on
 diagnose-tree's DAG (build_layered_dag(5, 6, seed=7), 5 binary rows).
 Last, the em-hclt workload's HCLT (chow_liu_tree and build_hclt with
 HcltConfig(num_latents=16, seed=7) on 1000 rows of its 16-variable

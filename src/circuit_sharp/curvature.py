@@ -21,9 +21,8 @@ Four exact quantities, all driven by edge flows:
   tangents).  A block of vectors shares each sweep, side by side in
   [nodes, vectors, samples] tables, and the stacks' weight and ratio rows
   are gathered once per operator.  Lanczos in ``top_eigenvalues`` consumes
-  one vector at a time; its residual check takes all k pairs in one block,
-  and an operator of at most ``DENSE_SIZE`` rows is first formed as the
-  matrix H I, itself a block product.
+  one vector at a time, and its residual check takes all k pairs in one
+  block.
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
 
@@ -35,8 +34,6 @@ them, and none is transposed.  ``push_down`` writes no edge table of its own.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -46,11 +43,6 @@ from .evaluate import as_batch, forward, probe_width
 from .flows import FlowTable, backward, pull_up, push_down, stack_rows
 
 DENSE_EDGE_CAP = 5000
-# Largest operator that top_eigenvalues forms as a matrix, H I by block
-# products, before Lanczos: at 5 rows and k = 15 that is faster than Lanczos
-# on the operator up to about 410 sum edges on layered DAGs and 170-330 on
-# RAT trees (timings in CHANGES.md).
-DENSE_SIZE = 300
 
 
 def edge_gradients(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, FlowTable]:
@@ -140,24 +132,19 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     """
     theta = params.theta
     flows = backward(circuit, params, forward(circuit, params, batch))
-    fe, ratio = flows.edge_flow, flows.ratio
+    fe = flows.edge_flow
     fe_sum = fe.sum(axis=1)[:, None]
     (nodes, n), e = flows.node_flow.shape, theta.size
     width = probe_width(circuit, n)
-
-    @functools.lru_cache(maxsize=2)  # the Lanczos width and the full blocks' width
-    def rows(m):
-        """Stack rows for m vectors side by side: the ratio table once per vector."""
-        return stack_rows(circuit, theta, np.tile(ratio, m).reshape(e, m, n) if m > 1 else ratio[:, None])
+    rows = stack_rows(circuit, theta, flows.ratio)
 
     def products(u):
-        m = u.shape[1]
-        t = np.zeros((nodes, m, n))
-        pull_up(circuit, rows(m), t, u[:, :, None])
+        t = np.zeros((nodes, u.shape[1], n))
+        pull_up(circuit, rows, t, u[:, :, None])
         source = u[:, :, None] + t.take(circuit.sum_edge_child, axis=0)
         source -= t.take(circuit.sum_edge_owner, axis=0)
         source *= fe[:, None]
-        dfe_sum = push_down(circuit, rows(m), np.zeros(t.shape), source)
+        dfe_sum = push_down(circuit, rows, np.zeros(t.shape), source)
         return (dfe_sum - fe_sum * u) / theta[:, None]
 
     def matmat(v):
@@ -181,14 +168,12 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     descending in magnitude.
 
     Uses an iterative Lanczos solver from a fixed start vector, so repeated
-    calls return identical values, falling back to a dense solve when k is
-    too close to the dimension for the iteration to run.  An operator of at
-    most DENSE_SIZE rows, or one solved densely, is first formed as a matrix
-    by one block product H I, so that Lanczos multiplies by a matrix instead
-    of sweeping the operator.  Arrays must be symmetric.  The returned pairs
-    are residual-checked together, with one product H V by the matrix or
-    operator given, against ||H v - lambda v|| <= tol_scale * ||H||, with
-    ||H|| the spectral norm, the largest returned |lambda|.
+    calls return identical values, falling back to a dense solve (an operator
+    is applied to the identity) when k is too close to the dimension for the
+    iteration to run.  Arrays must be symmetric.  The returned pairs are
+    residual-checked together, with one product H V, against
+    ||H v - lambda v|| <= tol_scale * ||H||, with ||H|| the spectral norm,
+    the largest returned |lambda|.
     """
     h = matrix if isinstance(matrix, LinearOperator) else np.asarray(matrix, dtype=float)
     if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
@@ -198,13 +183,12 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     n = h.shape[0]
     k = min(k, n)
 
-    a = h @ np.eye(n) if isinstance(h, LinearOperator) and (n <= DENSE_SIZE or k >= n - 1) else h
     if k >= n - 1 or n < 4:
-        vals, vecs = np.linalg.eigh(a)
+        vals, vecs = np.linalg.eigh(h if isinstance(h, np.ndarray) else h @ np.eye(n))
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            vals, vecs = eigsh(a, k=k, which="LM", v0=v0)
+            vals, vecs = eigsh(h, k=k, which="LM", v0=v0)
         except ArpackNoConvergence as exc:
             raise NotConverged(f"eigensolver did not converge: {exc}") from exc
 
@@ -259,7 +243,7 @@ def trace_penalty_gradient(
     # Adjoint of the flow recursion F_e = F_n theta_e ratio_e: f_bar, then
     # rbar_e, the adjoint of log ratio_e = lp_c - lp_n.
     f_bar = np.zeros(flows.node_flow.shape)
-    rows = stack_rows(circuit, theta, ratio[:, None])
+    rows = stack_rows(circuit, theta, ratio)
     pull_up(circuit, rows, f_bar[:, None], fe_bar[:, None])
     rbar = fe_bar  # built in fe_bar's storage: fe_bar's last use is as rbar's first term
     rbar += f_bar.take(circuit.sum_edge_child, axis=0)

@@ -4,11 +4,11 @@ Landscape directions are drawn in the unconstrained-logit parameterization
 and rescaled per sum-node block to that node's weight norm (the circuit
 analogue of per-filter normalization); perturbed logits are mapped back to
 the simplex before evaluation, so every probed point is a valid circuit.
-The grid points are evaluated in chunks of ``evaluate.probe_width``: one
-forward sweep per chunk over its rows repeated point by point, each row
-with its point's weights, which gives every point the value of its own
-``log_likelihood`` bit for bit.  Hessian eigenvalues come from
-``curvature.top_eigenvalues`` on the exact Hessian operator.
+The grid points are evaluated in chunks of ``evaluate.probe_width``, one
+``evaluate.probe_log_likelihood`` sweep per chunk, which gives every point
+the value of its own ``log_likelihood`` bit for bit.  Hessian eigenvalues
+come from ``curvature.top_eigenvalues`` on the exact Hessian operator, or
+on the matrix it forms by a few block products when that is cheaper.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ import numpy as np
 from .circuit import Circuit, ParamSet
 from .curvature import hessian_operator, top_eigenvalues
 from .errors import ZeroTrainNLL
-from .evaluate import _sweep, as_batch, log_likelihood, probe_width
+from .evaluate import as_batch, log_likelihood, probe_log_likelihood, probe_width
+
+# Most block products that nll_hessian_eigenvalues spends forming the Hessian
+# as a matrix: at k = 15, from 1 to 1000 rows, forming it and running Lanczos
+# on the matrix beats Lanczos's one-vector sweeps up to 4 blocks, ties at 6-7
+# and loses from 11 (timings in CHANGES.md).
+DENSE_BLOCKS = 4
 
 
 def dof(train_nll: float, eval_nll: float) -> float:
@@ -97,20 +103,13 @@ def landscape(
     batch = as_batch(circuit, data)
     origin = float(-log_likelihood(circuit, params, batch).mean())
     values = np.full(len(offsets), origin)
-    # the other probes in chunks of probe_width: one sweep over the chunk's
-    # rows, repeated probe by probe, each row with its probe's weights
+    # the other probes in chunks of probe_width, one sweep per chunk
     probes = [i for i, offset in enumerate(offsets) if np.any(offset)]
-    n = batch.shape[0]
-    width = probe_width(circuit, n)
+    width = probe_width(circuit, batch.shape[0])
     for chunk in (probes[lo : lo + width] for lo in range(0, len(probes), width)):
         weights = np.stack([circuit.sum_segments.softmax(logits0 + offsets[i]) for i in chunk], axis=1)
-        if len(chunk) > 1:  # one column per row; a lone probe's column broadcasts
-            weights = np.repeat(weights, n, axis=1)
-        ll = np.empty(len(chunk) * n)
-        for rows, lp in _sweep(circuit, params, np.tile(batch, (len(chunk), 1)), theta=weights):
-            ll[rows] = lp[circuit.root]
-        for j, i in enumerate(chunk):
-            values[i] = float(-ll[j * n : (j + 1) * n].mean())
+        for i, ll in zip(chunk, probe_log_likelihood(circuit, params, batch, weights)):
+            values[i] = float(-ll.mean())
     if mode == "1d":
         return LandscapeGrid(dirs, alphas, None, values, origin)
     return LandscapeGrid(dirs, alphas, alphas.copy(), values.reshape(len(alphas), len(alphas)), origin)
@@ -125,10 +124,15 @@ def nll_hessian_eigenvalues(
     """Top-k eigenvalues of the batch NLL Hessian (positive at sharp minima).
 
     Lanczos on exact Hessian-vector products (``curvature.hessian_operator``)
-    for trees and DAGs alike; up to ``DENSE_SIZE`` sum edges on the Hessian
-    formed from them by block products.
+    for trees and DAGs alike.  When the matrix H I takes at most DENSE_BLOCKS
+    block products of ``probe_width`` vectors, Lanczos runs on that matrix
+    instead, with the same values up to rounding.
     """
-    return top_eigenvalues(-hessian_operator(circuit, params, batch), k)
+    h = -hessian_operator(circuit, params, batch)
+    e = circuit.num_sum_edges
+    if -(-e // probe_width(circuit, as_batch(circuit, batch).shape[0])) <= DENSE_BLOCKS:
+        h = h @ np.eye(e)
+    return top_eigenvalues(h, k)
 
 
 def write_eigenvalues_csv(eigvals: np.ndarray, path) -> None:

@@ -22,9 +22,10 @@ value.  :func:`forward` computes each tile in place in its columns of one
 [num_nodes, samples] buffer, the trace that backward passes read;
 :func:`log_likelihood` reuses one tile buffer, keeps only the root row and
 stores no trace, for callers that need the per-sample log-likelihoods alone.
-The sweep can also read each row's own sum weights, so that several weight
-probes (landscape points) share one sweep; :func:`probe_width` bounds how
-many, and how many Hessian vectors share one reverse sweep, by TILE_BYTES.
+:func:`probe_log_likelihood` is its many-weights form: several weight probes
+(landscape points) share one sweep, each row reading its own sum weights;
+:func:`probe_width` bounds how many, and how many Hessian vectors share one
+reverse sweep, by TILE_BYTES.
 """
 
 from __future__ import annotations
@@ -181,8 +182,20 @@ def forward(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> EvalTrace:
 def log_likelihood(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
     """Per-sample log-likelihood [samples]: forward's root column, bit for
     bit, without storing the trace.  Raises as forward does."""
+    return probe_log_likelihood(circuit, params, batch, params.theta[:, None])[0]
+
+
+def probe_log_likelihood(circuit: Circuit, params: ParamSet, batch: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-sample log-likelihoods [probes, samples] under each column of
+    weights [sum edges, probes] in place of params.theta, all in one sweep
+    over the rows repeated probe by probe, each row reading its probe's
+    column.  Row j equals log_likelihood under weights[:, j] bit for bit;
+    probe_width bounds how many probes keep the sweep's tables small."""
     batch = as_batch(circuit, batch)
-    out = np.empty(batch.shape[0])
-    for rows, lp in _sweep(circuit, params, batch):
+    n, m = batch.shape[0], weights.shape[1]
+    if m > 1:  # one column per row; a lone probe's column broadcasts
+        batch, weights = np.tile(batch, (m, 1)), np.repeat(weights, n, axis=1)
+    out = np.empty(m * n)
+    for rows, lp in _sweep(circuit, params, batch, theta=weights):
         out[rows] = lp[circuit.root]
-    return out
+    return out.reshape(m, n)

@@ -110,11 +110,12 @@ def _edge_rows(b, theta: np.ndarray, lp: np.ndarray, flow: np.ndarray, edge_flow
 
 def stack_rows(circuit: Circuit, theta: np.ndarray, ratio: np.ndarray) -> list:
     """Per level of circuit.level_edges, per sum stack, the rows that the
-    reverse sweeps read: theta [stack edges] and ratio [stack edges, m,
-    samples] (a FlowTable's ratio, once per table of [nodes, m, samples]).
-    Views where the stack's index is a slice, else gathered here once for
-    every sweep over them."""
-    return [[(b.at(theta), b.at(ratio)) for b in sums] for sums, _ in circuit.level_edges]
+    reverse sweeps read: theta [stack edges] and, from a FlowTable's ratio
+    [sum edges, samples], ratio [stack edges, 1, samples], which broadcasts
+    over the m tables of a [nodes, m, samples] sweep.  Views where the
+    stack's index is a slice, else gathered here once for every sweep over
+    them."""
+    return [[(b.at(theta), b.at(ratio)[:, None]) for b in sums] for sums, _ in circuit.level_edges]
 
 
 def pull_up(circuit: Circuit, rows: list, acc: np.ndarray, edge_src: np.ndarray) -> None:

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import circuit_sharp.curvature as curvature
 from circuit_sharp.curvature import (
-    DENSE_SIZE,
     full_hessian_tree,
     hessian_diag,
     hessian_operator,
@@ -233,8 +231,7 @@ class TestHessianOperator:
         assert calls == {"_edge_rows": 2 * len(stacks), "backward": 1}
         for v in np.eye(circuit.num_sum_edges)[:3]:
             op @ v
-        op @ np.eye(circuit.num_sum_edges)[:, :3]
-        assert circuit.num_sum_edges <= DENSE_SIZE  # formed as a matrix by one block product H I
+        op @ np.eye(circuit.num_sum_edges)  # the matrix H I, as nll_hessian_eigenvalues forms it
         top_eigenvalues(op, 2)
         assert calls == {"_edge_rows": 2 * len(stacks), "backward": 1}
 
@@ -298,35 +295,17 @@ class TestTopEigenvalues:
         got = top_eigenvalues(hessian_operator(circuit, params, batch), 4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [6, DENSE_SIZE + 40])
+    @pytest.mark.parametrize("n", [4, 40])
     def test_asymmetric_operator_fails_the_residual_check(self, n):
-        """Lanczos assumes symmetry; an operator that breaks it gets pairs
-        whose residuals, checked together, exceed the tolerance, whether it
-        is formed as a matrix first or not."""
+        """Lanczos (n = 40) and the dense solve (n = 4, k = 3) assume
+        symmetry; an operator that breaks it gets pairs whose residuals,
+        checked together, exceed the tolerance."""
         from scipy.sparse.linalg import aslinearoperator
 
         m = np.random.default_rng(9).standard_normal((n, n))
         h = 0.5 * (m + m.T) + np.triu(np.full((n, n), 0.01), 1)
         with pytest.raises(NotConverged, match="residual"):
             top_eigenvalues(aslinearoperator(h), 3)
-
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_routes_either_side_of_the_dense_size(self, monkeypatch, dense):
-        """An operator of DENSE_SIZE rows is formed as a matrix before
-        Lanczos, and one row more is not; both match eigvalsh of the dense
-        tree Hessian."""
-        circuit, params = random_tree(64)
-        batch = batch_for(circuit, 4, 4)
-        e = circuit.num_sum_edges
-        monkeypatch.setattr(curvature, "DENSE_SIZE", e if dense else e - 1)
-        runs = []
-        solve = curvature.eigsh
-        monkeypatch.setattr(curvature, "eigsh", lambda h, *a, **kw: runs.append(type(h)) or solve(h, *a, **kw))
-        got = top_eigenvalues(hessian_operator(circuit, params, batch), 6)
-        assert len(runs) == 1 and (runs[0] is np.ndarray) == dense
-        want = np.linalg.eigvalsh(full_hessian_tree(circuit, params, batch))
-        want = want[np.argsort(-np.abs(want))][:6]
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -169,6 +169,30 @@ class TestEigenDiagnostics:
             vals = nll_hessian_eigenvalues(circuit, params, batch, k=15)
             assert np.abs(vals - ref).max() <= rtol * np.abs(ref).max()
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_routes_either_side_of_the_dense_blocks(self, monkeypatch, dense):
+        """A Hessian that takes DENSE_BLOCKS block products to form is
+        formed as a matrix before Lanczos, and one that takes one more is
+        not; both match eigvalsh of the dense tree Hessian."""
+        import circuit_sharp.curvature as curvature
+        import circuit_sharp.diagnostics as diagnostics
+        from circuit_sharp.curvature import full_hessian_tree
+        from circuit_sharp.evaluate import probe_width
+
+        circuit, params = random_tree(64)
+        batch = batch_for(circuit, 64, 4)
+        blocks = -(-circuit.num_sum_edges // probe_width(circuit, len(batch)))
+        assert blocks > 1
+        monkeypatch.setattr(diagnostics, "DENSE_BLOCKS", blocks if dense else blocks - 1)
+        runs = []
+        solve = curvature.eigsh
+        monkeypatch.setattr(curvature, "eigsh", lambda h, *a, **kw: runs.append(type(h)) or solve(h, *a, **kw))
+        got = nll_hessian_eigenvalues(circuit, params, batch, k=6)
+        assert len(runs) == 1 and (runs[0] is np.ndarray) == dense
+        want = np.linalg.eigvalsh(-full_hessian_tree(circuit, params, batch))
+        want = want[np.argsort(-np.abs(want))][:6]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
     def test_csv_format(self, tmp_path):
         path = tmp_path / "eig.csv"
         write_eigenvalues_csv(np.array([3.0, -1.5]), path)

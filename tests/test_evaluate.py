@@ -161,6 +161,24 @@ class TestTiling:
             np.testing.assert_array_equal(tiled.log_p, whole.log_p)
             np.testing.assert_array_equal(log_likelihood(circuit, params, batch), whole.root_log_p)
 
+    def test_probes_equal_their_own_log_likelihood_bit_for_bit(self, monkeypatch):
+        """Each row of probe_log_likelihood equals log_likelihood under its
+        column of weights, in one tile and across 3-row tiles that split
+        the repeated rows mid-probe."""
+        from dataclasses import replace
+
+        rng = np.random.default_rng(4)
+        monkeypatch.setattr(evaluate, "LEVEL_CELLS", 0)
+        for circuit, params, batch in _tiling_zoo():
+            weights = np.stack(
+                [circuit.sum_segments.softmax(np.log(params.theta) + rng.normal(0, 0.5, params.theta.size))
+                 for _ in range(3)] + [params.theta], axis=1,
+            )
+            want = [log_likelihood(circuit, replace(params, theta=w), batch) for w in weights.T]
+            for tile_rows in (len(batch) * 4, 3):
+                monkeypatch.setattr(evaluate, "TILE_BYTES", 8 * circuit.num_nodes * tile_rows)
+                np.testing.assert_array_equal(evaluate.probe_log_likelihood(circuit, params, batch, weights), want)
+
     def test_deep_narrow_circuit_takes_one_tile(self):
         from circuit_sharp.structure import HcltConfig, build_hclt
 

@@ -382,7 +382,7 @@ class TestPullUp:
             lp = forward(circuit, params, batch).log_p.T
             v = rng.standard_normal(theta.size)
             acc = np.zeros(lp.shape)
-            rows = stack_rows(circuit, theta, edge_ratios(circuit, theta, lp)[:, None])
+            rows = stack_rows(circuit, theta, edge_ratios(circuit, theta, lp))
             pull_up(circuit, rows, acc[:, None], (v / theta)[:, None, None])
             probe = params.copy()
             root_lp = []
@@ -400,7 +400,7 @@ def _push_down_seeds(circuit, theta, flows, rng):
     and the trace penalty's log-probability adjoints, each built from the
     flow table as hessian_operator and trace_penalty_gradient build them."""
     ratio, fe, shape = flows.ratio, flows.edge_flow, flows.node_flow.shape
-    rows = stack_rows(circuit, theta, ratio[:, None])
+    rows = stack_rows(circuit, theta, ratio)
     child, owner = circuit.sum_edge_child, circuit.sum_edge_owner
     root = np.zeros(shape)
     root[circuit.root] = 1.0
@@ -431,7 +431,7 @@ class TestPushDown:
             for adj, source in _push_down_seeds(circuit, theta, flows, rng):
                 want_adj, table = adj.copy(), np.full(flows.edge_flow.shape, np.nan)
                 push_down_table(circuit, theta, flows.ratio, want_adj, table, source)
-                rows = stack_rows(circuit, theta, flows.ratio[:, None])
+                rows = stack_rows(circuit, theta, flows.ratio)
                 sums = push_down(circuit, rows, adj[:, None], None if source is None else source[:, None])[:, 0]
                 assert np.all(np.isfinite(table))  # every sum edge written
                 np.testing.assert_array_equal(sums, table.sum(axis=1))
