@@ -28,14 +28,26 @@ Each circuit is timed in a freshly spawned process, so that no circuit is
 timed with an allocator that another circuit's passes have warmed.
 
 The package comes from PYTHONPATH, so the same script times any checkout:
-    PYTHONPATH=src python scripts/time_passes.py
+    PYTHONPATH=src python scripts/time_passes.py [--json PATH]
+
+With --json, the script also writes what it prints to PATH: per report line,
+the circuit, its sum edges and rows, and each pass's median and first call in
+milliseconds; with them the command, the machine (nproc, CPU model, L2 and
+L3 sizes) and the Python, numpy and scipy versions.
 """
 
+import argparse
+import glob
+import json
 import multiprocessing
+import os
+import platform
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from circuit_sharp import (
     HcltConfig,
@@ -70,12 +82,15 @@ def times_ms(fn):
 
 
 def report(name, circuit, batch, passes):
+    """Time passes, print one line and return it as a dict for --json."""
     ms = {k: times_ms(fn) for k, fn in passes.items()}
     print(
         f"{name}: {circuit.num_sum_edges} sum edges x {len(batch)} rows: "
         + ", ".join(f"{k} {med:.1f} ms (first {first:.1f})" for k, (med, first) in ms.items()),
         flush=True,
     )
+    passes = {k: {"median_ms": med, "first_ms": first} for k, (med, first) in ms.items()}
+    return {"circuit": name, "sum_edges": circuit.num_sum_edges, "rows": len(batch), "passes": passes}
 
 
 def passes(circuit, params, batch):
@@ -128,28 +143,30 @@ def time_hclt(name):
     circuit, params = build_hclt(chow_liu_tree(train, 0.1), HcltConfig(num_latents=16, seed=7), data=train)
     batch, config = train[:200], RegularizerConfig(mu=0.1, smoothing_alpha=0.5)
     trace, full = forward(circuit, params, batch), forward(circuit, params, train)
-    report(name, circuit, batch, {
-        "forward": lambda: forward(circuit, params, batch),
-        "backward": lambda: backward(circuit, params, trace),
-        "em_step_sharp": lambda: em_step_sharp(circuit, params, batch, config),
-    })
-    report(name, circuit, train, {
-        "forward": lambda: forward(circuit, params, train),
-        "backward": lambda: backward(circuit, params, full),
-    })
+    return [
+        report(name, circuit, batch, {
+            "forward": lambda: forward(circuit, params, batch),
+            "backward": lambda: backward(circuit, params, trace),
+            "em_step_sharp": lambda: em_step_sharp(circuit, params, batch, config),
+        }),
+        report(name, circuit, train, {
+            "forward": lambda: forward(circuit, params, train),
+            "backward": lambda: backward(circuit, params, full),
+        }),
+    ]
 
 
 def time_circuit(name):
     """Time every pass on one circuit; with the spiral RAT, also the passes
     of diagnose-tree's 5-row chunks, and the NLL passes and backward on all
     of its training rows; on diagnose-tree's DAG, its eigenvalues, hvp and
-    matmat."""
+    matmat.  Returns the report lines."""
     if name == "em-hclt HCLT":
         return time_hclt(name)
     if name == "diagnose-tree DAG":
         circuit, params = build_layered_dag(5, 6, seed=7)
         batch = (np.random.default_rng(3).random((5, 5)) < 0.5).astype(float)
-        return report(name, circuit, batch, eigen_passes(circuit, params, batch))
+        return [report(name, circuit, batch, eigen_passes(circuit, params, batch))]
     if name == "trace-dag DAG":
         circuit, params = build_layered_dag(17, 79, seed=7)
         batch = (np.random.default_rng(3).random((16, 17)) < 0.5).astype(float)
@@ -158,28 +175,54 @@ def time_circuit(name):
         spiral, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
         circuit, params = build_rat(RatConfig(num_vars=2, depth=1, seed=1))
         batch, large = spiral.train[:200], spiral.train
-    report(name, circuit, batch, passes(circuit, params, batch))
+    lines = [report(name, circuit, batch, passes(circuit, params, batch))]
     if large is not None:
         small = {**passes(circuit, params, batch[:5]), **eigen_passes(circuit, params, batch[:5])}
         small["landscape"] = lambda: landscape(circuit, params, batch[:5], mode="2d", grid_points=5, seed=1)
         keep = ("log_likelihood", "backward", "penalty", "hvp", "matmat", "eigenvalues", "landscape")
-        report(name, circuit, batch[:5], {k: small[k] for k in keep})
+        lines.append(report(name, circuit, batch[:5], {k: small[k] for k in keep}))
         trace = forward(circuit, params, large)
-        report(name, circuit, large, {
+        lines.append(report(name, circuit, large, {
             "forward": lambda: forward(circuit, params, large),
             "log_likelihood": lambda: log_likelihood(circuit, params, large),
             "backward": lambda: backward(circuit, params, trace),
-        })
+        }))
+    return lines
+
+
+def machine():
+    """nproc, CPU model and cache sizes (from /proc and /sys where Linux has
+    them), and the interpreter and library versions."""
+    cpu, caches = None, {}
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")), None)
+    for index in glob.glob("/sys/devices/system/cpu/cpu0/cache/index*"):
+        with open(f"{index}/level") as lv, open(f"{index}/size") as sz:
+            caches[f"L{lv.read().strip()}"] = sz.read().strip()
+    return {
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "cpu": cpu or platform.processor(),
+        "l2": caches.get("L2"),
+        "l3": caches.get("L3"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 def main():
-    spawn = multiprocessing.get_context("spawn")
-    for name in CIRCUITS:
-        proc = spawn.Process(target=time_circuit, args=(name,))
-        proc.start()
-        proc.join()
-        if proc.exitcode != 0:
-            sys.exit(f"timing {name} failed with exit code {proc.exitcode}")
+    parser = argparse.ArgumentParser(description="Per-pass timings, one fresh process per circuit.")
+    parser.add_argument("--json", metavar="PATH", help="also write the timings, command and machine here")
+    args = parser.parse_args()
+    lines = []
+    for name in CIRCUITS:  # one spawned worker per circuit; a worker that dies raises BrokenProcessPool
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            lines += pool.submit(time_circuit, name).result()
+    if args.json:
+        run = {"command": " ".join(["python", *sys.argv]), "machine": machine(), "reports": lines}
+        with open(args.json, "w") as fh:
+            json.dump(run, fh, indent=1)
 
 
 if __name__ == "__main__":

@@ -181,9 +181,9 @@ class _LevelEdges:
     with ``children`` its ``child``.  Otherwise ``members`` [G, g] lists each
     group's parents and ``children`` [G * k] its sorted children;
     ``edges[i, r, j]`` [G, g, k] is the global edge from member r of group i
-    to its child j, ``group`` each parent's group, ``src`` the row of
-    ``children`` each per-edge row reads, and ``child_scatter`` adds
-    per-child rows into the children."""
+    to its child j, so a group's weights are the [g, k] matrix
+    ``theta[edges[i]]`` that forward and backward multiply per-child rows
+    by, and ``child_scatter`` adds per-child rows into the children."""
 
     parents: np.ndarray
     k: int
@@ -193,8 +193,6 @@ class _LevelEdges:
     children: np.ndarray | None = None
     members: np.ndarray | None = None
     edges: np.ndarray | None = None
-    group: np.ndarray | None = None
-    src: np.ndarray | None = None
     rows: np.ndarray | slice | None = None
 
     # built on first use: EM never scatters a group's per-edge rows
@@ -230,8 +228,6 @@ class _LevelEdges:
         first = nodes.copy()  # each node's group, named by its first node
         if share:
             by_child = np.lexsort((child, seg.ids))  # each run's edges by child, run by run
-            rank = np.empty_like(by_child)
-            rank[by_child] = np.arange(child.size) - seg.starts[seg.ids]
             for k in np.unique(seg.lengths).tolist():
                 sel = np.flatnonzero(seg.lengths == k)
                 lists = child[by_child[seg.starts[sel, None] + np.arange(k)]]
@@ -248,13 +244,11 @@ class _LevelEdges:
             index = slots.reshape(-1)
             b = _LevelEdges(nodes[sel], k, _run(index), child[index], size, child[index])
             if size > 1:
-                _, b.group = np.unique(first[sel], return_inverse=True)
-                by_group = np.argsort(b.group, kind="stable")
+                by_group = np.argsort(np.unique(first[sel], return_inverse=True)[1], kind="stable")
                 ranked = by_child[slots[by_group]]  # each member's edges by child
                 b.members = nodes[sel[by_group]].reshape(-1, size)
                 b.edges = ranked.reshape(-1, size, k)
                 b.children = child[ranked[::size]].reshape(-1)
-                b.src = (b.group[:, None] * k + rank[slots]).reshape(-1)
             out.setdefault(int(level[sel[0]]), []).append(b)
         return out
 

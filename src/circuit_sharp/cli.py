@@ -29,7 +29,7 @@ from .data import (
     subsample,
 )
 from .diagnostics import dof, landscape, nll_hessian_eigenvalues, write_diag_csv, write_eigenvalues_csv
-from .errors import CircuitError, CostGuardExceeded, DivergedNaN
+from .errors import CircuitError, CostGuardExceeded, DivergedNaN, MalformedFile
 from .evaluate import log_likelihood
 from .fd import fd_gradient, analytic_gradient
 from .learning import (
@@ -170,13 +170,14 @@ def _load_model(path: str) -> tuple[Circuit, ParamSet]:
 
 def _load_table(path: str) -> np.ndarray:
     with open(path) as fh:
-        first = fh.readline().strip()
+        lines = fh.read().splitlines()
     try:
-        [float(tok) for tok in first.split(",")]
-        skip = 0
-    except ValueError:
-        skip = 1  # header row
-    return np.loadtxt(path, delimiter=",", skiprows=skip, dtype=float, ndmin=2)
+        [float(tok) for tok in lines[0].split(",")]
+    except (IndexError, ValueError):
+        lines = lines[1:]  # header row
+    if not any(line.split("#", 1)[0].strip() for line in lines):  # loadtxt drops "#" comments
+        raise MalformedFile(f"{path} has no data rows")
+    return np.loadtxt(lines, delimiter=",", dtype=float, ndmin=2)
 
 
 def cmd_trace(args) -> int:

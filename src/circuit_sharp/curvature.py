@@ -38,28 +38,45 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuit import Circuit, ParamSet
-from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
-from .evaluate import as_batch, forward, probe_width
+from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace, ZeroLikelihood
+from .evaluate import EvalTrace, as_batch, forward, probe_width
 from .flows import FlowTable, backward, pull_up, push_down, stack_rows
 
 DENSE_EDGE_CAP = 5000
 
 
+def _check_roots(trace: EvalTrace) -> None:
+    """Raise ZeroLikelihood, naming the first row whose root log p is -inf:
+    log p has no derivatives there, and its flows would all read 0."""
+    dead = np.flatnonzero(np.isneginf(trace.root_log_p))
+    if dead.size:
+        raise ZeroLikelihood(f"row {dead[0]} has likelihood 0 (root log p = -inf): log p has no derivatives there")
+
+
+def _flows(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> FlowTable:
+    """backward over forward on batch; raises ZeroLikelihood as _check_roots."""
+    trace = forward(circuit, params, batch)
+    _check_roots(trace)
+    return backward(circuit, params, trace)
+
+
 def edge_gradients(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> tuple[np.ndarray, FlowTable]:
-    """Per-sample d log P / d theta, [sum edges, samples], plus the flow table."""
-    flows = backward(circuit, params, forward(circuit, params, batch))
+    """Per-sample d log P / d theta, [sum edges, samples], plus the flow table.
+    Every curvature entry point raises ZeroLikelihood for a row of likelihood 0."""
+    flows = _flows(circuit, params, batch)
     return flows.edge_flow / params.theta[:, None], flows
 
 
 def hessian_trace(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> float:
-    """Absolute Hessian trace: sum over samples and edges of (F_nc/theta_nc)^2."""
-    return float(-hessian_diag(circuit, params, batch).sum())
+    """Absolute Hessian trace: sum over samples and edges of (F_nc/theta_nc)^2,
+    a sum of nonnegative terms (+0.0, never -0.0, when all vanish)."""
+    return float((_flows(circuit, params, batch).edge_flow_sq_sum / params.theta**2).sum())
 
 
 def hessian_diag(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
     """Batch-summed Hessian diagonal, one nonpositive entry per sum edge:
     -sum_x F_nc(x)^2 / theta_nc^2, from the flows' batch sums of squares."""
-    return -backward(circuit, params, forward(circuit, params, batch)).edge_flow_sq_sum / params.theta**2
+    return -_flows(circuit, params, batch).edge_flow_sq_sum / params.theta**2
 
 
 def full_hessian_tree(
@@ -127,11 +144,12 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     H v = (sum_x dF_e - sum_x F_e v / theta) / theta.  H V for a block of
     vectors carries up to ``probe_width`` of them through each sweep, side
     by side; each column equals its own H v bit for bit, and H v is the
-    one-column case.  Works for trees and DAGs alike; raises ValueError for
-    a v that is not E finite values, or a V that is not E rows of them.
+    one-column case.  Works for trees and DAGs alike; raises ZeroLikelihood
+    for a row of likelihood 0, and ValueError for a v that is not E finite
+    values, or a V that is not E rows of them.
     """
     theta = params.theta
-    flows = backward(circuit, params, forward(circuit, params, batch))
+    flows = _flows(circuit, params, batch)
     fe = flows.edge_flow
     fe_sum = fe.sum(axis=1)[:, None]
     (nodes, n), e = flows.node_flow.shape, theta.size
@@ -219,8 +237,8 @@ def trace_penalty_gradient(
     edge_weights defaults to all ones (the plain trace penalty).  flows
     alone brings its own trace.  Raises StaleTrace when trace belongs to
     another circuit, other weights than params or other rows than batch, or
-    flows to another trace, and ValueError unless edge_weights holds one
-    finite value per sum edge.
+    flows to another trace, ZeroLikelihood for a row of likelihood 0, and
+    ValueError unless edge_weights holds one finite value per sum edge.
     """
     theta = params.theta
     w = np.ones_like(theta) if edge_weights is None else np.asarray(edge_weights, dtype=float)
@@ -236,6 +254,7 @@ def trace_penalty_gradient(
         raise StaleTrace("trace was evaluated under other sum weights than params")
     if not np.array_equal(trace.batch, as_batch(circuit, batch)):
         raise StaleTrace("trace was evaluated on other rows than batch")
+    _check_roots(trace)
     ratio, fedge = flows.ratio, flows.edge_flow
     fe_bar = (2.0 * w / (theta * theta))[:, None] * fedge
     theta_bar = -np.einsum("es,es->e", fe_bar, fedge) / theta

@@ -25,6 +25,10 @@ class OutOfDomain(CircuitError):
     """A data value lies outside the support of the leaf family reading it."""
 
 
+class ZeroLikelihood(CircuitError):
+    """A row has probability 0 (root log p = -inf), where log p has no derivatives."""
+
+
 class InvalidParameters(CircuitError, ValueError):
     """Sum weights off the simplex, or leaf parameters outside their domain."""
 

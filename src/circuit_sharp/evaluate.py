@@ -6,11 +6,13 @@ propagated, never raised.  The pass runs leaves-to-root over the compiled
 levels of ``Circuit.level_edges``, one stack at a time.  A stack holds
 groups of sum parents that share one child list (in a tree, groups of one):
 a group's children are gathered once, shifted by their per-sample maximum,
-which is every member's own maximum, and exponentiated once per child.  Each
-parent then weights its terms and adds them in its own slot order with the
-segment sum of its per-edge log-sum-exp, so the values are bit for bit
-those of that per-edge form, and the work is O(edges) numpy work regardless
-of circuit shape.
+which is every member's own maximum, and exponentiated once per child.  A
+group of one adds its weighted terms in slot order, bit for bit the per-edge
+log-sum-exp; a group of g > 1 over k children takes one [g, k] x [k] product
+of its weights and children per column (the columns are matmul's batch
+axis), within a few ulp of max(|log p|, 1) of that form.  Each column is its
+own product, so row tiles, row order, log_likelihood and probes stay bit for
+bit (one GEMM over a tile's columns would not).  O(edges) work per row.
 
 The batch is walked in row tiles, sized by ``TILE_BYTES`` so that a tile's
 [num_nodes, tile] block stays in cache, but wide enough (``LEVEL_CELLS``)
@@ -157,11 +159,13 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
                 m_safe = np.where(np.isfinite(m), m, 0.0)
                 np.subtract(wg, m_safe[:, None], out=wg)
                 np.exp(w, out=w)
-                if b.src is not None:  # each parent's terms in its slot order, and its group's max
-                    w, m, m_safe = w.take(b.src, axis=0), m.take(b.group, axis=0), m_safe.take(b.group, axis=0)
-                w *= weights[b.index]
+                if b.g > 1:  # [1 or tile, G, g, k] @ [tile, G, k, 1]; take: C-contiguous weights, which BLAS takes
+                    w = np.matmul(weights.T.take(b.edges, axis=1), wg.transpose(2, 0, 1)[..., None])[..., 0]
+                    w, m, m_safe, parents = w.transpose(1, 2, 0), m[:, None], m_safe[:, None], b.members
+                else:
+                    w, parents = b.sum(np.multiply(w, weights[b.index], out=w)), b.parents
                 with np.errstate(divide="ignore"):
-                    lp[b.parents] = np.where(np.isfinite(m), m_safe + np.log(b.sum(w)), -np.inf)
+                    lp[parents] = np.where(np.isfinite(m), m_safe + np.log(w), -np.inf)
         yield rows, lp
 
 

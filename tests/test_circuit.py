@@ -390,8 +390,7 @@ class TestLevelBuckets:
                         assert all(len(lists[tuple(sorted(circuit.nodes[p].children))]) == 1 for p in b.parents)
                         continue
                     grouped += 1
-                    np.testing.assert_array_equal(b.children[b.src], b.child)
-                    assert all(p in b.members[i] for p, i in zip(b.parents.tolist(), b.group.tolist()))
+                    np.testing.assert_array_equal(np.sort(b.members, axis=None), b.parents)
                     for members, kids, rows in zip(b.members, b.groups(b.children), b.edges):
                         assert lists[tuple(kids.tolist())] == members.tolist()  # the whole group, sorted children
                         np.testing.assert_array_equal(circuit.sum_edge_owner[rows], np.repeat(members[:, None], b.k, axis=1))

@@ -142,6 +142,34 @@ class TestTrace:
         circuit, params = deserialize(model.read_bytes())
         assert printed == hessian_trace(circuit, params, np.array([[1.0], [0.0], [1.0]]))
 
+    @pytest.mark.parametrize("rows,row", [("1e200,0.2\n", 0), ("0.5,0.2\n1e200,0.2\n", 1)], ids=["alone", "second"])
+    def test_zero_likelihood_row_is_input_error(self, spiral_run, tmp_path, capsys, rows, row):
+        data = tmp_path / "data.csv"
+        data.write_text(rows)
+        assert run_cli("trace", spiral_run / "model.pc", data) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"row {row} has likelihood 0" in out.err
+
+    def test_zero_probability_indicator_row_is_input_error(self, tmp_path, capsys):
+        model = tmp_path / "model.pc"
+        model.write_text("pc v1 3 2\n0 L 0 bern 1.0\n1 L 0 bern 1.0\n2 S 0 1\nw 2 0.5 0.5\n")
+        data = tmp_path / "data.csv"
+        data.write_text("x0\n1\n0\n")
+        assert run_cli("trace", model, data) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "row 1 has likelihood 0" in out.err
+
+    @pytest.mark.parametrize("contents", ["", "x0,x1\n", "x0,x1\n# no rows\n\n"], ids=["empty", "header-only", "comments"])
+    @pytest.mark.parametrize("command", ["trace", "landscape"])
+    def test_file_without_data_rows_is_input_error(self, spiral_run, tmp_path, capsys, command, contents):
+        data = tmp_path / "data.csv"
+        data.write_text(contents)
+        extra = ("--out", tmp_path / "l.csv") if command == "landscape" else ()
+        assert run_cli(command, spiral_run / "model.pc", data, *extra) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"{data} has no data rows" in out.err
+        assert not (tmp_path / "l.csv").exists()
+
 
 class TestLandscape:
     def test_1d_rows_and_center(self, spiral_run, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circuit_sharp.curvature import (
+    edge_gradients,
     full_hessian_tree,
     hessian_diag,
     hessian_operator,
@@ -11,7 +12,7 @@ from circuit_sharp.curvature import (
     top_eigenvalues,
     trace_penalty_gradient,
 )
-from circuit_sharp.errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
+from circuit_sharp.errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace, ZeroLikelihood
 from circuit_sharp.evaluate import forward, probe_width
 from circuit_sharp.flows import backward
 from circuit_sharp.fd import central_diff, fd_hessian
@@ -402,3 +403,50 @@ class TestReport:
         assert diag.max() <= 0
         np.testing.assert_allclose(dense, dense.T, atol=1e-10)
         np.testing.assert_allclose(np.diag(dense), diag, atol=1e-12)
+
+
+def spiral_rat():
+    from circuit_sharp.structure import RatConfig, build_rat
+
+    return build_rat(RatConfig(num_vars=2, depth=1, seed=1))
+
+
+def zero_likelihood_cases():
+    """(circuit, params, batch, first dead row): the spiral RAT's row (1e200,
+    0.2), whose z^2 overflows in every Gaussian leaf, alone and after a good
+    row, and an indicator circuit's x = 0 row, which no leaf supports."""
+    from circuit_sharp import Circuit, ParamSet, leaf_node, sum_node
+
+    twin = Circuit.build([leaf_node(0, "bern", [1.0]), leaf_node(0, "bern", [1.0]), sum_node(0, 1)], 2)
+    rat = spiral_rat()
+    return [
+        (*rat, np.array([[1e200, 0.2]]), 0),
+        (*rat, np.array([[0.5, 0.2], [1e200, 0.2]]), 1),
+        (twin, ParamSet.uniform(twin), np.array([[1.0], [0.0]]), 1),
+    ]
+
+
+def _penalty_from_flows(circuit, params, batch):
+    trace = forward(circuit, params, batch)
+    return trace_penalty_gradient(circuit, params, batch, trace=trace, flows=backward(circuit, params, trace))
+
+
+class TestZeroLikelihood:
+    """log p has no derivatives on a row of likelihood 0, and its flows would
+    all read 0, so that next to good rows it would vanish from every
+    derivative: each curvature entry point raises, naming the row."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [hessian_diag, hessian_trace, edge_gradients, full_hessian_tree, hessian_operator,
+         trace_penalty_gradient, _penalty_from_flows],
+        ids=lambda f: f.__name__,
+    )
+    def test_entry_points_raise_naming_the_row(self, entry):
+        for circuit, params, batch, row in zero_likelihood_cases():
+            with pytest.raises(ZeroLikelihood, match=f"^row {row} has likelihood 0"):
+                entry(circuit, params, batch)
+
+    def test_trace_of_no_rows_is_positive_zero(self):
+        tr = hessian_trace(*spiral_rat(), np.zeros((0, 2)))
+        assert tr == 0.0 and np.copysign(1.0, tr) == 1.0

@@ -95,7 +95,7 @@ class TestLandscape:
         rat, _ = build_rat(RatConfig(num_vars=2, depth=1, seed=7))
         rat_params = ParamSet.uniform(rat, np.random.default_rng(7))
         dag, dag_params = build_layered_dag(5, 6, seed=7)
-        assert any(b.src is not None for sums, _ in dag.level_edges for b in sums)
+        assert any(b.g > 1 for sums, _ in dag.level_edges for b in sums)
         dag_rows = (np.random.default_rng(1).random((5, 5)) < 0.5).astype(float)
         assert probe_width(rat, 5) > 1 and probe_width(rat, 60) == 1
         assert 60 * 8 * rat.num_nodes > TILE_BYTES  # one probe's rows take two tiles

@@ -25,11 +25,24 @@ from zoo import (
 ALL_FAMILIES = ("binary", "continuous", "cat3")
 
 
+def _wide_groups():
+    """Circuits whose shared-child groups are wide, 10 rows each: an HCLT
+    shaped like the em-hclt workload's (16 binary variables, 16 latents, so
+    groups of 16 parents over 16 children) and a layered DAG whose groups
+    are whole layers of 6 sums over 6 products."""
+    from circuit_sharp.structure import HcltConfig, build_hclt, build_layered_dag
+
+    rng = np.random.default_rng(7)
+    hclt = build_hclt([(int(rng.integers(i)), i) for i in range(1, 16)], HcltConfig(num_latents=16, seed=7))
+    return [(c, p, batch_for(c, 10, 2)) for c, p in (hclt, build_layered_dag(5, 6, seed=7))]
+
+
 def _tiling_zoo():
-    """Trees and DAGs over all three leaf families with 10 rows each, and the
-    shared-child DAG, whose node D0 is -inf, on all 8 of its assignments."""
+    """Trees and DAGs over all three leaf families with 10 rows each, the
+    wide-group circuits, and the shared-child DAG, whose node D0 is -inf, on
+    all 8 of its assignments."""
     cases = tree_zoo(4, families=ALL_FAMILIES) + dag_zoo(4, families=ALL_FAMILIES)
-    cases = [(c, p, batch_for(c, 10, 2)) for c, p in cases]
+    cases = [(c, p, batch_for(c, 10, 2)) for c, p in cases] + _wide_groups()
     return cases + [(*shared_child_dag(), np.array(list(itertools.product((0.0, 1.0), repeat=3))))]
 
 
@@ -197,12 +210,17 @@ class TestTiling:
 
 
 class TestSharedChildGroups:
-    def test_group_sums_match_the_per_edge_formula_bit_for_bit(self):
-        """A group takes one exp per child and shifts by the group max, yet
-        every member's log p equals its own per-edge log-sum-exp bit for bit,
-        whatever order it lists the shared children in, and where some or all
-        of them are -inf."""
-        cases = [(c, p, batch_for(c, 10, 2)) for c, p in dag_zoo(6, families=ALL_FAMILIES)]
+    def test_group_sums_match_the_per_edge_formula_within_4_ulp(self):
+        """A group takes one exp per child, shifts by the group max and adds
+        each member's terms in one matrix product per column, so a member's
+        log p is its own per-edge log-sum-exp up to rounding: -inf exactly
+        where that is, whatever order it lists the shared children in and
+        where some or all of them are -inf, and elsewhere within 4 ulp of
+        max(|log p|, 1).  The shift and the log of the summed terms add at that
+        scale, so one ulp of the sum is 1.7e-16 in log p wherever |log p| < 1:
+        6 ulp of log p itself at -0.239 on the chain HCLT.  The largest gap
+        seen over these cases is 2 ulp of that scale."""
+        cases = [(c, p, batch_for(c, 10, 2)) for c, p in dag_zoo(6, families=ALL_FAMILIES)] + _wide_groups()
         chain, chain_params = chain_hclt()
         cases += [(*indicator_groups_dag(), INDICATOR_ROWS), (chain, chain_params, batch_for(chain, 3, 1))]
         reordered = dead = 0
@@ -210,7 +228,11 @@ class TestSharedChildGroups:
             lp = forward(circuit, params, batch).log_p.T
             weights = params.sum_weights
             for n in circuit.sum_nodes:
-                np.testing.assert_array_equal(lp[n], per_edge_sum_log_p(lp, weights[n], circuit.nodes[n].children))
+                want = per_edge_sum_log_p(lp, weights[n], circuit.nodes[n].children)
+                np.testing.assert_array_equal(np.isneginf(lp[n]), np.isneginf(want))
+                live = np.isfinite(want)
+                gap = np.abs(lp[n][live] - want[live]) / np.spacing(np.maximum(np.abs(want[live]), 1.0))
+                assert (gap <= 4).all(), f"sum node {n}: {gap.max()} ulp"
             for b in [b for sums, _ in circuit.level_edges for b in sums if b.g > 1]:
                 for members, kids in zip(b.members, b.groups(b.children)):
                     reordered += len({circuit.nodes[p].children for p in members.tolist()}) > 1
