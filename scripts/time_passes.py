@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Per-pass timings: forward, log_likelihood, backward, trace_penalty_gradient,
-one Hessian-vector product (hvp; the operator is built outside the timer) and
-one step (forward, backward and the penalty from their trace and flows: the
-trace-dag benchmark's step) on the trace-dag DAG (build_layered_dag(17, 79,
-seed=7), 16 binary rows) and the spiral RAT (RatConfig(num_vars=2, depth=1,
+"""Per-pass timings: Circuit.build from the circuit's own nodes (build; on
+each of the four circuits below), forward, log_likelihood, backward,
+trace_penalty_gradient, one Hessian-vector product (hvp; the operator is
+built outside the timer) and one step (forward, backward and the penalty
+from their trace and flows: the trace-dag benchmark's step) on the trace-dag
+DAG (build_layered_dag(17, 79, seed=7), 16 binary rows) and the spiral RAT (RatConfig(num_vars=2, depth=1,
 seed=1), 200 training rows), then on the spiral RAT log_likelihood,
 backward, penalty, hvp, one 15-vector Hessian block product (matmat), the
 top 15 Hessian eigenvalues (nll_hessian_eigenvalues: Lanczos, about a
@@ -50,6 +51,7 @@ import numpy as np
 import scipy
 
 from circuit_sharp import (
+    Circuit,
     HcltConfig,
     RatConfig,
     RegularizerConfig,
@@ -105,6 +107,7 @@ def passes(circuit, params, batch):
         return trace_penalty_gradient(circuit, params, batch, trace=t, flows=backward(circuit, params, t))
 
     return {
+        "build": lambda: Circuit.build(circuit.nodes, circuit.root),
         "forward": lambda: forward(circuit, params, batch),
         "log_likelihood": lambda: log_likelihood(circuit, params, batch),
         "backward": lambda: backward(circuit, params, trace),
@@ -120,6 +123,7 @@ def eigen_passes(circuit, params, batch):
     hess = hessian_operator(circuit, params, batch)
     block = np.random.default_rng(5).standard_normal((circuit.num_sum_edges, TOP_K))
     return {
+        "build": lambda: Circuit.build(circuit.nodes, circuit.root),
         "eigenvalues": lambda: nll_hessian_eigenvalues(circuit, params, batch, k=TOP_K),
         "hvp": passes(circuit, params, batch)["hvp"],
         "matmat": lambda: hess @ block,
@@ -145,6 +149,7 @@ def time_hclt(name):
     trace, full = forward(circuit, params, batch), forward(circuit, params, train)
     return [
         report(name, circuit, batch, {
+            "build": lambda: Circuit.build(circuit.nodes, circuit.root),
             "forward": lambda: forward(circuit, params, batch),
             "backward": lambda: backward(circuit, params, trace),
             "em_step_sharp": lambda: em_step_sharp(circuit, params, batch, config),

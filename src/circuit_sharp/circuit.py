@@ -1,6 +1,10 @@
 """Circuit graph: nodes, structural validation, edge indexing, serialization.
 
 A circuit is an immutable DAG of sum / product / leaf nodes, stored by index.
+Its indexes come from one fan-in per node and one child per edge: Kahn's
+algorithm in rounds gives the levels, and sweeps over the compiled levels
+give the rest (sum depths, root reach, a tree's DFS ranges).  No per-node
+parent lists or sum depths are kept (``parents`` and ``sum_depth`` are gone).
 Sum edges are globally indexed by (owning node id, child slot) in sorted
 order; that order is stable across serialization round-trips and is the
 coordinate system for gradients, Hessians and traces.  The edges of one sum
@@ -16,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -152,6 +157,28 @@ class Scatter:
         dst[self.nodes] = rows
 
 
+def _levels(fan_in: np.ndarray, child: np.ndarray, owner: np.ndarray, in_degree: np.ndarray) -> np.ndarray:
+    """Each node's level, by Kahn's algorithm in rounds: the leaves form
+    round 0, and every other node joins the round after its last child.
+    CyclicGraph if some node never joins."""
+    parents = owner[np.argsort(child, kind="stable")]  # each node's parent edges, node by node
+    first = np.cumsum(in_degree) - in_degree
+    left, level, seen = fan_in.copy(), np.full(fan_in.size, -1), np.empty_like(fan_in)
+    ready, r = np.flatnonzero(fan_in == 0), 0
+    while ready.size:  # array methods, not np.* wrappers: a deep circuit runs thousands of rounds
+        level[ready] = r
+        count = in_degree[ready]
+        end = count.cumsum()
+        up = parents[np.arange(end[-1]) + (first[ready] - end + count).repeat(count)]
+        np.subtract.at(left, up, 1)
+        up = up[left[up] == 0]  # listed once per edge into the round: keep one
+        seen[up] = np.arange(up.size)
+        ready, r = up[seen[up] == np.arange(up.size)], r + 1
+    if (level < 0).any():
+        raise CyclicGraph("circuit graph contains a cycle")
+    return level
+
+
 def _read_only(x: np.ndarray) -> np.ndarray:
     x = x.view()
     x.flags.writeable = False
@@ -271,102 +298,83 @@ class _TreeIndex:
 
 
 class Circuit:
-    """Validated-by-construction circuit graph with precomputed traversal order.
+    """Validated-by-construction circuit graph, indexed once from two flat
+    arrays (fan-in per node, child per edge) by array sweeps over its level
+    schedule.  Use :meth:`build`.
 
-    Use :meth:`build`; the constructor is internal.
+    Derived: ``topo_order`` (children first: the stable argsort of the
+    levels), ``in_degree``, the sum-edge indexes (``sum_nodes``,
+    ``sum_segments``, ``sum_edge_owner``/``child``/``offset``,
+    ``sum_node_edges``), ``level_edges``, ``single_edges``, ``edge_layer``
+    (per sum edge, the fewest sum nodes between its owner and the root;
+    iinfo(int64).max where no root path reaches it), ``root_scope``,
+    ``is_tree``, the leaf indexes and, on first call, :meth:`tree_index`.
+    There are no per-node parent lists or sum depths.
     """
 
-    def __init__(self, nodes, root, topo, parents, levels, root_scope):
-        self.nodes: list[Node] = nodes
-        self.root: int = root
-        self.root_scope: tuple[int, ...] = root_scope  # sorted variables
-        self.topo_order: np.ndarray = topo  # leaves first, root last
-        self.parents: list[list[tuple[int, int]]] = parents
-        self._levels = levels
-        self.num_nodes = len(nodes)
-        self._index_sum_edges()
-        self._index_levels()
+    def __init__(self, nodes: list[Node], root: int):
+        n = self.num_nodes = len(nodes)
+        if not (0 <= root < n):
+            raise ValueError(f"root id {root} out of range")
+        self.nodes, self.root = nodes, root
+        fan_in = np.fromiter((len(x.children) for x in nodes), np.int64, n)
+        try:
+            child = np.fromiter(chain.from_iterable(x.children for x in nodes), np.int64, int(fan_in.sum()))
+        except OverflowError:  # an id past int64
+            child = np.full(1, -1)
+        if ((child < 0) | (child >= n)).any():
+            i, c = next((i, c) for i, x in enumerate(nodes) for c in x.children if not 0 <= c < n)
+            raise ValueError(f"node {i} has out-of-range child {c}")
+        owner = np.repeat(np.arange(n), fan_in)  # every edge, in node-then-slot order
+        self.in_degree = np.bincount(child, minlength=n)
+        level = _levels(fan_in, child, owner, self.in_degree)
+        self.topo_order: np.ndarray = np.argsort(level, kind="stable")
+        kind = np.array([x.kind for x in nodes])
+        is_sum = kind == SUM
+        self._index_edges(fan_in, child, owner, level, is_sum, kind == PRODUCT)
         self._index_leaves()
-        self.is_tree = all(
-            len(parents[n]) == (0 if n == root else 1) for n in range(self.num_nodes)
-        )
-        self._tree: _TreeIndex | None = None
 
-    # -- construction ------------------------------------------------------
+        # Fewest sum nodes above each node on a root path, root to leaves; the
+        # saturating add keeps iinfo max where no root path reaches.
+        far = np.iinfo(np.int64).max
+        depth = np.full(n, far)
+        depth[root] = 0
+        for b in reversed(self._stacks):
+            bump = int(is_sum[b.parents[0]])  # a stack holds one kind
+            np.minimum.at(depth, b.child, (np.minimum(depth.take(b.parents), far - bump) + bump).repeat(b.k))
+        self.edge_layer = depth[self.sum_edge_owner]
+        reached = [var[depth[ids] < far] for ids, var in self._leaf_groups.values()]
+        self.root_scope: tuple[int, ...] = tuple(np.unique(np.concatenate(reached)).tolist())
+        self.is_tree = bool(self.in_degree[root] == 0) and int((self.in_degree == 1).sum()) == n - 1
+        self._tree: _TreeIndex | None = None
 
     @staticmethod
     def build(nodes: list[Node], root: int) -> "Circuit":
-        n = len(nodes)
-        if not (0 <= root < n):
-            raise ValueError(f"root id {root} out of range")
-        parents: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, node in enumerate(nodes):
-            for slot, c in enumerate(node.children):
-                if not (0 <= c < n):
-                    raise ValueError(f"node {i} has out-of-range child {c}")
-                parents[c].append((i, slot))
-
-        # Kahn's algorithm, children before parents; a shortfall means a cycle.
-        remaining = [len(node.children) for node in nodes]
-        queue = [i for i in range(n) if remaining[i] == 0]
-        topo: list[int] = []
-        while queue:
-            v = queue.pop()
-            topo.append(v)
-            for p, _slot in parents[v]:
-                remaining[p] -= 1
-                if remaining[p] == 0:
-                    queue.append(p)
-        if len(topo) != n:
-            raise CyclicGraph("circuit graph contains a cycle")
-
-        levels = np.zeros(n, dtype=np.int64)
-        for v in topo:
-            if nodes[v].kind != LEAF:
-                levels[v] = 1 + max(levels[c] for c in nodes[v].children)
-        bits, variables = _scope_bits(nodes, topo)
-        root_scope = _scope(bits[root], variables)
-        return Circuit(list(nodes), root, np.asarray(topo), parents, levels, root_scope)
+        """ValueError for an out-of-range root or child, CyclicGraph for a cycle."""
+        return Circuit(list(nodes), root)
 
     # -- derived indexes ----------------------------------------------------
 
-    def _index_sum_edges(self) -> None:
-        self.sum_nodes = [i for i, node in enumerate(self.nodes) if node.kind == SUM]
-        seg = self.sum_segments = Segments([len(self.nodes[n].children) for n in self.sum_nodes])
+    def _index_edges(self, fan_in, child, owner, level, is_sum, is_prod) -> None:
+        sum_nodes, prod_nodes = np.flatnonzero(is_sum), np.flatnonzero(is_prod)
+        self.sum_nodes: list[int] = sum_nodes.tolist()
+        seg = self.sum_segments = Segments(fan_in[sum_nodes])
         self.num_sum_edges = int(seg.ids.size)
-        self.sum_edge_owner = np.asarray(self.sum_nodes, dtype=np.int64)[seg.ids]
+        self.sum_edge_owner, self.sum_edge_child = owner[is_sum[owner]], child[is_sum[owner]]
         self.sum_edge_offset = dict(zip(self.sum_nodes, seg.starts.tolist()))  # node id -> first edge
         # 0/1 [sum nodes, sum edges]: row i marks the edges of sum_nodes[i]
         self.sum_node_edges = scipy.sparse.csr_array(
             (np.ones(self.num_sum_edges), (seg.ids, np.arange(self.num_sum_edges))),
-            shape=(len(self.sum_nodes), self.num_sum_edges),
+            shape=(sum_nodes.size, self.num_sum_edges),
         )
-
-        # Layer of an edge = number of sum nodes strictly between its owner
-        # and the root, taking the minimum over root paths in a DAG.
-        sdepth = np.full(self.num_nodes, np.iinfo(np.int64).max, dtype=np.int64)
-        sdepth[self.root] = 0
-        for v in self.topo_order[::-1]:
-            if sdepth[v] == np.iinfo(np.int64).max:
-                continue  # unreachable from the root
-            bump = 1 if self.nodes[v].kind == SUM else 0
-            for c in self.nodes[v].children:
-                sdepth[c] = min(sdepth[c], sdepth[v] + bump)
-        self.sum_depth = sdepth
-        self.edge_layer = sdepth[self.sum_edge_owner]
-
-    def _index_levels(self) -> None:
-        sum_nodes = np.asarray(self.sum_nodes, dtype=np.int64)
-        sum_child = self.sum_edge_child = np.array([c for n in self.sum_nodes for c in self.nodes[n].children], dtype=np.int64)
-        prod_nodes = np.array([i for i, nd in enumerate(self.nodes) if nd.kind == PRODUCT], dtype=np.int64)
-        prod_seg = Segments([len(self.nodes[p].children) for p in prod_nodes])
-        prod_child = np.array([c for p in prod_nodes for c in self.nodes[p].children], dtype=np.int64)
-        sums = _LevelEdges.stacks(sum_nodes, self.sum_segments, sum_child, self._levels[sum_nodes], True)
-        prods = _LevelEdges.stacks(prod_nodes, prod_seg, prod_child, self._levels[prod_nodes], False)
+        sums = _LevelEdges.stacks(sum_nodes, seg, self.sum_edge_child, level[sum_nodes], True)
+        prod_seg, prod_child = Segments(fan_in[prod_nodes]), child[is_prod[owner]]
+        prods = _LevelEdges.stacks(prod_nodes, prod_seg, prod_child, level[prod_nodes], False)
         # (sum stacks, product stacks) per level, leaves to root
         self.level_edges: list[tuple[list[_LevelEdges], list[_LevelEdges]]] = [
             (sums.get(lv, []), prods.get(lv, [])) for lv in sorted(sums.keys() | prods.keys())
         ]
+        self._stacks = [b for level in self.level_edges for stacks in level for b in stacks]  # leaves to root
         # the edges of the singleton sum stacks, whose flows backward keeps per edge
         single = [b for level in sums.values() for b in level if b.g == 1]
         edges = np.arange(self.num_sum_edges)
@@ -406,44 +414,27 @@ class Circuit:
             raise NotATree("circuit is not tree-structured")
         if self._tree is not None:
             return self._tree
-
-        E = self.num_sum_edges
-        dfs_to_global = np.empty(E, dtype=np.int64)
-        sub_hi = np.empty(E, dtype=np.int64)
-        start = np.empty(self.num_nodes, dtype=np.int64)
-        end = np.empty(self.num_nodes, dtype=np.int64)
-        prod_nodes: list[int] = []
-        prod_blocks: list[list[tuple[int, int]]] = []
-        counter = 0
-
-        # Iterative DFS assigning each sum edge its index right before
-        # descending, so the edges inside any subtree form one contiguous DFS
-        # range.  Stack entries: (node, global edge into it or -1, leaving);
-        # a leaving entry carries the edge's DFS index instead.
-        stack = [(self.root, -1, False)]
-        while stack:
-            v, g, leaving = stack.pop()
-            node = self.nodes[v]
-            if leaving:
-                end[v] = counter
-                if g >= 0:
-                    sub_hi[g] = counter
-                if node.kind == PRODUCT:
-                    prod_nodes.append(v)
-                    prod_blocks.append([(int(start[c]), int(end[c])) for c in node.children])
-                continue
-            d = -1
-            if g >= 0:
-                d = counter
-                dfs_to_global[d] = g
-                counter += 1
-            start[v] = counter
-            stack.append((v, d, True))
-            base = self.sum_edge_offset[v] if node.kind == SUM else None
-            for slot in reversed(range(len(node.children))):
-                c = node.children[slot]
-                stack.append((c, -1 if base is None else base + slot, False))
-
+        # A DFS in slot order counts sum edges and nodes.  own: what a node
+        # adds itself (its edge from a sum parent; one node); span: what its
+        # visit adds, leaves to root; at: the counts where it begins, root to
+        # leaves, as its parent's plus its earlier siblings' spans.
+        own = np.stack([np.bincount(self.sum_edge_child, minlength=self.num_nodes), np.ones_like(self.in_degree)], 1)
+        span, at = own.copy(), np.zeros_like(own)
+        for b in self._stacks:
+            span[b.parents] += b.blocks(span[b.child]).sum(axis=1)
+        for b in reversed(self._stacks):
+            inner = b.blocks(span[b.child])
+            at[b.child] = (at[b.parents, None] + own[b.parents, None] + np.cumsum(inner, axis=1) - inner).reshape(-1, 2)
+        d = at[self.sum_edge_child, 0]  # each global edge's DFS index
+        dfs_to_global = np.argsort(d)
+        sub_hi = (d + span[self.sum_edge_child, 0])[dfs_to_global]
+        # the products in the order the DFS leaves them: by the node count at
+        # which their visit ends, the deeper first where several end at once
+        prods = np.concatenate([b.parents for _, level in self.level_edges for b in level] + [d[:0]])
+        first = at[prods, 1]
+        prod_nodes = prods[np.lexsort((-first, first + span[prods, 1]))].tolist()
+        lo, hi = at[:, 0].tolist(), (at[:, 0] + span[:, 0]).tolist()
+        prod_blocks = [[(lo[c], hi[c]) for c in self.nodes[q].children] for q in prod_nodes]
         self._tree = _TreeIndex(dfs_to_global, sub_hi, prod_nodes, prod_blocks)
         return self._tree
 
@@ -635,10 +626,10 @@ def validate(circuit: Circuit) -> ValidationReport:
                     out.violations.append(
                         Violation("non-alternating", i, f"product child {c} of product")
                     )
-    for i in range(circuit.num_nodes):
-        if i != circuit.root and not circuit.parents[i]:
+    for i in np.flatnonzero(circuit.in_degree == 0).tolist():
+        if i != circuit.root:
             out.violations.append(Violation("multiple-roots", i, "non-root node has no parent"))
-    if circuit.parents[circuit.root]:
+    if circuit.in_degree[circuit.root]:
         out.violations.append(Violation("root-has-parent", circuit.root, "root has a parent"))
     return out
 

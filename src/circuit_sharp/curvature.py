@@ -38,19 +38,11 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuit import Circuit, ParamSet
-from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace, ZeroLikelihood
+from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
 from .evaluate import EvalTrace, as_batch, forward, probe_width
-from .flows import FlowTable, backward, pull_up, push_down, stack_rows
+from .flows import FlowTable, _check_roots, backward, pull_up, push_down, stack_rows
 
 DENSE_EDGE_CAP = 5000
-
-
-def _check_roots(trace: EvalTrace) -> None:
-    """Raise ZeroLikelihood, naming the first row whose root log p is -inf:
-    log p has no derivatives there, and its flows would all read 0."""
-    dead = np.flatnonzero(np.isneginf(trace.root_log_p))
-    if dead.size:
-        raise ZeroLikelihood(f"row {dead[0]} has likelihood 0 (root log p = -inf): log p has no derivatives there")
 
 
 def _flows(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> FlowTable:

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import Circuit, ParamSet, _read_only
-from .errors import StaleTrace
+from .errors import StaleTrace, ZeroLikelihood
 from .evaluate import EvalTrace
 
 
@@ -193,9 +193,20 @@ def backward(circuit: Circuit, params: ParamSet, trace: EvalTrace) -> FlowTable:
     return FlowTable(flow, trace, single, factors)
 
 
+def _check_roots(trace: EvalTrace) -> None:
+    """Raise ZeroLikelihood, naming the first row whose root log p is -inf:
+    log p has no derivatives there, and its flows would all read 0."""
+    dead = np.flatnonzero(np.isneginf(trace.root_log_p))
+    if dead.size:
+        raise ZeroLikelihood(f"row {dead[0]} has likelihood 0 (root log p = -inf): log p has no derivatives there")
+
+
 def loglik_gradient(flows: FlowTable, params: ParamSet) -> np.ndarray:
     """Batch-summed d log P_root / d theta, one entry per global sum edge.
 
     Equal to the batch sum of F_nc(x) / theta_nc; nonnegative everywhere.
+    Raises ZeroLikelihood as _check_roots for a row of likelihood 0, which
+    would otherwise drop out of the sum unseen.
     """
+    _check_roots(flows.trace)
     return flows.edge_flow_sum / params.theta

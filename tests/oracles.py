@@ -9,12 +9,13 @@ recursions so the two routes stay independent.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from circuit_sharp import Circuit, EvalTrace, ParamSet, forward, log_likelihood
-from circuit_sharp.errors import CircuitError, NotATree
+from circuit_sharp.errors import CircuitError, CyclicGraph, NotATree
 
 
 class NotAChild(CircuitError):
@@ -122,11 +123,111 @@ def landscape_values(circuit: Circuit, params: ParamSet, data, directions, alpha
     return values
 
 
+_PARENTS: "weakref.WeakKeyDictionary[Circuit, list]" = weakref.WeakKeyDictionary()
+
+
+def parent_lists(circuit: Circuit) -> list[list[tuple[int, int]]]:
+    """Per node, its (parent, slot) pairs in node-then-slot order, by a walk
+    over circuit.nodes (kept per circuit)."""
+    if circuit not in _PARENTS:
+        parents: list[list[tuple[int, int]]] = [[] for _ in circuit.nodes]
+        for i, node in enumerate(circuit.nodes):
+            for slot, c in enumerate(node.children):
+                parents[c].append((i, slot))
+        _PARENTS[circuit] = parents
+    return _PARENTS[circuit]
+
+
 def tree_parent(circuit: Circuit, node: int) -> tuple[int, int]:
     """(parent, slot) of a node of a tree circuit, (-1, -1) at the root."""
     if not circuit.is_tree:
         raise NotATree("parent lookup requires a tree circuit")
-    return circuit.parents[node][0] if circuit.parents[node] else (-1, -1)
+    parents = parent_lists(circuit)[node]
+    return parents[0] if parents else (-1, -1)
+
+
+# -- reference walks for the circuit indexes ----------------------------------
+
+
+def kahn_levels(nodes: list) -> tuple[list[int], np.ndarray]:
+    """A children-first order by Kahn's algorithm with a LIFO queue, and each
+    node's level (leaves 0, else one above its highest child) by a walk over
+    that order; CyclicGraph if the order falls short of the nodes."""
+    parents: list[list[int]] = [[] for _ in nodes]
+    for i, node in enumerate(nodes):
+        for c in node.children:
+            parents[c].append(i)
+    remaining = [len(node.children) for node in nodes]
+    queue = [i for i in range(len(nodes)) if remaining[i] == 0]
+    topo: list[int] = []
+    while queue:
+        v = queue.pop()
+        topo.append(v)
+        for p in parents[v]:
+            remaining[p] -= 1
+            if remaining[p] == 0:
+                queue.append(p)
+    if len(topo) != len(nodes):
+        raise CyclicGraph("circuit graph contains a cycle")
+    levels = np.zeros(len(nodes), dtype=np.int64)
+    for v in topo:
+        if nodes[v].children:
+            levels[v] = 1 + max(levels[c] for c in nodes[v].children)
+    return topo, levels
+
+
+def min_sum_depth(circuit: Circuit) -> np.ndarray:
+    """Per node, the fewest sum nodes strictly above it on a root path, a
+    min over the reversed Kahn order; iinfo(int64).max where no root path
+    reaches it."""
+    far = np.iinfo(np.int64).max
+    depth = np.full(circuit.num_nodes, far, dtype=np.int64)
+    depth[circuit.root] = 0
+    for v in kahn_levels(circuit.nodes)[0][::-1]:
+        if depth[v] == far:
+            continue
+        bump = 1 if circuit.kind(v) == "sum" else 0
+        for c in circuit.nodes[v].children:
+            depth[c] = min(depth[c], depth[v] + bump)
+    return depth
+
+
+def dfs_tree_index(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, list[int], list[list[tuple[int, int]]]]:
+    """tree_index's fields by an iterative DFS from the root, children in
+    slot order: each sum edge gets its DFS index right before the DFS
+    descends along it; a product node joins prod_nodes as the DFS leaves
+    it, with its children's (start, end) DFS edge ranges."""
+    e = circuit.num_sum_edges
+    dfs_to_global = np.empty(e, dtype=np.int64)
+    sub_hi = np.empty(e, dtype=np.int64)
+    start = np.empty(circuit.num_nodes, dtype=np.int64)
+    end = np.empty(circuit.num_nodes, dtype=np.int64)
+    prod_nodes: list[int] = []
+    prod_blocks: list[list[tuple[int, int]]] = []
+    counter = 0
+    stack = [(circuit.root, -1, False)]  # (node, global edge into it or -1, leaving); leaving carries the DFS index
+    while stack:
+        v, g, leaving = stack.pop()
+        node = circuit.nodes[v]
+        if leaving:
+            end[v] = counter
+            if g >= 0:
+                sub_hi[g] = counter
+            if node.kind == "product":
+                prod_nodes.append(v)
+                prod_blocks.append([(int(start[c]), int(end[c])) for c in node.children])
+            continue
+        d = -1
+        if g >= 0:
+            d = counter
+            dfs_to_global[d] = g
+            counter += 1
+        start[v] = counter
+        stack.append((v, d, True))
+        base = circuit.sum_edge_offset[v] if node.kind == "sum" else None
+        for slot in reversed(range(len(node.children))):
+            stack.append((node.children[slot], -1 if base is None else base + slot, False))
+    return dfs_to_global, sub_hi, prod_nodes, prod_blocks
 
 
 def node_scopes(circuit: Circuit) -> list[tuple[int, ...]]:

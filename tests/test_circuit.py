@@ -19,8 +19,21 @@ from circuit_sharp.circuit import Scatter, Segments
 from circuit_sharp.structure import build_layered_dag
 from circuit_sharp.errors import CyclicGraph, InvalidParameters, MalformedFile, NotATree
 
-from oracles import PathPair, ProductPair, SumEdge, SumPair, classify_pair, edge_index, node_scopes, sum_edge
-from zoo import batch_for, dag_zoo, random_dag, random_tree, shared_child_dag, tree_zoo
+from oracles import (
+    PathPair,
+    ProductPair,
+    SumEdge,
+    SumPair,
+    classify_pair,
+    dfs_tree_index,
+    edge_index,
+    kahn_levels,
+    min_sum_depth,
+    node_scopes,
+    parent_lists,
+    sum_edge,
+)
+from zoo import batch_for, chain_hclt, dag_zoo, indicator_groups_dag, random_dag, random_tree, shared_child_dag, tree_zoo
 
 
 class TestValidate:
@@ -405,13 +418,101 @@ class TestLevelBuckets:
             np.testing.assert_allclose(circuit.sum_node_edges @ x, want, rtol=1e-14, atol=1e-15)
 
 
+def _deep_chain(depth: int = 1500) -> Circuit:
+    """A root-to-leaf chain of depth sum-over-product pairs."""
+    nodes = [leaf_node(0, "bern", [0.5])]
+    for _ in range(depth):
+        nodes.append(sum_node(len(nodes) - 1))
+        nodes.append(product_node(len(nodes) - 1))
+    return Circuit.build(nodes, len(nodes) - 1)
+
+
+FAR = np.iinfo(np.int64).max
+
+
+class TestIndexReferences:
+    """Every index that build and tree_index derive by array sweeps, field
+    by field against the walks in oracles: Kahn's order with the level max,
+    the sum depth as a min over the reversed order, and the iterative DFS."""
+
+    @staticmethod
+    def _cases():
+        circuits = [c for c, _ in tree_zoo(10) + dag_zoo(10)]
+        circuits += [shared_child_dag()[0], indicator_groups_dag()[0], _random_tree_hclt()[0]]
+        return circuits + [chain_hclt()[0], _deep_chain()]
+
+    def test_indexes_match_the_reference_walks(self):
+        trees = 0
+        for circuit in self._cases():
+            topo, levels = kahn_levels(circuit.nodes)
+            got = np.zeros(circuit.num_nodes, dtype=np.int64)  # every level from 1 up holds a parent
+            for lv, (sums, prods) in enumerate(circuit.level_edges, start=1):
+                for b in sums + prods:
+                    got[b.parents] = lv
+            np.testing.assert_array_equal(got, levels)
+            np.testing.assert_array_equal(circuit.topo_order, np.argsort(levels, kind="stable"))
+            parents = parent_lists(circuit)
+            np.testing.assert_array_equal(circuit.in_degree, [len(p) for p in parents])
+            assert circuit.is_tree == all(len(p) == (c != circuit.root) for c, p in enumerate(parents))
+            np.testing.assert_array_equal(circuit.edge_layer, min_sum_depth(circuit)[circuit.sum_edge_owner])
+            assert circuit.root_scope == node_scopes(circuit)[circuit.root]
+            if circuit.is_tree:
+                trees += 1
+                tree, (dfs_to_global, sub_hi, prod_nodes, prod_blocks) = circuit.tree_index(), dfs_tree_index(circuit)
+                np.testing.assert_array_equal(tree.dfs_to_global, dfs_to_global)
+                np.testing.assert_array_equal(tree.edge_sub_hi, sub_hi)
+                assert tree.prod_nodes == prod_nodes and tree.prod_blocks == prod_blocks
+        assert trees == 11
+
+    def test_edge_layer_takes_the_shorter_root_path(self):
+        # X (2) sits one sum node below the root through P1 (5), two through
+        # P2 (8), S (7) and Q (6)
+        nodes = [
+            leaf_node(0, "bern", [0.3]), leaf_node(0, "bern", [0.7]), sum_node(0, 1),  # 0-1, 2 X
+            leaf_node(1, "bern", [0.4]), leaf_node(1, "bern", [0.6]),  # 3-4
+            product_node(2, 3), product_node(2), sum_node(6), product_node(7, 4), sum_node(5, 8),  # 5 P1 .. 9 root
+        ]
+        circuit = Circuit.build(nodes, 9)
+        assert validate(circuit).ok and not circuit.is_tree
+        np.testing.assert_array_equal(circuit.sum_edge_owner, [2, 2, 7, 9, 9])
+        np.testing.assert_array_equal(circuit.edge_layer, [1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(circuit.edge_layer, min_sum_depth(circuit)[circuit.sum_edge_owner])
+
+    @pytest.mark.filterwarnings("error")  # the unreached depths saturate, with no overflow
+    def test_unreachable_nodes_leave_the_root_scope(self):
+        nodes = [
+            leaf_node(0, "bern", [0.4]), leaf_node(0, "bern", [0.6]), sum_node(0, 1),  # 2 root
+            leaf_node(5, "bern", [0.5]), leaf_node(5, "bern", [0.2]), sum_node(3, 4),  # 5 unreachable
+            product_node(5), sum_node(6, 6), sum_node(0, 1),  # 6-8 unreachable, 8 over the root's leaves
+        ]
+        circuit = Circuit.build(nodes, 2)
+        assert circuit.root_scope == (0,)
+        np.testing.assert_array_equal(circuit.sum_edge_owner, [2, 2, 5, 5, 7, 7, 8, 8])
+        np.testing.assert_array_equal(circuit.edge_layer, [0, 0] + [FAR] * 6)
+        assert [v.node for v in validate(circuit).violations] == [7, 8]  # the nodes with no parent
+
+    @pytest.mark.parametrize(
+        "nodes,root",
+        [
+            ([leaf_node(0, "bern", [0.5]), sum_node(1, 0)], 1),  # a self-loop
+            ([leaf_node(0, "bern", [0.5]), sum_node(0), sum_node(3, 0), product_node(2)], 1),  # 2-cycle beside the root
+        ],
+        ids=["self-loop", "two-cycle"],
+    )
+    def test_cycles_raise(self, nodes, root):
+        with pytest.raises(CyclicGraph):
+            Circuit.build(nodes, root)
+
+    @pytest.mark.parametrize("bad", [7, -1, 2**70])
+    def test_out_of_range_child_names_the_first_node(self, bad):
+        nodes = [leaf_node(0, "bern", [0.5]), sum_node(0), sum_node(0, bad), sum_node(9), sum_node(1, 2)]
+        with pytest.raises(ValueError, match=f"^node 2 has out-of-range child {bad}$"):
+            Circuit.build(nodes, 4)
+
+
 class TestTreeIndex:
     def test_deep_chain_indexes_without_touching_recursion_limit(self):
-        nodes = [leaf_node(0, "bern", [0.5])]
-        for _ in range(1500):
-            nodes.append(sum_node(len(nodes) - 1))
-            nodes.append(product_node(len(nodes) - 1))
-        circuit = Circuit.build(nodes, len(nodes) - 1)
+        circuit = _deep_chain()
         limit = sys.getrecursionlimit()
         tree = circuit.tree_index()
         assert sys.getrecursionlimit() == limit

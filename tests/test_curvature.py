@@ -14,8 +14,8 @@ from circuit_sharp.curvature import (
 )
 from circuit_sharp.errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace, ZeroLikelihood
 from circuit_sharp.evaluate import forward, probe_width
-from circuit_sharp.flows import backward
-from circuit_sharp.fd import central_diff, fd_hessian
+from circuit_sharp.flows import backward, loglik_gradient
+from circuit_sharp.fd import analytic_gradient, central_diff, fd_hessian
 
 from oracles import jacobi_eigenvalues, literal_hessian, per_sample_tree_hessian
 from zoo import (
@@ -431,15 +431,21 @@ def _penalty_from_flows(circuit, params, batch):
     return trace_penalty_gradient(circuit, params, batch, trace=trace, flows=backward(circuit, params, trace))
 
 
+def _gradient_from_flows(circuit, params, batch):
+    return loglik_gradient(backward(circuit, params, forward(circuit, params, batch)), params)
+
+
 class TestZeroLikelihood:
     """log p has no derivatives on a row of likelihood 0, and its flows would
     all read 0, so that next to good rows it would vanish from every
-    derivative: each curvature entry point raises, naming the row."""
+    derivative: each curvature entry point and the log-likelihood gradient
+    (through flows or fd.analytic_gradient, which trace --fd-check reads)
+    raise, naming the row."""
 
     @pytest.mark.parametrize(
         "entry",
         [hessian_diag, hessian_trace, edge_gradients, full_hessian_tree, hessian_operator,
-         trace_penalty_gradient, _penalty_from_flows],
+         trace_penalty_gradient, _penalty_from_flows, _gradient_from_flows, analytic_gradient],
         ids=lambda f: f.__name__,
     )
     def test_entry_points_raise_naming_the_row(self, entry):

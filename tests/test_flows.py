@@ -15,6 +15,7 @@ from oracles import (
     edge_ratios,
     push_down_table,
     sum_edge,
+    parent_lists,
     tree_parent,
     unrolled_edge_flow,
     unrolled_node_flow,
@@ -238,9 +239,10 @@ class TestSharedChildAcrossLevels:
         tree, tree_params, origin = _unroll(circuit, params)
         _, flows = run_flows(circuit, params, self.batch)
         tree_trace = forward(tree, tree_params, self.batch)
+        parents = parent_lists(circuit)
         product_parented = [
             v for v in range(circuit.num_nodes)
-            if circuit.parents[v] and all(circuit.kind(p) == "product" for p, _ in circuit.parents[v])
+            if parents[v] and all(circuit.kind(p) == "product" for p, _ in parents[v])
         ]
         assert 9 in product_parented and 8 in product_parented
         for s in range(len(self.batch)):
