@@ -6,14 +6,17 @@ built outside the timer) and one step (forward, backward and the penalty
 from their trace and flows: the trace-dag benchmark's step) on the trace-dag
 DAG (build_layered_dag(17, 79, seed=7), 16 binary rows) and the spiral RAT (RatConfig(num_vars=2, depth=1,
 seed=1), 200 training rows), then on the spiral RAT log_likelihood,
-backward, penalty, hvp, one 15-vector Hessian block product (matmat), the
-top 15 Hessian eigenvalues (nll_hessian_eigenvalues: Lanczos, about a
-hundred H v products) and diagnose-tree's 2-D 5 x 5 landscape on 5 rows, the
-chunk size of the diagnose-tree workload, where per-call overhead dominates,
-and forward, log_likelihood and backward on all 1000 spiral training rows,
-the size of an epoch's validation NLL.  Then the same eigenvalue call (there
-on the Hessian formed by one block product H I), one hvp and one matmat on
-diagnose-tree's DAG (build_layered_dag(5, 6, seed=7), 5 binary rows).
+backward, penalty, hvp, the construction of the Hessian operator (operator:
+the closed form's sparse part on this tree, the sweeps' stack rows on the
+DAG), one 15-vector Hessian block product (matmat), the top 15 Hessian
+eigenvalues (nll_hessian_eigenvalues: Lanczos, about a hundred H v
+products) and diagnose-tree's 2-D 5 x 5 landscape on 5 rows, the chunk size
+of the diagnose-tree workload, where per-call overhead dominates, and
+forward, log_likelihood and backward on all 1000 spiral training rows, the
+size of an epoch's validation NLL.  Then the same eigenvalue call (there on
+the Hessian formed by one block product H I), one hvp, the operator and one
+matmat on diagnose-tree's DAG (build_layered_dag(5, 6, seed=7), 5 binary
+rows).
 Last, the em-hclt workload's HCLT (chow_liu_tree and build_hclt with
 HcltConfig(num_latents=16, seed=7) on 1000 rows of its 16-variable
 surrogate): forward, backward and one em_step_sharp (mu=0.1, smoothing 0.5)
@@ -118,14 +121,15 @@ def passes(circuit, params, batch):
 
 
 def eigen_passes(circuit, params, batch):
-    """diagnose-tree's eigenvalue call, one hvp and one TOP_K-vector matmat
-    on one chunk."""
+    """diagnose-tree's eigenvalue call, one hvp, the operator's construction
+    and one TOP_K-vector matmat on one chunk."""
     hess = hessian_operator(circuit, params, batch)
     block = np.random.default_rng(5).standard_normal((circuit.num_sum_edges, TOP_K))
     return {
         "build": lambda: Circuit.build(circuit.nodes, circuit.root),
         "eigenvalues": lambda: nll_hessian_eigenvalues(circuit, params, batch, k=TOP_K),
         "hvp": passes(circuit, params, batch)["hvp"],
+        "operator": lambda: hessian_operator(circuit, params, batch),
         "matmat": lambda: hess @ block,
     }
 
@@ -184,7 +188,7 @@ def time_circuit(name):
     if large is not None:
         small = {**passes(circuit, params, batch[:5]), **eigen_passes(circuit, params, batch[:5])}
         small["landscape"] = lambda: landscape(circuit, params, batch[:5], mode="2d", grid_points=5, seed=1)
-        keep = ("log_likelihood", "backward", "penalty", "hvp", "matmat", "eigenvalues", "landscape")
+        keep = ("log_likelihood", "backward", "penalty", "hvp", "operator", "matmat", "eigenvalues", "landscape")
         lines.append(report(name, circuit, batch[:5], {k: small[k] for k in keep}))
         trace = forward(circuit, params, large)
         lines.append(report(name, circuit, large, {

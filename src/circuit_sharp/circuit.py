@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from types import MappingProxyType
 
 import numpy as np
@@ -410,10 +410,14 @@ class Circuit:
     # -- tree structure ------------------------------------------------------
 
     def tree_index(self) -> _TreeIndex:
+        """The tree's DFS index, built on the first call and kept."""
+        if self._tree is None:
+            self._tree = self._index_tree()
+        return self._tree
+
+    def _index_tree(self) -> _TreeIndex:
         if not self.is_tree:
             raise NotATree("circuit is not tree-structured")
-        if self._tree is not None:
-            return self._tree
         # A DFS in slot order counts sum edges and nodes.  own: what a node
         # adds itself (its edge from a sum parent; one node); span: what its
         # visit adds, leaves to root; at: the counts where it begins, root to
@@ -433,10 +437,11 @@ class Circuit:
         prods = np.concatenate([b.parents for _, level in self.level_edges for b in level] + [d[:0]])
         first = at[prods, 1]
         prod_nodes = prods[np.lexsort((-first, first + span[prods, 1]))].tolist()
-        lo, hi = at[:, 0].tolist(), (at[:, 0] + span[:, 0]).tolist()
-        prod_blocks = [[(lo[c], hi[c]) for c in self.nodes[q].children] for q in prod_nodes]
-        self._tree = _TreeIndex(dfs_to_global, sub_hi, prod_nodes, prod_blocks)
-        return self._tree
+        # each product's children's DFS edge ranges, as Python ints for the products only
+        kids = [self.nodes[q].children for q in prod_nodes]
+        flat = np.fromiter(chain.from_iterable(kids), np.int64, sum(map(len, kids)))
+        bounds = iter(zip(at[flat, 0].tolist(), (at[flat, 0] + span[flat, 0]).tolist()))
+        return _TreeIndex(dfs_to_global, sub_hi, prod_nodes, [list(islice(bounds, len(k))) for k in kids])
 
     # -- helpers -------------------------------------------------------------
 

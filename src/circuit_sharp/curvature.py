@@ -13,16 +13,22 @@ Four exact quantities, all driven by edge flows:
   algebraic simplification of the path-product expression (the chain of
   weights and product complements above q collapses to F_q * P_root); it is
   pinned by finite-difference tests before anything trusts it.  The sums
-  over samples are matrix products over the batch, not a loop.
+  over samples are matrix products over the batch, not a loop: H = -G G^T +
+  S, G the per-sample gradients [edges, samples] and S the sparse, exactly
+  symmetric sum of the product-pair blocks G_a diag(1/F_q) G_b^T and the
+  path pairs, which one helper (``_curvature``) builds from the tree index
+  for the dense Hessian and the operator alike.
 * Hessian-vector products for any circuit, tree or DAG, without forming the
-  Hessian: ``hessian_operator`` differentiates the flow recursion along v
-  (forward-over-reverse: a ``pull_up`` and a ``push_down`` over the ratio
-  table of its one backward pass, which returns the batch sums of the flow
-  tangents).  A block of vectors shares each sweep, side by side in
-  [nodes, vectors, samples] tables, and the stacks' weight and ratio rows
-  are gathered once per operator.  Lanczos in ``top_eigenvalues`` consumes
-  one vector at a time, and its residual check takes all k pairs in one
-  block.
+  Hessian.  On a tree whose S fits in ``TILE_BYTES``, ``hessian_operator``
+  holds S as a CSR matrix and G, and H V = S V - G (G^T V), one product per
+  column.  On a DAG, or a tree with a larger S, it differentiates the flow
+  recursion along v (forward-over-reverse: a ``pull_up`` and a
+  ``push_down`` over the ratio table of its one backward pass, which
+  returns the batch sums of the flow tangents); a block of vectors shares
+  each sweep, side by side in [nodes, vectors, samples] tables, and the
+  stacks' weight and ratio rows are gathered once per operator.  Lanczos in
+  ``top_eigenvalues`` consumes one vector at a time, and its residual check
+  takes all k pairs in one block.
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
 
@@ -35,14 +41,18 @@ them, and none is transposed.  ``push_down`` writes no edge table of its own.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
-from .evaluate import EvalTrace, as_batch, forward, probe_width
+from .evaluate import TILE_BYTES, EvalTrace, as_batch, forward, probe_width
 from .flows import FlowTable, _check_roots, backward, pull_up, push_down, stack_rows
 
 DENSE_EDGE_CAP = 5000
+# Bytes per entry of a tree Hessian's sparse part S, a float64 value and two
+# int32 indices: hessian_operator holds S when it fits in TILE_BYTES
+_ENTRY_BYTES = 16
 
 
 def _flows(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> FlowTable:
@@ -71,6 +81,58 @@ def hessian_diag(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.nd
     return -_flows(circuit, params, batch).edge_flow_sq_sum / params.theta**2
 
 
+def _curvature_blocks(tree) -> tuple[np.ndarray, ...]:
+    """One side of a tree Hessian's sparse part S (see ``_curvature``) as
+    blocks of DFS edge positions, [lo1, hi1) x [lo2, hi2): the two child
+    subtrees of every pair of a product's children, then each DFS edge d
+    against the edges below its child, [d, d + 1) x [d + 1, edge_sub_hi[d]).
+    Returns (lo1, hi1, lo2, hi2, product), product the index into
+    tree.prod_nodes of a product pair's product (the path pairs have none)."""
+    pairs = [(*a, *b, q) for q, kids in enumerate(tree.prod_blocks) for i, a in enumerate(kids) for b in kids[i + 1 :]]
+    q_lo1, q_hi1, q_lo2, q_hi2, product = np.array(pairs, dtype=np.int64).reshape(-1, 5).T
+    d = np.arange(tree.edge_sub_hi.size)
+    paths = (d, d + 1, d + 1, tree.edge_sub_hi)
+    return (*(np.concatenate(x) for x in zip((q_lo1, q_hi1, q_lo2, q_hi2), paths)), product)
+
+
+def _curvature_size(blocks) -> int:
+    """Entries of S, both sides, from its blocks."""
+    lo1, hi1, lo2, hi2, _ = blocks
+    return 2 * int(((hi1 - lo1) * (hi2 - lo2)).sum())
+
+
+def _curvature(tree, blocks, g: np.ndarray, node_flow: np.ndarray, theta: np.ndarray):
+    """One side of the sparse part S of a tree's batch-summed Hessian H =
+    -G G^T + S, as (rows, cols, values) in the global edge order, from the
+    tree's blocks (``_curvature_blocks``) and the per-sample gradients G
+    [edges, samples]: each product-pair block G_a diag(1/F_q) G_b^T, F_q the
+    node flow of the deepest common product, and each nested path pair
+    sum_x g_deep / theta_shallow, as (shallow, deep).  S is these entries
+    and their mirror images (cols, rows, values): no two of them share a
+    position, and S is exactly symmetric."""
+    lo1, hi1, lo2, hi2, product = blocks
+    # every block's entries row by row: the t-th entry of a block of width w is (lo1 + t // w, lo2 + t % w)
+    width = hi2 - lo2
+    size = (hi1 - lo1) * width
+    t = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    width = np.repeat(width, size)
+    rows = tree.dfs_to_global[np.repeat(lo1, size) + t // width]
+    cols = tree.dfs_to_global[np.repeat(lo2, size) + t % width]
+    vals = np.empty(rows.size)
+
+    # dead subtree (F_q < 1e-250): g below q scales with F_q, so the
+    # correction g g' / F_q vanishes in the limit; weight 0 before 1/F_q overflows
+    fq = node_flow[tree.prod_nodes]
+    inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
+    g_dfs = g[tree.dfs_to_global]  # every child subtree is a row slice
+    at = 0
+    for a, b, c, d, q in zip(*(x[: product.size].tolist() for x in blocks)):
+        np.matmul(g_dfs[a:b] * inv[q], g_dfs[c:d].T, out=vals[at : at + (b - a) * (d - c)].reshape(b - a, d - c))
+        at += (b - a) * (d - c)
+    np.divide(g.sum(axis=1)[cols[at:]], theta[rows[at:]], out=vals[at:])
+    return rows, cols, vals
+
+
 def full_hessian_tree(
     circuit: Circuit,
     params: ParamSet,
@@ -80,75 +142,100 @@ def full_hessian_tree(
     """Dense, batch-summed log-likelihood Hessian of a tree circuit.
 
     Assembled from batch-level products of the per-sample gradients G [edges,
-    samples]: the base term -G G^T covers all sum pairs and the diagonal, each
-    product-pair block adds G_a diag(1/F_q) G_b^T, and nested path pairs add
-    sum_x g_deep / theta_shallow.  Every entry gets at most one correction, the
-    same on both sides of the diagonal, so the result is exactly symmetric.
-    Pass a single-row batch for a per-sample Hessian.
+    samples]: the base term -G G^T covers all sum pairs and the diagonal, and
+    the entries of the sparse part S (``_curvature``: product-pair blocks
+    G_a diag(1/F_q) G_b^T and nested path pairs sum_x g_deep / theta_shallow)
+    are added to it.  Every entry gets at most one correction, the same on
+    both sides of the diagonal, so the result is exactly symmetric.  Pass a
+    single-row batch for a per-sample Hessian.
     """
     if not circuit.is_tree:
         raise NotATree("dense Hessians exist in closed form only for tree circuits")
     e = circuit.num_sum_edges
     if e > cap:
         raise CostGuardExceeded(f"{e} sum edges exceeds dense Hessian cap {cap}")
-    tree = circuit.tree_index()
-
     g, flows = edge_gradients(circuit, params, batch)
     hess = g @ g.T  # numpy's product of a matrix with its own transpose is exactly symmetric
     np.negative(hess, out=hess)
-    order = tree.dfs_to_global
-
-    # dead subtree (F_q < 1e-250): g below q scales with F_q, so the
-    # correction g g' / F_q vanishes in the limit; weight 0 before 1/F_q overflows
-    fq = flows.node_flow[tree.prod_nodes]
-    inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
-    g_dfs = g[order]  # every child subtree is a row slice
-    for w, blocks in zip(inv, tree.prod_blocks):
-        for a, (lo1, hi1) in enumerate(blocks):
-            ia = order[lo1:hi1]
-            gw = g_dfs[lo1:hi1] * w
-            for lo2, hi2 in blocks[a + 1 :]:
-                ib = order[lo2:hi2]
-                corr = gw @ g_dfs[lo2:hi2].T
-                hess[np.ix_(ia, ib)] += corr
-                hess[np.ix_(ib, ia)] += corr.T
-
-    # path pairs: DFS edge d against each DFS edge below its child, [d + 1, hi_d)
-    lo = np.arange(1, e + 1)
-    size = tree.edge_sub_hi - lo
-    shallow = np.repeat(np.arange(e), size)
-    deep = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-    shallow, deep = order[shallow], order[deep]
-    corr = g.sum(axis=1)[deep] / params.theta[shallow]
-    hess[deep, shallow] += corr
-    hess[shallow, deep] += corr
+    tree = circuit.tree_index()
+    rows, cols, vals = _curvature(tree, _curvature_blocks(tree), g, flows.node_flow, params.theta)
+    hess[rows, cols] += vals
+    hess[cols, rows] += vals
     return hess
 
 
 def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> LinearOperator:
     """Exact batch-summed log-likelihood Hessian as a symmetric E x E operator.
 
-    Each H v is forward-over-reverse (Pearlmutter 1994) through the compiled
-    levels, over the ratio table of the one backward pass made here:
-    ``pull_up`` with edge source v / theta gives the tangents t = d log p
-    along v, then ``push_down`` carries the flow tangents dF down with the
-    per-edge source F_e (v / theta + t_c - t_n) and returns sum_x dF_e, and
-    H v = (sum_x dF_e - sum_x F_e v / theta) / theta.  H V for a block of
-    vectors carries up to ``probe_width`` of them through each sweep, side
-    by side; each column equals its own H v bit for bit, and H v is the
-    one-column case.  Works for trees and DAGs alike; raises ZeroLikelihood
-    for a row of likelihood 0, and ValueError for a v that is not E finite
-    values, or a V that is not E rows of them.
+    On a tree whose sparse part S (see ``full_hessian_tree``) fits in
+    ``TILE_BYTES`` as two int32 indices and one value per entry, the
+    operator holds S as a CSR matrix and the per-sample gradients G, and H V
+    = S V - G (G^T V), the closed form's split, with one matrix product per
+    column.  Otherwise (DAGs, and trees with a larger S) each H v is
+    forward-over-reverse (Pearlmutter 1994) through the compiled levels, over
+    the ratio table of the one backward pass made here: ``pull_up`` with edge
+    source v / theta gives the tangents t = d log p along v, then
+    ``push_down`` carries the flow tangents dF down with the per-edge source
+    F_e (v / theta + t_c - t_n) and returns sum_x dF_e, and H v = (sum_x dF_e
+    - sum_x F_e v / theta) / theta; a block of vectors goes through each
+    sweep up to ``probe_width`` at a time, side by side.  On either route
+    each column of H V equals its own H v bit for bit, and H v is the
+    one-column case.  Raises ZeroLikelihood for a row of likelihood 0, and
+    ValueError for a v that is not E finite values, or a V that is not E
+    rows of them.
     """
-    theta = params.theta
     flows = _flows(circuit, params, batch)
+    e = params.theta.size
+    # the operator's own tree index (0.4 ms on the 2110-edge RAT), freed
+    # with it: an index cached on the circuit here would outlive the call
+    # amid its temporaries and keep the heap from shrinking below it
+    tree = circuit._index_tree() if circuit.is_tree else None
+    blocks = None if tree is None else _curvature_blocks(tree)
+    if blocks is not None and _ENTRY_BYTES * _curvature_size(blocks) <= TILE_BYTES:
+        products = _closed_form_products(tree, blocks, params, flows)
+    else:
+        products = _sweep_products(circuit, params, flows)
+
+    def matmat(v):
+        u = np.asarray(v, dtype=float)
+        if u.ndim != 2 or u.shape[0] != e or not np.all(np.isfinite(u)):
+            raise ValueError(f"V must be {e} rows of finite values, got shape {np.shape(v)}")
+        return products(u)
+
+    def matvec(v):
+        return matmat(np.reshape(v, (-1, 1)))[:, 0]
+
+    return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, matmat=matmat, rmatmat=matmat, dtype=float)
+
+
+def _closed_form_products(tree, blocks, params: ParamSet, flows: FlowTable):
+    """H V = S V - G (G^T V) on a tree: S as CSR, whose product takes each
+    column on its own, and G^T V and G (G^T V) as stacks of matrix-vector
+    products, one per column (``np.matmul`` over the columns as its batch
+    axis)."""
+    g = flows.edge_flow / params.theta[:, None]
+    rows, cols, vals = _curvature(tree, blocks, g, flows.node_flow, params.theta)
+    both = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    s = scipy.sparse.csr_array((np.concatenate((vals, vals)), both), shape=(g.shape[0],) * 2)
+
+    def products(u):
+        columns = np.ascontiguousarray(u.T)[:, :, None]  # [vectors, edges, 1]
+        return s @ u - np.matmul(g, np.matmul(g.T, columns))[:, :, 0].T
+
+    return products
+
+
+def _sweep_products(circuit: Circuit, params: ParamSet, flows: FlowTable):
+    """H V by forward-over-reverse sweeps, up to ``probe_width`` vectors
+    side by side per sweep."""
+    theta = params.theta
     fe = flows.edge_flow
     fe_sum = fe.sum(axis=1)[:, None]
-    (nodes, n), e = flows.node_flow.shape, theta.size
+    (nodes, n) = flows.node_flow.shape
     width = probe_width(circuit, n)
     rows = stack_rows(circuit, theta, flows.ratio)
 
-    def products(u):
+    def block(u):
         t = np.zeros((nodes, u.shape[1], n))
         pull_up(circuit, rows, t, u[:, :, None])
         source = u[:, :, None] + t.take(circuit.sum_edge_child, axis=0)
@@ -157,20 +244,14 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
         dfe_sum = push_down(circuit, rows, np.zeros(t.shape), source)
         return (dfe_sum - fe_sum * u) / theta[:, None]
 
-    def matmat(v):
-        u = np.asarray(v, dtype=float)
-        if u.ndim != 2 or u.shape[0] != e or not np.all(np.isfinite(u)):
-            raise ValueError(f"V must be {e} rows of finite values, got shape {np.shape(v)}")
-        u = u / theta[:, None]
+    def products(v):
+        u = v / theta[:, None]
         out = np.empty(u.shape)
         for lo in range(0, u.shape[1], width):
-            out[:, lo : lo + width] = products(u[:, lo : lo + width])
+            out[:, lo : lo + width] = block(u[:, lo : lo + width])
         return out
 
-    def matvec(v):
-        return matmat(np.reshape(v, (-1, 1)))[:, 0]
-
-    return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, matmat=matmat, rmatmat=matmat, dtype=float)
+    return products
 
 
 def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: float = 1e-8) -> np.ndarray:

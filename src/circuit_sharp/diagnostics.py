@@ -7,8 +7,9 @@ the simplex before evaluation, so every probed point is a valid circuit.
 The grid points are evaluated in chunks of ``evaluate.probe_width``, one
 ``evaluate.probe_log_likelihood`` sweep per chunk, which gives every point
 the value of its own ``log_likelihood`` bit for bit.  Hessian eigenvalues
-come from ``curvature.top_eigenvalues`` on the exact Hessian operator, or
-on the matrix it forms by a few block products when that is cheaper.
+come from ``curvature.top_eigenvalues`` on the exact Hessian operator, or,
+for a DAG, on the matrix it forms by a few block products when that is
+cheaper.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from .curvature import hessian_operator, top_eigenvalues
 from .errors import ZeroTrainNLL
 from .evaluate import as_batch, log_likelihood, probe_log_likelihood, probe_width
 
-# Most block products that nll_hessian_eigenvalues spends forming the Hessian
-# as a matrix: at k = 15, from 1 to 1000 rows, forming it and running Lanczos
-# on the matrix beats Lanczos's one-vector sweeps up to 4 blocks, ties at 6-7
-# and loses from 11 (timings in CHANGES.md).
+# Most block products that nll_hessian_eigenvalues spends forming a DAG's
+# Hessian as a matrix: at k = 15, from 1 to 1000 rows, forming it and running
+# Lanczos on the matrix beats Lanczos's one-vector sweeps up to 4 blocks, ties
+# at 6-7 and loses from 11.  A tree's products take the closed form, which
+# Lanczos on the matrix does not beat at any size measured (148 to 2110
+# edges, 1 to 100 rows), so trees never form it, not even the rare ones whose
+# sparse part is past the closed form's bound (timings in CHANGES.md).
 DENSE_BLOCKS = 4
 
 
@@ -124,13 +128,13 @@ def nll_hessian_eigenvalues(
     """Top-k eigenvalues of the batch NLL Hessian (positive at sharp minima).
 
     Lanczos on exact Hessian-vector products (``curvature.hessian_operator``)
-    for trees and DAGs alike.  When the matrix H I takes at most DENSE_BLOCKS
-    block products of ``probe_width`` vectors, Lanczos runs on that matrix
-    instead, with the same values up to rounding.
+    for trees and DAGs alike.  When a DAG's matrix H I takes at most
+    DENSE_BLOCKS block products of ``probe_width`` vectors, Lanczos runs on
+    that matrix instead, with the same values up to rounding.
     """
     h = -hessian_operator(circuit, params, batch)
     e = circuit.num_sum_edges
-    if -(-e // probe_width(circuit, as_batch(circuit, batch).shape[0])) <= DENSE_BLOCKS:
+    if not circuit.is_tree and -(-e // probe_width(circuit, as_batch(circuit, batch).shape[0])) <= DENSE_BLOCKS:
         h = h @ np.eye(e)
     return top_eigenvalues(h, k)
 

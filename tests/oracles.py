@@ -467,6 +467,44 @@ def per_sample_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarra
     return hess[np.ix_(inv_perm, inv_perm)]
 
 
+def in_place_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
+    """Dense batch-summed tree Hessian assembled in place: -G G^T, then each
+    product-pair block added through np.ix_ and its transpose, then the path
+    pairs by fancy index.  The same products as curvature.full_hessian_tree,
+    each entry corrected at most once, so the two agree bit for bit."""
+    from circuit_sharp.curvature import edge_gradients
+
+    tree = circuit.tree_index()
+    e = circuit.num_sum_edges
+    g, flows = edge_gradients(circuit, params, batch)
+    hess = g @ g.T
+    np.negative(hess, out=hess)
+    order = tree.dfs_to_global
+
+    fq = flows.node_flow[tree.prod_nodes]
+    inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
+    g_dfs = g[order]
+    for w, blocks in zip(inv, tree.prod_blocks):
+        for a, (lo1, hi1) in enumerate(blocks):
+            ia = order[lo1:hi1]
+            gw = g_dfs[lo1:hi1] * w
+            for lo2, hi2 in blocks[a + 1 :]:
+                ib = order[lo2:hi2]
+                corr = gw @ g_dfs[lo2:hi2].T
+                hess[np.ix_(ia, ib)] += corr
+                hess[np.ix_(ib, ia)] += corr.T
+
+    lo = np.arange(1, e + 1)
+    size = tree.edge_sub_hi - lo
+    shallow = np.repeat(np.arange(e), size)
+    deep = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+    shallow, deep = order[shallow], order[deep]
+    corr = g.sum(axis=1)[deep] / params.theta[shallow]
+    hess[deep, shallow] += corr
+    hess[shallow, deep] += corr
+    return hess
+
+
 def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 60, tol: float = 1e-14) -> np.ndarray:
     """Classic cyclic Jacobi rotation eigensolver for symmetric matrices."""
     a = np.array(matrix, dtype=float)

@@ -17,7 +17,7 @@ from circuit_sharp.evaluate import forward, probe_width
 from circuit_sharp.flows import backward, loglik_gradient
 from circuit_sharp.fd import analytic_gradient, central_diff, fd_hessian
 
-from oracles import jacobi_eigenvalues, literal_hessian, per_sample_tree_hessian
+from oracles import in_place_tree_hessian, jacobi_eigenvalues, literal_hessian, per_sample_tree_hessian
 from zoo import (
     INDICATOR_ROWS,
     batch_for,
@@ -142,11 +142,7 @@ class TestFullTreeHessian:
             assert np.abs(h - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_dead_product_subtree_adds_no_correction(self):
-        # Bernoulli leaves with mean 0 are dead wherever they read 1, and so
-        # are the products above them (F_q = 0), while the root stays alive
-        circuit, params = random_tree(41, max_depth=3)
-        batch = batch_for(circuit, 5, 3)
-        params.bern[:] = np.where(np.arange(params.bern.size) % 2, 0.0, params.bern)
+        circuit, params, batch = dead_subtree_case()
         tree = circuit.tree_index()
         trace = forward(circuit, params, batch)
         fq = backward(circuit, params, trace).node_flow[tree.prod_nodes]
@@ -155,6 +151,47 @@ class TestFullTreeHessian:
         ref = per_sample_tree_hessian(circuit, params, batch)
         assert np.all(np.isfinite(h))
         assert np.abs(h - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+    def test_bit_identical_to_the_in_place_assembly(self):
+        """-G G^T plus the entries of the shared sparse part S equals the
+        assembly that adds each block in place, bit for bit."""
+        cases = [(c, p, batch_for(c, 7, c.num_sum_edges)) for c, p in tree_zoo(12, max_edges=400)]
+        rat = spiral_rat()
+        cases += [(*rat, batch_for(rat[0], 5, 1)), dead_subtree_case()]
+        for circuit, params, batch in cases:
+            np.testing.assert_array_equal(
+                full_hessian_tree(circuit, params, batch), in_place_tree_hessian(circuit, params, batch)
+            )
+
+
+def dead_subtree_case():
+    """Bernoulli leaves with mean 0 are dead wherever they read 1, and so are
+    the products above them (F_q = 0), while the root stays alive."""
+    circuit, params = random_tree(41, max_depth=3)
+    params.bern[:] = np.where(np.arange(params.bern.size) % 2, 0.0, params.bern)
+    return circuit, params, batch_for(circuit, 5, 3)
+
+
+def wide_tree(edges: int = 6000):
+    """A root sum over `edges` Bernoulli leaves: past full_hessian_tree's edge
+    cap, with an empty sparse part S."""
+    from circuit_sharp import Circuit, ParamSet, leaf_node, sum_node
+
+    nodes = [leaf_node(0, "bern", [m]) for m in np.linspace(0.1, 0.9, edges)] + [sum_node(*range(edges))]
+    circuit = Circuit.build(nodes, edges)
+    return circuit, ParamSet.uniform(circuit, np.random.default_rng(0))
+
+
+def record_routes(monkeypatch) -> list:
+    """Patch hessian_operator's two routes to append their names to the
+    returned list when an operator is built."""
+    import circuit_sharp.curvature as curvature
+
+    taken = []
+    for name in ("_closed_form_products", "_sweep_products"):
+        route = getattr(curvature, name)
+        monkeypatch.setattr(curvature, name, lambda *a, _route=route, _name=name: taken.append(_name) or _route(*a))
+    return taken
 
 
 class TestHessianOperator:
@@ -236,23 +273,73 @@ class TestHessianOperator:
         top_eigenvalues(op, 2)
         assert calls == {"_edge_rows": 2 * len(stacks), "backward": 1}
 
+    def test_tree_route_matches_the_sweeps(self, monkeypatch):
+        """On a tree whose sparse part S fits TILE_BYTES, H V is the closed
+        form S V - G (G^T V); it matches the sweeps (forced by a negative
+        bound) within 1e-12 relative.  The wide tree is past
+        full_hessian_tree's edge cap, which the operator does not share."""
+        import circuit_sharp.curvature as curvature
+
+        rng = np.random.default_rng(4)
+        trees = tree_zoo(12) + [spiral_rat(), random_tree(60), wide_tree()]
+        cases = [(c, p, batch_for(c, 5, seed)) for seed, (c, p) in enumerate(trees)]
+        with pytest.raises(CostGuardExceeded):
+            full_hessian_tree(*cases[-1])
+        taken = record_routes(monkeypatch)
+        for circuit, params, batch in cases:
+            v = rng.standard_normal((circuit.num_sum_edges, 3))
+            closed = hessian_operator(circuit, params, batch) @ v
+            with monkeypatch.context() as m:
+                m.setattr(curvature, "TILE_BYTES", -1)
+                sweeps = hessian_operator(circuit, params, batch) @ v
+            assert taken[-2:] == ["_closed_form_products", "_sweep_products"]
+            assert np.abs(closed - sweeps).max() <= 1e-12 * np.abs(sweeps).max()
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_bound_holds_a_sparse_part_that_just_fits(self, monkeypatch, spare):
+        """The closed form needs 16 bytes per entry of S within TILE_BYTES:
+        the spiral RAT's 28,200 entries take it at 451,200 bytes, not one
+        byte fewer."""
+        import circuit_sharp.curvature as curvature
+
+        circuit, params = spiral_rat()
+        size = curvature._curvature_size(curvature._curvature_blocks(circuit.tree_index()))
+        assert size == 28200
+        monkeypatch.setattr(curvature, "TILE_BYTES", 16 * size + spare)
+        taken = record_routes(monkeypatch)
+        hessian_operator(circuit, params, batch_for(circuit, 2, 1))
+        assert taken == ["_closed_form_products" if spare == 0 else "_sweep_products"]
+
+    def test_tree_past_the_bound_takes_the_sweeps(self, monkeypatch):
+        """RatConfig(num_vars=4, depth=1) has a sparse part of 9.5 M entries,
+        far past TILE_BYTES: its operator sweeps, and is symmetric."""
+        from circuit_sharp.structure import RatConfig, build_rat
+
+        circuit, params = build_rat(RatConfig(num_vars=4, depth=1, seed=1))
+        taken = record_routes(monkeypatch)
+        op = hessian_operator(circuit, params, batch_for(circuit, 2, 5))
+        assert taken == ["_sweep_products"]
+        u, v = np.random.default_rng(5).standard_normal((2, circuit.num_sum_edges))
+        uhv, vhu = u @ (op @ v), v @ (op @ u)
+        assert abs(uhv - vhu) <= 1e-12 * max(abs(uhv), abs(vhu))
+
     @pytest.mark.parametrize("bad", ["short", "long", "row", "nan", "inf", "nan_block", "tall_block"])
     def test_rejects_malformed_vectors(self, bad):
-        circuit, params = random_dag(63)
-        op = hessian_operator(circuit, params, batch_for(circuit, 3, 0))
-        e = circuit.num_sum_edges
-        v = {
-            "short": np.ones(e - 1),
-            "long": np.ones(e + 1),
-            "row": np.ones((1, e)),
-            "nan": np.where(np.arange(e) == 2, np.nan, 1.0),
-            "inf": np.where(np.arange(e) == 0, -np.inf, 1.0),
-            "nan_block": np.where(np.arange(3 * e).reshape(e, 3) == 4, np.nan, 1.0),
-            "tall_block": np.ones((e + 1, 3)),
-        }[bad]
-        with pytest.raises(ValueError):
-            op @ v
-
+        """On a DAG (the sweeps) and a tree (the closed form) alike."""
+        for circuit, params in (random_dag(63), random_tree(63)):
+            op = hessian_operator(circuit, params, batch_for(circuit, 3, 0))
+            e = circuit.num_sum_edges
+            v = {
+                "short": np.ones(e - 1),
+                "long": np.ones(e + 1),
+                "row": np.ones((1, e)),
+                "nan": np.where(np.arange(e) == 2, np.nan, 1.0),
+                "inf": np.where(np.arange(e) == 0, -np.inf, 1.0),
+                "nan_block": np.where(np.arange(3 * e).reshape(e, 3) == 4, np.nan, 1.0),
+                "tall_block": np.ones((e + 1, 3)),
+            }[bad]
+            with pytest.raises(ValueError):
+                op @ v
 
 class TestTopEigenvalues:
     def test_two_by_two_invariants(self):
@@ -452,6 +539,20 @@ class TestZeroLikelihood:
         for circuit, params, batch, row in zero_likelihood_cases():
             with pytest.raises(ZeroLikelihood, match=f"^row {row} has likelihood 0"):
                 entry(circuit, params, batch)
+
+    @pytest.mark.parametrize("tile_bytes", [None, -1], ids=["closed_form", "sweeps"])
+    def test_operator_raises_on_either_tree_route(self, monkeypatch, tile_bytes):
+        """The zero-likelihood cases are trees: their operators raise before
+        either route, the closed form or the sweeps (forced by a negative
+        bound)."""
+        import circuit_sharp.curvature as curvature
+
+        if tile_bytes is not None:
+            monkeypatch.setattr(curvature, "TILE_BYTES", tile_bytes)
+        for circuit, params, batch, row in zero_likelihood_cases():
+            assert circuit.is_tree
+            with pytest.raises(ZeroLikelihood, match=f"^row {row} has likelihood 0"):
+                hessian_operator(circuit, params, batch)
 
     def test_trace_of_no_rows_is_positive_zero(self):
         tr = hessian_trace(*spiral_rat(), np.zeros((0, 2)))

@@ -123,6 +123,22 @@ class TestLandscape:
         assert np.argmin(grid.values) == 10  # converged point sits at the center
 
 
+def record_eigsh(monkeypatch) -> list:
+    """Patch the eigensolver to append the type of each matrix it is given
+    to the returned list."""
+    import circuit_sharp.curvature as curvature
+
+    runs, solve = [], curvature.eigsh
+    monkeypatch.setattr(curvature, "eigsh", lambda h, *a, **kw: runs.append(type(h)) or solve(h, *a, **kw))
+    return runs
+
+
+def top_magnitudes(matrix: np.ndarray, k: int) -> np.ndarray:
+    """The k largest-magnitude eigenvalues of a symmetric matrix, by eigvalsh."""
+    vals = np.linalg.eigvalsh(matrix)
+    return vals[np.argsort(-np.abs(vals))][:k]
+
+
 class TestEigenDiagnostics:
     def test_tree_route_matches_dense(self):
         circuit, params = random_tree(210)
@@ -171,26 +187,38 @@ class TestEigenDiagnostics:
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_routes_either_side_of_the_dense_blocks(self, monkeypatch, dense):
-        """A Hessian that takes DENSE_BLOCKS block products to form is
+        """A DAG Hessian that takes DENSE_BLOCKS block products to form is
         formed as a matrix before Lanczos, and one that takes one more is
-        not; both match eigvalsh of the dense tree Hessian."""
-        import circuit_sharp.curvature as curvature
+        not; both match eigvalsh of the Hessian the operator forms."""
         import circuit_sharp.diagnostics as diagnostics
-        from circuit_sharp.curvature import full_hessian_tree
+        from circuit_sharp.curvature import hessian_operator
         from circuit_sharp.evaluate import probe_width
+        from circuit_sharp.structure import build_layered_dag
 
-        circuit, params = random_tree(64)
-        batch = batch_for(circuit, 64, 4)
+        circuit, params = build_layered_dag(5, 6, seed=3)
+        batch = batch_for(circuit, 6, 4)
         blocks = -(-circuit.num_sum_edges // probe_width(circuit, len(batch)))
-        assert blocks > 1
+        assert blocks > 1 and not circuit.is_tree
         monkeypatch.setattr(diagnostics, "DENSE_BLOCKS", blocks if dense else blocks - 1)
-        runs = []
-        solve = curvature.eigsh
-        monkeypatch.setattr(curvature, "eigsh", lambda h, *a, **kw: runs.append(type(h)) or solve(h, *a, **kw))
+        runs = record_eigsh(monkeypatch)
         got = nll_hessian_eigenvalues(circuit, params, batch, k=6)
         assert len(runs) == 1 and (runs[0] is np.ndarray) == dense
-        want = np.linalg.eigvalsh(-full_hessian_tree(circuit, params, batch))
-        want = want[np.argsort(-np.abs(want))][:6]
+        want = top_magnitudes(-(hessian_operator(circuit, params, batch) @ np.eye(circuit.num_sum_edges)), 6)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+
+    def test_trees_run_lanczos_on_the_operator(self, monkeypatch):
+        """A tree never forms its Hessian as a matrix, whatever DENSE_BLOCKS
+        allows: Lanczos on the closed form's products is the faster route."""
+        import circuit_sharp.diagnostics as diagnostics
+        from circuit_sharp.curvature import full_hessian_tree
+
+        circuit, params = random_tree(64)
+        batch = batch_for(circuit, 4, 4)
+        monkeypatch.setattr(diagnostics, "DENSE_BLOCKS", 10**9)
+        runs = record_eigsh(monkeypatch)
+        got = nll_hessian_eigenvalues(circuit, params, batch, k=6)
+        assert len(runs) == 1 and runs[0] is not np.ndarray
+        want = top_magnitudes(-full_hessian_tree(circuit, params, batch), 6)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
 
     def test_csv_format(self, tmp_path):
