@@ -168,7 +168,7 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     """Exact batch-summed log-likelihood Hessian as a symmetric E x E operator.
 
     On a tree whose sparse part S (see ``full_hessian_tree``) fits in
-    ``TILE_BYTES`` as two int32 indices and one value per entry, the
+    ``TILE_BYTES`` at 16 bytes an entry (a value and two int32 indices), the
     operator holds S as a CSR matrix and the per-sample gradients G, and H V
     = S V - G (G^T V), the closed form's split, with one matrix product per
     column.  Otherwise (DAGs, and trees with a larger S) each H v is
@@ -214,9 +214,14 @@ def _closed_form_products(tree, blocks, params: ParamSet, flows: FlowTable):
     products, one per column (``np.matmul`` over the columns as its batch
     axis)."""
     g = flows.edge_flow / params.theta[:, None]
+    e = g.shape[0]
     rows, cols, vals = _curvature(tree, blocks, g, flows.node_flow, params.theta)
-    both = np.concatenate((rows, cols)), np.concatenate((cols, rows))
-    s = scipy.sparse.csr_array((np.concatenate((vals, vals)), both), shape=(g.shape[0],) * 2)
+    # CSR arrays sorted here: scipy's COO conversion would also look for
+    # duplicates, which S does not have
+    rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=e))))
+    s = scipy.sparse.csr_array((np.concatenate((vals, vals))[by_row], cols[by_row], indptr), shape=(e, e))
 
     def products(u):
         columns = np.ascontiguousarray(u.T)[:, :, None]  # [vectors, edges, 1]

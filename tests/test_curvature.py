@@ -142,22 +142,28 @@ class TestFullTreeHessian:
             assert np.abs(h - ref).max() <= 1e-10 * np.abs(ref).max()
 
     def test_dead_product_subtree_adds_no_correction(self):
-        circuit, params, batch = dead_subtree_case()
-        tree = circuit.tree_index()
-        trace = forward(circuit, params, batch)
-        fq = backward(circuit, params, trace).node_flow[tree.prod_nodes]
-        assert np.any(fq == 0.0) and np.all(np.isfinite(trace.root_log_p))
-        h = full_hessian_tree(circuit, params, batch)
-        ref = per_sample_tree_hessian(circuit, params, batch)
-        assert np.all(np.isfinite(h))
-        assert np.abs(h - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+        """The dense Hessian and the operator's products stay finite and
+        match the per-sample sum, which skips dead products."""
+        for circuit, params, batch in (dead_subtree_case(), dead_pair_case()):
+            tree = circuit.tree_index()
+            trace = forward(circuit, params, batch)
+            fq = backward(circuit, params, trace).node_flow[tree.prod_nodes]
+            assert np.any(fq == 0.0) and np.all(np.isfinite(trace.root_log_p))
+            h = full_hessian_tree(circuit, params, batch)
+            ref = per_sample_tree_hessian(circuit, params, batch)
+            assert np.all(np.isfinite(h))
+            assert np.abs(h - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+            v = np.random.default_rng(2).standard_normal(circuit.num_sum_edges)
+            assert np.abs(hessian_operator(circuit, params, batch) @ v - ref @ v).max() <= 1e-10 * max(
+                1.0, np.abs(ref @ v).max()
+            )
 
     def test_bit_identical_to_the_in_place_assembly(self):
         """-G G^T plus the entries of the shared sparse part S equals the
         assembly that adds each block in place, bit for bit."""
         cases = [(c, p, batch_for(c, 7, c.num_sum_edges)) for c, p in tree_zoo(12, max_edges=400)]
         rat = spiral_rat()
-        cases += [(*rat, batch_for(rat[0], 5, 1)), dead_subtree_case()]
+        cases += [(*rat, batch_for(rat[0], 5, 1)), dead_subtree_case(), dead_pair_case()]
         for circuit, params, batch in cases:
             np.testing.assert_array_equal(
                 full_hessian_tree(circuit, params, batch), in_place_tree_hessian(circuit, params, batch)
@@ -170,6 +176,22 @@ def dead_subtree_case():
     circuit, params = random_tree(41, max_depth=3)
     params.bern[:] = np.where(np.arange(params.bern.size) % 2, 0.0, params.bern)
     return circuit, params, batch_for(circuit, 5, 3)
+
+
+def dead_pair_case():
+    """A root sum over two products of two sums each.  On rows with x0 = 1
+    the first product's left sum reads two Bernoulli leaves of mean 0, so
+    that product is dead (F_q = 0) above a product pair with sum edges on
+    both sides, whose weight 1/F_q must be 0; the root stays alive through
+    the second product."""
+    from circuit_sharp import Circuit, ParamSet, leaf_node, product_node, sum_node
+
+    bern = [leaf_node(v, "bern", [m]) for v, m in ((0, 0.0), (0, 0.0), (1, 0.3), (1, 0.7))]
+    bern += [leaf_node(v, "bern", [m]) for v, m in ((0, 0.5), (0, 0.9), (1, 0.2), (1, 0.6))]
+    nodes = bern + [sum_node(0, 1), sum_node(2, 3), sum_node(4, 5), sum_node(6, 7)]
+    nodes += [product_node(8, 9), product_node(10, 11), sum_node(12, 13)]
+    circuit = Circuit.build(nodes, 14)
+    return circuit, ParamSet.uniform(circuit, np.random.default_rng(1)), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
 def wide_tree(edges: int = 6000):
