@@ -9,9 +9,10 @@ seed=1), 200 training rows), then on the spiral RAT log_likelihood,
 backward, penalty, hvp, the construction of the Hessian operator (operator:
 the closed form's sparse part on this tree, the sweeps' stack rows on the
 DAG), one 15-vector Hessian block product (matmat), the top 15 Hessian
-eigenvalues (nll_hessian_eigenvalues: Lanczos, about a hundred H v
-products) and diagnose-tree's 2-D 5 x 5 landscape on 5 rows, the chunk size
-of the diagnose-tree workload, where per-call overhead dominates, and
+eigenvalues (nll_hessian_eigenvalues: Lanczos, about sixty H v products,
+whose count is printed after its times) and diagnose-tree's 2-D 5 x 5
+landscape on 5 rows, the chunk size of the diagnose-tree workload, where
+per-call overhead dominates, and
 forward, log_likelihood and backward on all 1000 spiral training rows, the
 size of an epoch's validation NLL.  Then the same eigenvalue call (there on
 the Hessian formed by one block product H I), one hvp, the operator and one
@@ -36,8 +37,9 @@ The package comes from PYTHONPATH, so the same script times any checkout:
 
 With --json, the script also writes what it prints to PATH: per report line,
 the circuit, its sum edges and rows, and each pass's median and first call in
-milliseconds; with them the command, the machine (nproc, CPU model, L2 and
-L3 sizes) and the Python, numpy and scipy versions.
+milliseconds (an eigenvalues pass also its Lanczos products); with them the
+command, the machine (nproc, CPU model, L2 and L3 sizes) and the Python,
+numpy and scipy versions.
 """
 
 import argparse
@@ -52,6 +54,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from circuit_sharp import (
     Circuit,
@@ -66,6 +69,7 @@ from circuit_sharp import (
     forward,
     log_likelihood,
 )
+from circuit_sharp import curvature
 from circuit_sharp.curvature import hessian_operator, trace_penalty_gradient
 from circuit_sharp.data import gen_manifold, minmax_scale
 from circuit_sharp.diagnostics import landscape, nll_hessian_eigenvalues
@@ -86,15 +90,46 @@ def times_ms(fn):
     return 1e3 * float(np.median(times)), 1e3 * times[0]
 
 
-def report(name, circuit, batch, passes):
-    """Time passes, print one line and return it as a dict for --json."""
+def lanczos_products(circuit, params, batch):
+    """The matrix-vector products that Lanczos makes in one eigenvalues pass,
+    not counting the residual check's block product: the eigensolver runs
+    on a counting wrapper of the operator or matrix it is given."""
+    products, solve = [0], curvature.eigsh
+
+    def counted(h, *args, **kwargs):
+        op = aslinearoperator(h)
+
+        def matvec(v):
+            products[0] += 1
+            return op.matvec(v)
+
+        return solve(LinearOperator(op.shape, matvec=matvec, dtype=float), *args, **kwargs)
+
+    curvature.eigsh = counted
+    try:
+        nll_hessian_eigenvalues(circuit, params, batch, k=TOP_K)
+    finally:
+        curvature.eigsh = solve
+    return products[0]
+
+
+def report(name, circuit, batch, passes, params=None):
+    """Time passes, print one line and return it as a dict for --json.  An
+    eigenvalues pass also records its Lanczos products, counted after the
+    timings with params."""
     ms = {k: times_ms(fn) for k, fn in passes.items()}
+    passes = {k: {"median_ms": med, "first_ms": first} for k, (med, first) in ms.items()}
+    if "eigenvalues" in passes:
+        passes["eigenvalues"]["products"] = lanczos_products(circuit, params, batch)
     print(
         f"{name}: {circuit.num_sum_edges} sum edges x {len(batch)} rows: "
-        + ", ".join(f"{k} {med:.1f} ms (first {first:.1f})" for k, (med, first) in ms.items()),
+        + ", ".join(
+            f"{k} {p['median_ms']:.1f} ms (first {p['first_ms']:.1f}"
+            + (f", {p['products']} products)" if "products" in p else ")")
+            for k, p in passes.items()
+        ),
         flush=True,
     )
-    passes = {k: {"median_ms": med, "first_ms": first} for k, (med, first) in ms.items()}
     return {"circuit": name, "sum_edges": circuit.num_sum_edges, "rows": len(batch), "passes": passes}
 
 
@@ -175,7 +210,7 @@ def time_circuit(name):
     if name == "diagnose-tree DAG":
         circuit, params = build_layered_dag(5, 6, seed=7)
         batch = (np.random.default_rng(3).random((5, 5)) < 0.5).astype(float)
-        return [report(name, circuit, batch, eigen_passes(circuit, params, batch))]
+        return [report(name, circuit, batch, eigen_passes(circuit, params, batch), params)]
     if name == "trace-dag DAG":
         circuit, params = build_layered_dag(17, 79, seed=7)
         batch = (np.random.default_rng(3).random((16, 17)) < 0.5).astype(float)
@@ -189,7 +224,7 @@ def time_circuit(name):
         small = {**passes(circuit, params, batch[:5]), **eigen_passes(circuit, params, batch[:5])}
         small["landscape"] = lambda: landscape(circuit, params, batch[:5], mode="2d", grid_points=5, seed=1)
         keep = ("log_likelihood", "backward", "penalty", "hvp", "operator", "matmat", "eigenvalues", "landscape")
-        lines.append(report(name, circuit, batch[:5], {k: small[k] for k in keep}))
+        lines.append(report(name, circuit, batch[:5], {k: small[k] for k in keep}, params))
         trace = forward(circuit, params, large)
         lines.append(report(name, circuit, large, {
             "forward": lambda: forward(circuit, params, large),

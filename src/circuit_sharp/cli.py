@@ -37,6 +37,7 @@ from .learning import (
     FIXED,
     LAYER_MEAN_FLOW,
     RegularizerConfig,
+    check_batch_size,
     em_train,
     sgd_train,
 )
@@ -124,6 +125,7 @@ def cmd_train(cfg: RunConfig) -> int:
     ds = _resolve_data(cfg)
     circuit, params = _resolve_structure(cfg, ds)
     report_cfg = _regularizer(cfg)
+    check_batch_size(cfg.batch_size)  # before the run directory is written
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)

@@ -27,8 +27,8 @@ Four exact quantities, all driven by edge flows:
   returns the batch sums of the flow tangents); a block of vectors shares
   each sweep, side by side in [nodes, vectors, samples] tables, and the
   stacks' weight and ratio rows are gathered once per operator.  Lanczos in
-  ``top_eigenvalues`` consumes one vector at a time, and its residual check
-  takes all k pairs in one block.
+  ``top_eigenvalues`` consumes one vector at a time and stops at the
+  tolerance that its residual check, one block of all k pairs, gates.
 * The gradient of the trace penalty itself, by reverse mode through both
   passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
 
@@ -125,10 +125,17 @@ def _curvature(tree, blocks, g: np.ndarray, node_flow: np.ndarray, theta: np.nda
     fq = node_flow[tree.prod_nodes]
     inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
     g_dfs = g[tree.dfs_to_global]  # every child subtree is a row slice
-    at = 0
-    for a, b, c, d, q in zip(*(x[: product.size].tolist() for x in blocks)):
-        np.matmul(g_dfs[a:b] * inv[q], g_dfs[c:d].T, out=vals[at : at + (b - a) * (d - c)].reshape(b - a, d - c))
-        at += (b - a) * (d - c)
+    # the product-pair blocks of one shape (h, w) in one batched product, each
+    # block its own [h, samples] x [samples, w] matrix product, as alone
+    n = product.size
+    start = np.cumsum(size[:n]) - size[:n]
+    shapes, shape_of = np.unique(np.stack((hi1 - lo1, hi2 - lo2))[:, :n], axis=1, return_inverse=True)
+    for j, (h, w) in enumerate(shapes.T.tolist()):
+        i = np.flatnonzero(shape_of == j)
+        left = g_dfs[lo1[i, None] + np.arange(h)] * inv[product[i], None]
+        right = g_dfs[lo2[i, None] + np.arange(w)].transpose(0, 2, 1)
+        vals[start[i, None] + np.arange(h * w)] = np.matmul(left, right).reshape(i.size, h * w)
+    at = int(size[:n].sum())  # the path pairs follow
     np.divide(g.sum(axis=1)[cols[at:]], theta[rows[at:]], out=vals[at:])
     return rows, cols, vals
 
@@ -263,13 +270,15 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     """k largest-magnitude eigenvalues of a symmetric matrix or operator,
     descending in magnitude.
 
-    Uses an iterative Lanczos solver from a fixed start vector, so repeated
-    calls return identical values, falling back to a dense solve (an operator
-    is applied to the identity) when k is too close to the dimension for the
-    iteration to run.  Arrays must be symmetric.  The returned pairs are
-    residual-checked together, with one product H V, against
+    Uses an iterative Lanczos solver (ARPACK) from a fixed start vector, so
+    repeated calls return identical values, falling back to a dense solve (an
+    operator is applied to the identity) when k is too close to the dimension
+    for the iteration to run.  Arrays must be symmetric.  One tolerance both
+    stops and gates the pairs: Lanczos stops a pair at ||H v - lambda v|| <=
+    tol_scale * |lambda| (|lambda| floored at eps^(2/3)), and the returned
+    pairs are then residual-checked together, with one product H V, against
     ||H v - lambda v|| <= tol_scale * ||H||, with ||H|| the spectral norm,
-    the largest returned |lambda|.
+    the largest returned |lambda|; a pair past the check raises NotConverged.
     """
     h = matrix if isinstance(matrix, LinearOperator) else np.asarray(matrix, dtype=float)
     if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
@@ -284,7 +293,7 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            vals, vecs = eigsh(h, k=k, which="LM", v0=v0)
+            vals, vecs = eigsh(h, k=k, which="LM", v0=v0, tol=tol_scale)
         except ArpackNoConvergence as exc:
             raise NotConverged(f"eigensolver did not converge: {exc}") from exc
 

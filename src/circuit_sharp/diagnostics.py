@@ -8,8 +8,9 @@ The grid points are evaluated in chunks of ``evaluate.probe_width``, one
 ``evaluate.probe_log_likelihood`` sweep per chunk, which gives every point
 the value of its own ``log_likelihood`` bit for bit.  Hessian eigenvalues
 come from ``curvature.top_eigenvalues`` on the exact Hessian operator, or,
-for a DAG, on the matrix it forms by a few block products when that is
-cheaper.
+for a DAG, on the matrix it forms by one or two block products when that is
+cheaper; Lanczos stops at the residual tolerance it is checked against, so
+the crossover (``DENSE_BLOCKS``) was measured under that stopping rule.
 """
 
 from __future__ import annotations
@@ -24,13 +25,19 @@ from .errors import ZeroTrainNLL
 from .evaluate import as_batch, log_likelihood, probe_log_likelihood, probe_width
 
 # Most block products that nll_hessian_eigenvalues spends forming a DAG's
-# Hessian as a matrix: at k = 15, from 1 to 1000 rows, forming it and running
-# Lanczos on the matrix beats Lanczos's one-vector sweeps up to 4 blocks, ties
-# at 6-7 and loses from 11.  A tree's products take the closed form, which
-# Lanczos on the matrix does not beat at any size measured (148 to 2110
-# edges, 1 to 100 rows), so trees never form it, not even the rare ones whose
-# sparse part is past the closed form's bound (timings in CHANGES.md).
-DENSE_BLOCKS = 4
+# Hessian as a matrix.  At k = 15, with Lanczos stopping at its residual gate,
+# on layered DAGs of 150-588 edges at 1-20 rows (time of forming it plus
+# Lanczos on the matrix over Lanczos's one-vector sweeps, by blocks):
+#   1 block    0.41-0.66 (150 and 264 edges)
+#   2 blocks   0.77-0.92 (150 and 264 edges), 1.41 (410 edges)
+#   3-4 blocks 1.05-1.06 (150 and 264 edges), 1.73-2.50 (410 and 588 edges)
+#   6+ blocks  1.46-3.06
+# so the matrix wins up to 2 blocks (the bound was 4 while Lanczos ran to machine
+# precision).  A tree's products take the closed form, which Lanczos on the
+# matrix does not beat at any size measured (148 to 2110 edges, 1 to 100
+# rows), so trees never form it, not even the rare ones whose sparse part is
+# past the closed form's bound (timings in CHANGES.md).
+DENSE_BLOCKS = 2
 
 
 def dof(train_nll: float, eval_nll: float) -> float:
@@ -83,10 +90,16 @@ def landscape(
     """Mean train NLL over a grid of filter-normalized logit perturbations.
 
     The zero offset is evaluated with the stored parameters themselves, so
-    the origin reproduces the unperturbed NLL exactly.
+    the origin reproduces the unperturbed NLL exactly.  Raises ValueError
+    for another mode, a grid_points below 1 or a grid_radius that is not
+    finite.
     """
     if mode not in ("1d", "2d"):
         raise ValueError("mode must be '1d' or '2d'")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if not np.isfinite(grid_radius):
+        raise ValueError(f"grid_radius must be finite, got {grid_radius!r}")
     rng = np.random.default_rng(seed)
     theta = params.theta
     logits0 = np.log(theta)

@@ -134,6 +134,8 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
     n = batch.shape[0]
     cells = LEVEL_CELLS * max(1, len(circuit.level_edges)) // (circuit.num_nodes + circuit.num_sum_edges)
     tile = max(1, min(n, max(TILE_BYTES // (8 * circuit.num_nodes), cells)))
+    if 0 < n % tile < tile / 4:  # no runt last tile: its level loop costs about a full tile's
+        tile = -(-n // (n // tile))
     buf = np.empty((circuit.num_nodes, tile)) if out is None else out
     for lo in range(0, n, tile):
         rows = slice(lo, min(lo + tile, n))

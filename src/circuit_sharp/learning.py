@@ -257,13 +257,21 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
 
 
+def check_batch_size(batch_size: int) -> None:
+    """Raise ValueError unless batch_size is at least 1, the rows of a minibatch."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) -> tuple[ParamSet, TrainReport]:
     """The epoch loop of both learners.  Per minibatch one forward and one
     backward, then step(params, batch, trace, flows, mu) -> params, the
     learner's update; per epoch a log row, then the adaptive_dof mu.
 
     A DivergedNaN raised by step, or an epoch whose train NLL is not finite,
-    leaves with the parameters that epoch started from and the report so far."""
+    leaves with the parameters that epoch started from and the report so far.
+    Raises ValueError for a batch_size below 1."""
+    check_batch_size(batch_size)
     rng = np.random.default_rng(seed)
     report = TrainReport()
     t0 = time.perf_counter()

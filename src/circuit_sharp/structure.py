@@ -297,7 +297,10 @@ def build_layered_dag(
     """Balanced pairwise merge of per-variable node pools; sums connect to all
     of a merge's products, so sum-edge count grows as (num_vars-1) * width^2
     while the level count stays ~log2(num_vars).  Shared children make it a
-    genuine DAG for width >= 2."""
+    genuine DAG for width >= 2.  Raises ValueError unless num_vars and width
+    are at least 1."""
+    if num_vars < 1 or width < 1:
+        raise ValueError(f"num_vars and width must be >= 1, got {num_vars} and {width}")
     rng = np.random.default_rng(seed)
     nodes = []
 

@@ -44,6 +44,17 @@ class TestTrain:
         assert code == 2
         assert "exceeds cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch_size", [-5, 0])
+    @pytest.mark.parametrize("learner", ["em", "sgd"])
+    def test_batch_size_below_one_is_input_error(self, tmp_path, capsys, learner, batch_size):
+        code = run_cli(
+            "train", "--manifold", "spiral", "--fraction", 0.05, "--learner", learner, "--epochs", 1,
+            "--batch-size", batch_size, "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert f"batch_size must be >= 1, got {batch_size}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_em_on_written_debd_files(self, tmp_path):
         rng = np.random.default_rng(0)
         for split, n in (("train", 60), ("valid", 20), ("test", 20)):
@@ -188,6 +199,21 @@ class TestLandscape:
         data = np.loadtxt(spiral_run / "train.csv", delimiter=",")
         assert center == float(-forward(circuit, params, data).root_log_p.mean())
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--grid-points", 0, "grid_points must be >= 1"),
+            ("--grid-points", -3, "grid_points must be >= 1"),
+            ("--grid-radius", "nan", "grid_radius must be finite"),
+            ("--grid-radius", "inf", "grid_radius must be finite"),
+        ],
+    )
+    def test_bad_grid_is_input_error(self, spiral_run, tmp_path, capsys, option, value, message):
+        out = tmp_path / "l.csv"
+        assert run_cli("landscape", spiral_run / "model.pc", spiral_run / "train.csv", option, value, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eigenvalues_descending_magnitude(self, spiral_run, tmp_path):
         out = tmp_path / "l.csv"
         eig = tmp_path / "eig.csv"
@@ -232,6 +258,12 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--sizes", "2000", "--samples", 2, "--out", out) == 0
         assert "n/a" in capsys.readouterr().out
+
+    def test_no_variables_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run_cli("bench", "--sizes", "1000", "--num-vars", 0, "--out", out) == 2
+        assert "num_vars and width must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_samples_guarded(self, tmp_path, capsys):
         assert run_cli("bench", "--sizes", "2000", "--samples", 0,

@@ -133,6 +133,39 @@ def record_eigsh(monkeypatch) -> list:
     return runs
 
 
+def count_lanczos_products(monkeypatch) -> list:
+    """Patch the eigensolver to run on a wrapper of its matrix or operator
+    that appends to the returned list once per matrix-vector product."""
+    import circuit_sharp.curvature as curvature
+    from scipy.sparse.linalg import LinearOperator, aslinearoperator
+
+    products, solve = [], curvature.eigsh
+
+    def counted(h, *args, **kwargs):
+        op = aslinearoperator(h)
+        wrapped = LinearOperator(op.shape, matvec=lambda v: products.append(1) or op.matvec(v), dtype=float)
+        return solve(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(curvature, "eigsh", counted)
+    return products
+
+
+def diagnose_tree_chunk():
+    """The tree and DAG of the diagnose-tree benchmark workload with their
+    first chunk of rows: (tree, params, rows, dag, params, rows)."""
+    from circuit_sharp import ParamSet
+    from circuit_sharp.data import FractionSpec, gen_manifold, minmax_scale, subsample
+    from circuit_sharp.structure import RatConfig, build_layered_dag, build_rat
+
+    ds, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
+    rows = subsample(ds, FractionSpec(0.05, 1)).train[:5]
+    tree, _ = build_rat(RatConfig(num_vars=2, depth=1, seed=7))
+    tree_params = ParamSet.uniform(tree, np.random.default_rng(7))
+    dag, dag_params = build_layered_dag(5, 6, seed=7)
+    dag_rows = (np.random.default_rng(1).random((5, 5)) < 0.5).astype(float)
+    return tree, tree_params, rows, dag, dag_params, dag_rows
+
+
 def top_magnitudes(matrix: np.ndarray, k: int) -> np.ndarray:
     """The k largest-magnitude eigenvalues of a symmetric matrix, by eigvalsh."""
     vals = np.linalg.eigvalsh(matrix)
@@ -163,19 +196,10 @@ class TestEigenDiagnostics:
         assert list(np.abs(vals)) == sorted(np.abs(vals), reverse=True)
 
     def test_matches_dense_on_diagnose_tree_inputs(self):
-        # the tree and DAG of the diagnose-tree benchmark workload, one chunk
-        from circuit_sharp import ParamSet
         from circuit_sharp.curvature import full_hessian_tree
-        from circuit_sharp.data import FractionSpec, gen_manifold, minmax_scale, subsample
         from circuit_sharp.fd import fd_hessian
-        from circuit_sharp.structure import RatConfig, build_layered_dag, build_rat
 
-        ds, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
-        rows = subsample(ds, FractionSpec(0.05, 1)).train[:5]
-        tree, _ = build_rat(RatConfig(num_vars=2, depth=1, seed=7))
-        tree_params = ParamSet.uniform(tree, np.random.default_rng(7))
-        dag, dag_params = build_layered_dag(5, 6, seed=7)
-        dag_rows = (np.random.default_rng(1).random((5, 5)) < 0.5).astype(float)
+        tree, tree_params, rows, dag, dag_params, dag_rows = diagnose_tree_chunk()
         for circuit, params, batch, dense, rtol in (
             (tree, tree_params, rows, full_hessian_tree, 1e-10),
             (dag, dag_params, dag_rows, fd_hessian, 1e-6),
@@ -184,6 +208,33 @@ class TestEigenDiagnostics:
             ref = ref[np.argsort(-np.abs(ref))][:15]
             vals = nll_hessian_eigenvalues(circuit, params, batch, k=15)
             assert np.abs(vals - ref).max() <= rtol * np.abs(ref).max()
+
+    def test_lanczos_stops_at_the_residual_gate(self, monkeypatch):
+        """top_eigenvalues' tol_scale both stops Lanczos and gates its pairs:
+        on diagnose-tree's first chunk, the tree's operator and the DAG's
+        formed matrix (the routes nll_hessian_eigenvalues takes) need fewer
+        products at 1e-8 than at 1e-12, and at both the pairs pass the gate
+        and match eigvalsh of the dense Hessian within 1e-10."""
+        import circuit_sharp.diagnostics as diagnostics
+        from circuit_sharp.curvature import full_hessian_tree, hessian_operator, top_eigenvalues
+        from circuit_sharp.evaluate import probe_width
+
+        tree, tree_params, rows, dag, dag_params, dag_rows = diagnose_tree_chunk()
+        assert -(-dag.num_sum_edges // probe_width(dag, len(dag_rows))) <= diagnostics.DENSE_BLOCKS
+        dag_matrix = -(hessian_operator(dag, dag_params, dag_rows) @ np.eye(dag.num_sum_edges))
+        products = count_lanczos_products(monkeypatch)
+        for h, dense in (
+            (-hessian_operator(tree, tree_params, rows), -full_hessian_tree(tree, tree_params, rows)),
+            (dag_matrix, dag_matrix),
+        ):
+            want = top_magnitudes(dense, 15)
+            counts = []
+            for tol_scale in (1e-8, 1e-12):
+                products.clear()
+                got = top_eigenvalues(h, 15, tol_scale=tol_scale)  # raises NotConverged past the gate
+                counts.append(len(products))
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            assert 0 < counts[0] < counts[1]
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_routes_either_side_of_the_dense_blocks(self, monkeypatch, dense):

@@ -201,6 +201,23 @@ class TestTiling:
         assert evaluate.TILE_BYTES // (8 * circuit.num_nodes) < 500
         assert len(list(evaluate._sweep(circuit, params, np.zeros((500, 200))))) == 1
 
+    @pytest.mark.parametrize(
+        "rows,tile,widths",
+        [
+            (200, 174, [200]),  # em-hclt's minibatch: no 26-row runt
+            (17, 8, [9, 8]),
+            (9, 4, [4, 4, 1]),  # a last tile of a quarter stays
+            (1000, 56, [56] * 17 + [48]),  # the spiral's 1000 rows
+            (64, 33, [33, 31]),  # trace-dag's test rows
+        ],
+    )
+    def test_a_last_tile_under_a_quarter_widens_the_tiles(self, monkeypatch, rows, tile, widths):
+        circuit, params = random_tree(5)
+        monkeypatch.setattr(evaluate, "LEVEL_CELLS", 0)
+        monkeypatch.setattr(evaluate, "TILE_BYTES", 8 * circuit.num_nodes * tile)
+        tiles = evaluate._sweep(circuit, params, batch_for(circuit, rows, 0))
+        assert [lp.shape[1] for _, lp in tiles] == widths
+
     def test_trace_keeps_a_copy_of_its_rows(self):
         circuit, params = random_tree(5)
         batch = batch_for(circuit, 4, 0)

@@ -192,6 +192,11 @@ class TestLayeredDag:
             circuit, _ = build_layered_dag(17, width, seed=0)
             assert 0.5 * target < circuit.num_sum_edges < 2.0 * target
 
+    @pytest.mark.parametrize("num_vars,width", [(0, 3), (3, 0), (-1, 3)])
+    def test_empty_dag_is_an_input_error(self, num_vars, width):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build_layered_dag(num_vars, width)
+
 
 class TestHcltBenchmarkScale:
     def test_sixteen_vars_hundred_latents(self):
