@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-pass timings: Circuit.build from the circuit's own nodes (build; on
-each of the four circuits below), forward, log_likelihood, backward,
+each of the four circuits below), on a tree its DFS index with the blocks
+of its Hessian's sparse part (tree_index), forward, log_likelihood, backward,
 trace_penalty_gradient, one Hessian-vector product (hvp; the operator is
 built outside the timer) and one step (forward, backward and the penalty
 from their trace and flows: the trace-dag benchmark's step) on the trace-dag
@@ -146,6 +147,7 @@ def passes(circuit, params, batch):
 
     return {
         "build": lambda: Circuit.build(circuit.nodes, circuit.root),
+        **({"tree_index": circuit.tree_index} if circuit.is_tree else {}),
         "forward": lambda: forward(circuit, params, batch),
         "log_likelihood": lambda: log_likelihood(circuit, params, batch),
         "backward": lambda: backward(circuit, params, trace),

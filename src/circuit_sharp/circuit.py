@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -271,7 +271,7 @@ class _LevelEdges:
             index = slots.reshape(-1)
             b = _LevelEdges(nodes[sel], k, _run(index), child[index], size, child[index])
             if size > 1:
-                by_group = np.argsort(np.unique(first[sel], return_inverse=True)[1], kind="stable")
+                by_group = np.argsort(first[sel], kind="stable")
                 ranked = by_child[slots[by_group]]  # each member's edges by child
                 b.members = nodes[sel[by_group]].reshape(-1, size)
                 b.edges = ranked.reshape(-1, size, k)
@@ -282,19 +282,32 @@ class _LevelEdges:
 
 @dataclass
 class _TreeIndex:
-    """Precomputed root-path structure for tree circuits.
+    """Root-path structure of a tree circuit, as the blocks of its Hessian's
+    sparse part.
 
     Sum edges are re-enumerated in DFS order so that the edges below any node
     form a contiguous index range; ``dfs_to_global`` maps back to the global
     edge order.  The DFS edges strictly inside the child subtree of DFS edge
-    d are [d + 1, edge_sub_hi[d]); ``prod_blocks`` gives, per product node,
-    the child-subtree ranges used to fill product-pair blocks.
+    d are [d + 1, edge_sub_hi[d]).  Block b covers the DFS edges [lo1[b],
+    hi1[b]) x [lo2[b], hi2[b]): first the product pairs, the child subtrees
+    of two children i < j of the product ``product[b]``, the products in the
+    order the DFS leaves them and each one's pairs in slot order; then the
+    path pairs, each DFS edge d against the edges below it, [d, d + 1) x
+    [d + 1, edge_sub_hi[d]).
     """
 
     dfs_to_global: np.ndarray
     edge_sub_hi: np.ndarray
-    prod_nodes: list[int]
-    prod_blocks: list[list[tuple[int, int]]]
+    lo1: np.ndarray
+    hi1: np.ndarray
+    lo2: np.ndarray
+    hi2: np.ndarray
+    product: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Entries of the sparse part, on both sides of the diagonal."""
+        return 2 * int(((self.hi1 - self.lo1) * (self.hi2 - self.lo2)).sum())
 
 
 class Circuit:
@@ -304,11 +317,12 @@ class Circuit:
 
     Derived: ``topo_order`` (children first: the stable argsort of the
     levels), ``in_degree``, the sum-edge indexes (``sum_nodes``,
-    ``sum_segments``, ``sum_edge_owner``/``child``/``offset``,
+    ``sum_segments``, ``sum_edge_owner``/``child``,
     ``sum_node_edges``), ``level_edges``, ``single_edges``, ``edge_layer``
     (per sum edge, the fewest sum nodes between its owner and the root;
     iinfo(int64).max where no root path reaches it), ``root_scope``,
-    ``is_tree``, the leaf indexes and, on first call, :meth:`tree_index`.
+    ``is_tree`` and the leaf indexes; :meth:`tree_index` builds a tree's
+    DFS index on each call.
     There are no per-node parent lists or sum depths.
     """
 
@@ -346,7 +360,6 @@ class Circuit:
         reached = [var[depth[ids] < far] for ids, var in self._leaf_groups.values()]
         self.root_scope: tuple[int, ...] = tuple(np.unique(np.concatenate(reached)).tolist())
         self.is_tree = bool(self.in_degree[root] == 0) and int((self.in_degree == 1).sum()) == n - 1
-        self._tree: _TreeIndex | None = None
 
     @staticmethod
     def build(nodes: list[Node], root: int) -> "Circuit":
@@ -361,7 +374,6 @@ class Circuit:
         seg = self.sum_segments = Segments(fan_in[sum_nodes])
         self.num_sum_edges = int(seg.ids.size)
         self.sum_edge_owner, self.sum_edge_child = owner[is_sum[owner]], child[is_sum[owner]]
-        self.sum_edge_offset = dict(zip(self.sum_nodes, seg.starts.tolist()))  # node id -> first edge
         # 0/1 [sum nodes, sum edges]: row i marks the edges of sum_nodes[i]
         self.sum_node_edges = scipy.sparse.csr_array(
             (np.ones(self.num_sum_edges), (seg.ids, np.arange(self.num_sum_edges))),
@@ -410,12 +422,8 @@ class Circuit:
     # -- tree structure ------------------------------------------------------
 
     def tree_index(self) -> _TreeIndex:
-        """The tree's DFS index, built on the first call and kept."""
-        if self._tree is None:
-            self._tree = self._index_tree()
-        return self._tree
-
-    def _index_tree(self) -> _TreeIndex:
+        """The tree's DFS index, built on each call (none is kept on the
+        circuit); NotATree for a DAG."""
         if not self.is_tree:
             raise NotATree("circuit is not tree-structured")
         # A DFS in slot order counts sum edges and nodes.  own: what a node
@@ -432,16 +440,26 @@ class Circuit:
         d = at[self.sum_edge_child, 0]  # each global edge's DFS index
         dfs_to_global = np.argsort(d)
         sub_hi = (d + span[self.sum_edge_child, 0])[dfs_to_global]
+        # children i < j of every product, per fan-in k, product by product
+        prods = [b for _, level in self.level_edges for b in level]
+        pairs = [(d[:0],) * 3]  # (child i, child j, product) per pair
+        for k in {b.k for b in prods}:
+            kids = np.concatenate([b.child for b in prods if b.k == k]).reshape(-1, k)
+            i, j = np.triu_indices(k, 1)
+            pairs.append((kids[:, i], kids[:, j], np.concatenate([b.parents for b in prods if b.k == k]).repeat(i.size)))
+        a, c, q = (np.concatenate([x.reshape(-1) for x in side]) for side in zip(*pairs))
         # the products in the order the DFS leaves them: by the node count at
-        # which their visit ends, the deeper first where several end at once
-        prods = np.concatenate([b.parents for _, level in self.level_edges for b in level] + [d[:0]])
-        first = at[prods, 1]
-        prod_nodes = prods[np.lexsort((-first, first + span[prods, 1]))].tolist()
-        # each product's children's DFS edge ranges, as Python ints for the products only
-        kids = [self.nodes[q].children for q in prod_nodes]
-        flat = np.fromiter(chain.from_iterable(kids), np.int64, sum(map(len, kids)))
-        bounds = iter(zip(at[flat, 0].tolist(), (at[flat, 0] + span[flat, 0]).tolist()))
-        return _TreeIndex(dfs_to_global, sub_hi, prod_nodes, [list(islice(bounds, len(k))) for k in kids])
+        # which their visit ends, the deeper first where several end at once;
+        # lexsort is stable, so each product's pairs stay in slot order
+        first = at[q, 1]
+        by_leave = np.lexsort((-first, first + span[q, 1]))
+        a, c, q = a[by_leave], c[by_leave], q[by_leave]
+        e, lo1, lo2 = np.arange(d.size), at[a, 0], at[c, 0]  # then the path pairs
+        return _TreeIndex(
+            dfs_to_global, sub_hi,
+            np.concatenate((lo1, e)), np.concatenate((lo1 + span[a, 0], e + 1)),
+            np.concatenate((lo2, e + 1)), np.concatenate((lo2 + span[c, 0], sub_hi)), q,
+        )
 
     # -- helpers -------------------------------------------------------------
 
@@ -726,8 +744,9 @@ def deserialize(data: bytes) -> tuple[Circuit, ParamSet]:
         raise MalformedFile(f"missing node definitions for ids {missing[:5]}")
     circuit = Circuit.build(nodes, root)  # raises CyclicGraph on cycles
 
+    sums = set(circuit.sum_nodes)
     for n, (lineno, _) in weights.items():
-        if n not in circuit.sum_edge_offset:
+        if n not in sums:
             raise MalformedFile(f"weights for node {n}, which is not a sum node", lineno)
     for n in circuit.sum_nodes:
         if n not in weights:

@@ -37,7 +37,7 @@ from .learning import (
     FIXED,
     LAYER_MEAN_FLOW,
     RegularizerConfig,
-    check_batch_size,
+    check_fit,
     em_train,
     sgd_train,
 )
@@ -125,7 +125,7 @@ def cmd_train(cfg: RunConfig) -> int:
     ds = _resolve_data(cfg)
     circuit, params = _resolve_structure(cfg, ds)
     report_cfg = _regularizer(cfg)
-    check_batch_size(cfg.batch_size)  # before the run directory is written
+    check_fit(cfg.epochs, cfg.batch_size)  # before the run directory is written
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
@@ -211,10 +211,10 @@ def cmd_landscape(args) -> int:
         grid_points=args.grid_points,
         seed=args.seed,
     )
-    grid.write_csv(args.out)
+    eig = nll_hessian_eigenvalues(circuit, params, data, k=args.top_k) if args.eig_out else None
+    grid.write_csv(args.out)  # after the eigenvalues, so that a bad --top-k writes no file
     print(f"landscape written to {args.out} (origin nll {grid.origin_value!r})")
     if args.eig_out:
-        eig = nll_hessian_eigenvalues(circuit, params, data, k=args.top_k)
         write_eigenvalues_csv(eig, args.eig_out)
         print(f"top-{len(eig)} eigenvalues written to {args.eig_out}")
     return 0

@@ -81,36 +81,16 @@ def hessian_diag(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.nd
     return -_flows(circuit, params, batch).edge_flow_sq_sum / params.theta**2
 
 
-def _curvature_blocks(tree) -> tuple[np.ndarray, ...]:
-    """One side of a tree Hessian's sparse part S (see ``_curvature``) as
-    blocks of DFS edge positions, [lo1, hi1) x [lo2, hi2): the two child
-    subtrees of every pair of a product's children, then each DFS edge d
-    against the edges below its child, [d, d + 1) x [d + 1, edge_sub_hi[d]).
-    Returns (lo1, hi1, lo2, hi2, product), product the index into
-    tree.prod_nodes of a product pair's product (the path pairs have none)."""
-    pairs = [(*a, *b, q) for q, kids in enumerate(tree.prod_blocks) for i, a in enumerate(kids) for b in kids[i + 1 :]]
-    q_lo1, q_hi1, q_lo2, q_hi2, product = np.array(pairs, dtype=np.int64).reshape(-1, 5).T
-    d = np.arange(tree.edge_sub_hi.size)
-    paths = (d, d + 1, d + 1, tree.edge_sub_hi)
-    return (*(np.concatenate(x) for x in zip((q_lo1, q_hi1, q_lo2, q_hi2), paths)), product)
-
-
-def _curvature_size(blocks) -> int:
-    """Entries of S, both sides, from its blocks."""
-    lo1, hi1, lo2, hi2, _ = blocks
-    return 2 * int(((hi1 - lo1) * (hi2 - lo2)).sum())
-
-
-def _curvature(tree, blocks, g: np.ndarray, node_flow: np.ndarray, theta: np.ndarray):
+def _curvature(tree, g: np.ndarray, node_flow: np.ndarray, theta: np.ndarray):
     """One side of the sparse part S of a tree's batch-summed Hessian H =
     -G G^T + S, as (rows, cols, values) in the global edge order, from the
-    tree's blocks (``_curvature_blocks``) and the per-sample gradients G
-    [edges, samples]: each product-pair block G_a diag(1/F_q) G_b^T, F_q the
-    node flow of the deepest common product, and each nested path pair
-    sum_x g_deep / theta_shallow, as (shallow, deep).  S is these entries
-    and their mirror images (cols, rows, values): no two of them share a
-    position, and S is exactly symmetric."""
-    lo1, hi1, lo2, hi2, product = blocks
+    blocks of the tree index (``Circuit.tree_index``) and the per-sample
+    gradients G [edges, samples]: each product-pair block G_a diag(1/F_q)
+    G_b^T, F_q the node flow of the block's product, and each nested path
+    pair sum_x g_deep / theta_shallow, as (shallow, deep).  S is these
+    entries and their mirror images (cols, rows, values): no two of them
+    share a position, and S is exactly symmetric."""
+    lo1, hi1, lo2, hi2, product = tree.lo1, tree.hi1, tree.lo2, tree.hi2, tree.product
     # every block's entries row by row: the t-th entry of a block of width w is (lo1 + t // w, lo2 + t % w)
     width = hi2 - lo2
     size = (hi1 - lo1) * width
@@ -122,7 +102,7 @@ def _curvature(tree, blocks, g: np.ndarray, node_flow: np.ndarray, theta: np.nda
 
     # dead subtree (F_q < 1e-250): g below q scales with F_q, so the
     # correction g g' / F_q vanishes in the limit; weight 0 before 1/F_q overflows
-    fq = node_flow[tree.prod_nodes]
+    fq = node_flow[product]
     inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
     g_dfs = g[tree.dfs_to_global]  # every child subtree is a row slice
     # the product-pair blocks of one shape (h, w) in one batched product, each
@@ -132,7 +112,7 @@ def _curvature(tree, blocks, g: np.ndarray, node_flow: np.ndarray, theta: np.nda
     shapes, shape_of = np.unique(np.stack((hi1 - lo1, hi2 - lo2))[:, :n], axis=1, return_inverse=True)
     for j, (h, w) in enumerate(shapes.T.tolist()):
         i = np.flatnonzero(shape_of == j)
-        left = g_dfs[lo1[i, None] + np.arange(h)] * inv[product[i], None]
+        left = g_dfs[lo1[i, None] + np.arange(h)] * inv[i, None]
         right = g_dfs[lo2[i, None] + np.arange(w)].transpose(0, 2, 1)
         vals[start[i, None] + np.arange(h * w)] = np.matmul(left, right).reshape(i.size, h * w)
     at = int(size[:n].sum())  # the path pairs follow
@@ -164,8 +144,7 @@ def full_hessian_tree(
     g, flows = edge_gradients(circuit, params, batch)
     hess = g @ g.T  # numpy's product of a matrix with its own transpose is exactly symmetric
     np.negative(hess, out=hess)
-    tree = circuit.tree_index()
-    rows, cols, vals = _curvature(tree, _curvature_blocks(tree), g, flows.node_flow, params.theta)
+    rows, cols, vals = _curvature(circuit.tree_index(), g, flows.node_flow, params.theta)
     hess[rows, cols] += vals
     hess[cols, rows] += vals
     return hess
@@ -194,12 +173,11 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     flows = _flows(circuit, params, batch)
     e = params.theta.size
     # the operator's own tree index (0.4 ms on the 2110-edge RAT), freed
-    # with it: an index cached on the circuit here would outlive the call
-    # amid its temporaries and keep the heap from shrinking below it
-    tree = circuit._index_tree() if circuit.is_tree else None
-    blocks = None if tree is None else _curvature_blocks(tree)
-    if blocks is not None and _ENTRY_BYTES * _curvature_size(blocks) <= TILE_BYTES:
-        products = _closed_form_products(tree, blocks, params, flows)
+    # with it: an index cached on the circuit would outlive the call amid
+    # its temporaries and keep the heap from shrinking below it
+    tree = circuit.tree_index() if circuit.is_tree else None
+    if tree is not None and _ENTRY_BYTES * tree.size <= TILE_BYTES:
+        products = _closed_form_products(tree, params, flows)
     else:
         products = _sweep_products(circuit, params, flows)
 
@@ -215,14 +193,14 @@ def hessian_operator(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> L
     return LinearOperator((e, e), matvec=matvec, rmatvec=matvec, matmat=matmat, rmatmat=matmat, dtype=float)
 
 
-def _closed_form_products(tree, blocks, params: ParamSet, flows: FlowTable):
+def _closed_form_products(tree, params: ParamSet, flows: FlowTable):
     """H V = S V - G (G^T V) on a tree: S as CSR, whose product takes each
     column on its own, and G^T V and G (G^T V) as stacks of matrix-vector
     products, one per column (``np.matmul`` over the columns as its batch
     axis)."""
     g = flows.edge_flow / params.theta[:, None]
     e = g.shape[0]
-    rows, cols, vals = _curvature(tree, blocks, g, flows.node_flow, params.theta)
+    rows, cols, vals = _curvature(tree, g, flows.node_flow, params.theta)
     # CSR arrays sorted here: scipy's COO conversion would also look for
     # duplicates, which S does not have
     rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
@@ -278,8 +256,11 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     tol_scale * |lambda| (|lambda| floored at eps^(2/3)), and the returned
     pairs are then residual-checked together, with one product H V, against
     ||H v - lambda v|| <= tol_scale * ||H||, with ||H|| the spectral norm,
-    the largest returned |lambda|; a pair past the check raises NotConverged.
+    the largest returned |lambda|; a pair past the check raises NotConverged,
+    and a k below 1 ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     h = matrix if isinstance(matrix, LinearOperator) else np.asarray(matrix, dtype=float)
     if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")

@@ -16,6 +16,7 @@ the crossover (``DENSE_BLOCKS``) was measured under that stopping rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -113,19 +114,20 @@ def landscape(
         dirs.append(v)
 
     alphas = np.linspace(-grid_radius, grid_radius, grid_points) if grid_points > 1 else np.zeros(1)
+    # each point's offset formed as its chunk needs it, not all held at once
     if mode == "1d":
-        offsets = [a * u for a in alphas]
+        offsets = (a * u for a in alphas)
     else:
-        offsets = [a * u + b * dirs[1] for a in alphas for b in alphas]
+        offsets = (a * u + b * dirs[1] for a in alphas for b in alphas)
     batch = as_batch(circuit, data)
     origin = float(-log_likelihood(circuit, params, batch).mean())
-    values = np.full(len(offsets), origin)
+    values = np.full(alphas.size ** len(dirs), origin)
     # the other probes in chunks of probe_width, one sweep per chunk
-    probes = [i for i, offset in enumerate(offsets) if np.any(offset)]
+    probes = ((i, offset) for i, offset in enumerate(offsets) if np.any(offset))
     width = probe_width(circuit, batch.shape[0])
-    for chunk in (probes[lo : lo + width] for lo in range(0, len(probes), width)):
-        weights = np.stack([circuit.sum_segments.softmax(logits0 + offsets[i]) for i in chunk], axis=1)
-        for i, ll in zip(chunk, probe_log_likelihood(circuit, params, batch, weights)):
+    while chunk := list(islice(probes, width)):
+        weights = np.stack([circuit.sum_segments.softmax(logits0 + offset) for _, offset in chunk], axis=1)
+        for (i, _), ll in zip(chunk, probe_log_likelihood(circuit, params, batch, weights)):
             values[i] = float(-ll.mean())
     if mode == "1d":
         return LandscapeGrid(dirs, alphas, None, values, origin)

@@ -49,10 +49,10 @@ class RegularizerConfig:
     schedule: str = FIXED
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if self.lam <= 0:
-            raise ValueError("lambda must be > 0")
+        if not (np.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be finite and > 0, got {self.lam!r}")
         if not 0.0 <= self.smoothing_alpha <= 1.0:
             raise ValueError("smoothing alpha must lie in [0, 1]")
         if self.schedule not in (FIXED, ADAPTIVE_DOF, LAYER_MEAN_FLOW):
@@ -257,8 +257,11 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
 
 
-def check_batch_size(batch_size: int) -> None:
-    """Raise ValueError unless batch_size is at least 1, the rows of a minibatch."""
+def check_fit(epochs: int, batch_size: int) -> None:
+    """Raise ValueError unless the epoch loop (``_fit``) gets at least 0
+    epochs and a batch_size, the rows of a minibatch, of at least 1."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
 
@@ -270,8 +273,8 @@ def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) 
 
     A DivergedNaN raised by step, or an epoch whose train NLL is not finite,
     leaves with the parameters that epoch started from and the report so far.
-    Raises ValueError for a batch_size below 1."""
-    check_batch_size(batch_size)
+    Raises ValueError for epochs below 0 or a batch_size below 1."""
+    check_fit(epochs, batch_size)
     rng = np.random.default_rng(seed)
     report = TrainReport()
     t0 = time.perf_counter()
@@ -381,28 +384,25 @@ class _Unconstrained:
             out.cat = self.circuit.cat_segments.softmax(cat)
         return out
 
-    def gradient(self, params: ParamSet, raw_theta_grad: np.ndarray, flows: FlowTable, batch, nll_sign: float) -> np.ndarray:
-        """Chain raw d/d theta through the softmax and append leaf gradients.
-
-        nll_sign scales the leaf score terms (leaf gradients only arise from
-        the likelihood, not the penalty).
-        """
+    def gradient(self, params: ParamSet, raw_theta_grad: np.ndarray, flows: FlowTable, batch) -> np.ndarray:
+        """Chain raw d/d theta through the softmax and append the leaf
+        gradients of the NLL (the penalty has none)."""
         seg = self.circuit.sum_segments
         theta = params.theta
         parts = [theta * (raw_theta_grad - seg.sum(theta * raw_theta_grad)[seg.ids])]
         if self.train_leaves:
             columns = _leaf_columns(self.circuit, flows, batch)
             w, x = columns["bern"]
-            parts.append(nll_sign * np.sum(w * ((x > 0.5) - params.bern), axis=0))
+            parts.append(-np.sum(w * ((x > 0.5) - params.bern), axis=0))
             w, x = columns["gauss"]
             mean, sd = params.gauss.T
             with np.errstate(over="ignore", invalid="ignore"):  # a diverged sigma: DivergedNaN follows
                 z = (x - mean) / sd
                 dmean, dlogsd = np.sum(w * z / sd, axis=0), np.sum(w * (z * z - 1.0), axis=0)
-            parts.append(nll_sign * np.column_stack([dmean, dlogsd]).ravel())
+            parts.append(-np.column_stack([dmean, dlogsd]).ravel())
             w, x = columns["cat"]
             seg = self.circuit.cat_segments
-            parts.append(nll_sign * (_cat_counts(seg, w, x) - w.sum(axis=0)[seg.ids] * params.cat))
+            parts.append(-(_cat_counts(seg, w, x) - w.sum(axis=0)[seg.ids] * params.cat))
         return np.concatenate(parts)
 
 
@@ -440,7 +440,7 @@ def sgd_train(
                 raw = raw + trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows, edge_weights=mu)
             else:
                 raw = raw + float(mu) * trace_penalty_gradient(circuit, params, batch, trace=trace, flows=flows)
-        vec = vec + opt.step(mapper.gradient(params, raw, flows, batch, nll_sign=-1.0))
+        vec = vec + opt.step(mapper.gradient(params, raw, flows, batch))
         return mapper.unflatten(vec, params)
 
     return _fit(circuit, mapper.unflatten(vec, params), train, valid, config, epochs, batch_size, seed, step)

@@ -76,13 +76,10 @@ class HcltConfig:
 
     num_latents: int = 100
     seed: int = 0
-    pseudo_count: float = 0.1
 
     def __post_init__(self):
         if self.num_latents < 1:
             raise ValueError("num_latents must be >= 1")
-        if self.pseudo_count < 0:
-            raise ValueError("pseudo_count must be >= 0")
 
 
 def _split_tree(scope: tuple[int, ...], depth: int, rng) -> tuple | int:
@@ -163,12 +160,7 @@ def pairwise_mutual_information(data: np.ndarray, pseudo_count: float) -> np.nda
     mi = np.zeros((v, v))
     pu1 = (ones + 2.0 * pseudo_count) / total
     pu0 = 1.0 - pu1
-    for a, b, pa, pb in (
-        (c00, None, pu0, pu0),
-        (c01, None, pu0, pu1),
-        (c10, None, pu1, pu0),
-        (c11, None, pu1, pu1),
-    ):
+    for a, pa, pb in ((c00, pu0, pu0), (c01, pu0, pu1), (c10, pu1, pu0), (c11, pu1, pu1)):
         p = (a + pseudo_count) / total
         mi += p * (np.log(p) - np.log(pa[:, None]) - np.log(pb[None, :]))
     np.fill_diagonal(mi, 0.0)

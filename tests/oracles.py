@@ -36,17 +36,18 @@ class SumEdge:
 
 def sum_edge(circuit: Circuit, idx: int) -> SumEdge:
     """The sum edge at global index idx."""
-    node = int(circuit.sum_edge_owner[idx])
-    return SumEdge(node, idx - circuit.sum_edge_offset[node])
+    run = int(circuit.sum_segments.ids[idx])
+    return SumEdge(circuit.sum_nodes[run], idx - int(circuit.sum_segments.starts[run]))
 
 
 def edge_index(circuit: Circuit, edge: SumEdge) -> int:
     """The global index of a sum edge; ValueError unless it names one."""
-    if edge.node not in circuit.sum_edge_offset:
+    run = int(np.searchsorted(circuit.sum_nodes, edge.node))
+    if run == len(circuit.sum_nodes) or circuit.sum_nodes[run] != edge.node:
         raise ValueError(f"node {edge.node} is not a sum node")
     if not (0 <= edge.slot < len(circuit.nodes[edge.node].children)):
         raise ValueError(f"slot {edge.slot} out of range for node {edge.node}")
-    return circuit.sum_edge_offset[edge.node] + edge.slot
+    return int(circuit.sum_segments.starts[run]) + edge.slot
 
 
 def per_edge_sum_log_p(lp: np.ndarray, weights: np.ndarray, children) -> np.ndarray:
@@ -204,6 +205,7 @@ def dfs_tree_index(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, list[int],
     end = np.empty(circuit.num_nodes, dtype=np.int64)
     prod_nodes: list[int] = []
     prod_blocks: list[list[tuple[int, int]]] = []
+    offsets = dict(zip(circuit.sum_nodes, circuit.sum_segments.starts.tolist()))  # sum node -> first edge
     counter = 0
     stack = [(circuit.root, -1, False)]  # (node, global edge into it or -1, leaving); leaving carries the DFS index
     while stack:
@@ -224,10 +226,28 @@ def dfs_tree_index(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, list[int],
             counter += 1
         start[v] = counter
         stack.append((v, d, True))
-        base = circuit.sum_edge_offset[v] if node.kind == "sum" else None
+        base = offsets[v] if node.kind == "sum" else None
         for slot in reversed(range(len(node.children))):
             stack.append((node.children[slot], -1 if base is None else base + slot, False))
     return dfs_to_global, sub_hi, prod_nodes, prod_blocks
+
+
+def dfs_tree_blocks(circuit: Circuit) -> tuple[np.ndarray, ...]:
+    """tree_index's block arrays (lo1, hi1, lo2, hi2, product) from the DFS
+    walk, pair by pair: every pair a < b of each product's child ranges, the
+    products in dfs_tree_index's order, then each DFS edge d against the
+    edges below it."""
+    _, sub_hi, prod_nodes, prod_blocks = dfs_tree_index(circuit)
+    pairs = [
+        (*blocks[a], *blocks[b], q)
+        for q, blocks in zip(prod_nodes, prod_blocks)
+        for a in range(len(blocks))
+        for b in range(a + 1, len(blocks))
+    ]
+    pairs += [(d, d + 1, d + 1, int(hi), None) for d, hi in enumerate(sub_hi)]
+    lo1, hi1, lo2, hi2, product = zip(*pairs) if pairs else ((),) * 5
+    return (*(np.array(x, dtype=np.int64) for x in (lo1, hi1, lo2, hi2)),
+            np.array([q for q in product if q is not None], dtype=np.int64))
 
 
 def node_scopes(circuit: Circuit) -> list[tuple[int, ...]]:
@@ -435,17 +455,17 @@ def per_sample_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarra
     nested path pair g_deep / theta_shallow, in DFS edge order."""
     from circuit_sharp.curvature import edge_gradients
 
-    tree = circuit.tree_index()
+    dfs_to_global, sub_hi, prod_nodes, prod_blocks = dfs_tree_index(circuit)
     e = circuit.num_sum_edges
     g, flows = edge_gradients(circuit, params, batch)
-    g_dfs = g[tree.dfs_to_global]
-    theta_dfs = params.theta[tree.dfs_to_global]
+    g_dfs = g[dfs_to_global]
+    theta_dfs = params.theta[dfs_to_global]
 
     hess = np.zeros((e, e))
     for i in range(g.shape[1]):
         gv = g_dfs[:, i]
         hess -= np.outer(gv, gv)
-        for q, blocks in zip(tree.prod_nodes, tree.prod_blocks):
+        for q, blocks in zip(prod_nodes, prod_blocks):
             fq = flows.node_flow[q, i]
             if fq < 1e-250:
                 continue  # dead subtree: the correction vanishes in the limit
@@ -458,12 +478,12 @@ def per_sample_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarra
                     hess[lo1:hi1, lo2:hi2] += corr
                     hess[lo2:hi2, lo1:hi1] += corr.T
         for d in range(e):
-            lo, hi = d + 1, tree.edge_sub_hi[d]
+            lo, hi = d + 1, sub_hi[d]
             corr = gv[lo:hi] / theta_dfs[d]
             hess[lo:hi, d] += corr
             hess[d, lo:hi] += corr
 
-    inv_perm = np.argsort(tree.dfs_to_global)
+    inv_perm = np.argsort(dfs_to_global)
     return hess[np.ix_(inv_perm, inv_perm)]
 
 
@@ -474,17 +494,16 @@ def in_place_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarray)
     each entry corrected at most once, so the two agree bit for bit."""
     from circuit_sharp.curvature import edge_gradients
 
-    tree = circuit.tree_index()
+    order, sub_hi, prod_nodes, prod_blocks = dfs_tree_index(circuit)
     e = circuit.num_sum_edges
     g, flows = edge_gradients(circuit, params, batch)
     hess = g @ g.T
     np.negative(hess, out=hess)
-    order = tree.dfs_to_global
 
-    fq = flows.node_flow[tree.prod_nodes]
+    fq = flows.node_flow[prod_nodes]
     inv = np.divide(1.0, fq, out=np.zeros_like(fq), where=fq >= 1e-250)
     g_dfs = g[order]
-    for w, blocks in zip(inv, tree.prod_blocks):
+    for w, blocks in zip(inv, prod_blocks):
         for a, (lo1, hi1) in enumerate(blocks):
             ia = order[lo1:hi1]
             gw = g_dfs[lo1:hi1] * w
@@ -495,7 +514,7 @@ def in_place_tree_hessian(circuit: Circuit, params: ParamSet, batch: np.ndarray)
                 hess[np.ix_(ib, ia)] += corr.T
 
     lo = np.arange(1, e + 1)
-    size = tree.edge_sub_hi - lo
+    size = sub_hi - lo
     shallow = np.repeat(np.arange(e), size)
     deep = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
     shallow, deep = order[shallow], order[deep]

@@ -25,6 +25,7 @@ from oracles import (
     SumEdge,
     SumPair,
     classify_pair,
+    dfs_tree_blocks,
     dfs_tree_index,
     edge_index,
     kahn_levels,
@@ -433,13 +434,16 @@ FAR = np.iinfo(np.int64).max
 class TestIndexReferences:
     """Every index that build and tree_index derive by array sweeps, field
     by field against the walks in oracles: Kahn's order with the level max,
-    the sum depth as a min over the reversed order, and the iterative DFS."""
+    the sum depth as a min over the reversed order, and the iterative DFS,
+    whose product-pair and path-pair blocks are listed pair by pair."""
 
     @staticmethod
     def _cases():
+        from circuit_sharp.structure import RatConfig, build_rat
+
         circuits = [c for c, _ in tree_zoo(10) + dag_zoo(10)]
         circuits += [shared_child_dag()[0], indicator_groups_dag()[0], _random_tree_hclt()[0]]
-        return circuits + [chain_hclt()[0], _deep_chain()]
+        return circuits + [chain_hclt()[0], _deep_chain(), build_rat(RatConfig(num_vars=2, depth=1, seed=1))[0]]
 
     def test_indexes_match_the_reference_walks(self):
         trees = 0
@@ -458,11 +462,13 @@ class TestIndexReferences:
             assert circuit.root_scope == node_scopes(circuit)[circuit.root]
             if circuit.is_tree:
                 trees += 1
-                tree, (dfs_to_global, sub_hi, prod_nodes, prod_blocks) = circuit.tree_index(), dfs_tree_index(circuit)
+                tree, (dfs_to_global, sub_hi, _, _) = circuit.tree_index(), dfs_tree_index(circuit)
                 np.testing.assert_array_equal(tree.dfs_to_global, dfs_to_global)
                 np.testing.assert_array_equal(tree.edge_sub_hi, sub_hi)
-                assert tree.prod_nodes == prod_nodes and tree.prod_blocks == prod_blocks
-        assert trees == 11
+                for name, want in zip(("lo1", "hi1", "lo2", "hi2", "product"), dfs_tree_blocks(circuit)):
+                    got = getattr(tree, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert trees == 12
 
     def test_edge_layer_takes_the_shorter_root_path(self):
         # X (2) sits one sum node below the root through P1 (5), two through

@@ -55,6 +55,21 @@ class TestTrain:
         assert f"batch_size must be >= 1, got {batch_size}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--mu", "nan", "mu must be finite"), ("--mu", "inf", "mu must be finite"),
+         ("--lam", "nan", "lambda must be finite"), ("--epochs", -3, "epochs must be >= 0, got -3")],
+    )
+    @pytest.mark.parametrize("learner", ["em", "sgd"])
+    def test_bad_training_values_are_input_errors(self, tmp_path, capsys, learner, flag, value, message):
+        code = run_cli(
+            "train", "--manifold", "spiral", "--fraction", 0.05, "--learner", learner, "--epochs", 1,
+            flag, value, "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_em_on_written_debd_files(self, tmp_path):
         rng = np.random.default_rng(0)
         for split, n in (("train", 60), ("valid", 20), ("test", 20)):
@@ -213,6 +228,15 @@ class TestLandscape:
         assert run_cli("landscape", spiral_run / "model.pc", spiral_run / "train.csv", option, value, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_is_input_error(self, spiral_run, tmp_path, capsys, top_k):
+        out, eig = tmp_path / "l.csv", tmp_path / "eig.csv"
+        code = run_cli("landscape", spiral_run / "model.pc", spiral_run / "train.csv", "--grid-points", 3,
+                       "--out", out, "--eig-out", eig, "--top-k", top_k)
+        assert code == 2
+        assert f"k must be >= 1, got {top_k}" in capsys.readouterr().err
+        assert not out.exists() and not eig.exists()
 
     def test_eigenvalues_descending_magnitude(self, spiral_run, tmp_path):
         out = tmp_path / "l.csv"

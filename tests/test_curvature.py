@@ -145,9 +145,8 @@ class TestFullTreeHessian:
         """The dense Hessian and the operator's products stay finite and
         match the per-sample sum, which skips dead products."""
         for circuit, params, batch in (dead_subtree_case(), dead_pair_case()):
-            tree = circuit.tree_index()
             trace = forward(circuit, params, batch)
-            fq = backward(circuit, params, trace).node_flow[tree.prod_nodes]
+            fq = backward(circuit, params, trace).node_flow[circuit.tree_index().product]
             assert np.any(fq == 0.0) and np.all(np.isfinite(trace.root_log_p))
             h = full_hessian_tree(circuit, params, batch)
             ref = per_sample_tree_hessian(circuit, params, batch)
@@ -325,7 +324,7 @@ class TestHessianOperator:
         import circuit_sharp.curvature as curvature
 
         circuit, params = spiral_rat()
-        size = curvature._curvature_size(curvature._curvature_blocks(circuit.tree_index()))
+        size = circuit.tree_index().size
         assert size == 28200
         monkeypatch.setattr(curvature, "TILE_BYTES", 16 * size + spare)
         taken = record_routes(monkeypatch)
@@ -420,6 +419,11 @@ class TestTopEigenvalues:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             top_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            top_eigenvalues(np.eye(3), k)
 
 
 class TestPenaltyGradient:

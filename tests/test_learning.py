@@ -243,6 +243,25 @@ class TestSchedules:
         assert MU_GRID == (0.01, 0.05, 0.1, 0.5, 1.0)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("field,value", [("mu", np.nan), ("mu", np.inf), ("mu", -1.0), ("lam", np.nan),
+                                             ("lam", np.inf), ("lam", 0.0)])
+    def test_regularizer_rejects_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"must be finite and .* got {value!r}"):
+            RegularizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("trainer", [em_train, sgd_train])
+    def test_negative_epochs_raise(self, trainer):
+        circuit, params = random_tree(142)
+        with pytest.raises(ValueError, match="^epochs must be >= 0, got -3$"):
+            trainer(circuit, params, batch_for(circuit, 8, 2), epochs=-3)
+
+    def test_zero_epochs_return_the_parameters(self):
+        circuit, params = random_tree(142)
+        out, report = em_train(circuit, params, batch_for(circuit, 8, 2), epochs=0)
+        assert report.rows == [] and np.array_equal(out.theta, params.theta)
+
+
 class TestEmTrain:
     def test_full_batch_monotone_loglik(self):
         circuit, params = random_tree(140)
@@ -311,7 +330,7 @@ class TestSgdTrain:
         flows = backward(circuit, params, trace)
         theta = params.edge_vector(circuit)
         raw = -flows.edge_flow.sum(axis=1) / theta
-        grad = mapper.gradient(params, raw, flows, data, nll_sign=-1.0)
+        grad = mapper.gradient(params, raw, flows, data)
 
         def nll_of(vec):
             p = mapper.unflatten(vec, params)
