@@ -11,9 +11,10 @@ backward, penalty, hvp, the construction of the Hessian operator (operator:
 the closed form's sparse part on this tree, the sweeps' stack rows on the
 DAG), one 15-vector Hessian block product (matmat), the top 15 Hessian
 eigenvalues (nll_hessian_eigenvalues: Lanczos, about sixty H v products,
-whose count is printed after its times) and diagnose-tree's 2-D 5 x 5
-landscape on 5 rows, the chunk size of the diagnose-tree workload, where
-per-call overhead dominates, and
+whose count is printed after its times), diagnose-tree's 2-D 5 x 5
+landscape and its 24 probes in one probe_log_likelihood call (probes) on 5
+rows, the chunk size of the diagnose-tree workload, where per-call overhead
+dominates, and
 forward, log_likelihood and backward on all 1000 spiral training rows, the
 size of an epoch's validation NLL.  Then the same eigenvalue call (there on
 the Hessian formed by one block product H I), one hvp, the operator and one
@@ -74,6 +75,7 @@ from circuit_sharp import curvature
 from circuit_sharp.curvature import hessian_operator, trace_penalty_gradient
 from circuit_sharp.data import gen_manifold, minmax_scale
 from circuit_sharp.diagnostics import landscape, nll_hessian_eigenvalues
+from circuit_sharp.evaluate import probe_log_likelihood
 from circuit_sharp.structure import build_layered_dag
 
 REPEATS = 40
@@ -225,7 +227,12 @@ def time_circuit(name):
     if large is not None:
         small = {**passes(circuit, params, batch[:5]), **eigen_passes(circuit, params, batch[:5])}
         small["landscape"] = lambda: landscape(circuit, params, batch[:5], mode="2d", grid_points=5, seed=1)
-        keep = ("log_likelihood", "backward", "penalty", "hvp", "operator", "matmat", "eigenvalues", "landscape")
+        logits, rng = np.log(params.theta), np.random.default_rng(5)
+        probes = np.stack([circuit.sum_segments.softmax(logits + 0.1 * rng.standard_normal(logits.size))
+                           for _ in range(24)], axis=1)  # a 5 x 5 grid's points but its origin
+        small["probes"] = lambda: probe_log_likelihood(circuit, params, batch[:5], probes)
+        keep = ("log_likelihood", "backward", "penalty", "hvp", "operator", "matmat", "eigenvalues", "landscape",
+                "probes")
         lines.append(report(name, circuit, batch[:5], {k: small[k] for k in keep}, params))
         trace = forward(circuit, params, large)
         lines.append(report(name, circuit, large, {

@@ -210,7 +210,12 @@ class _LevelEdges:
     ``edges[i, r, j]`` [G, g, k] is the global edge from member r of group i
     to its child j, so a group's weights are the [g, k] matrix
     ``theta[edges[i]]`` that forward and backward multiply per-child rows
-    by, and ``child_scatter`` adds per-child rows into the children."""
+    by, and ``child_scatter`` adds per-child rows into the children.
+
+    ``free`` marks a stack whose children are all weight-free (no sum edge
+    lies below them): a probe sweep computes its child side once for every
+    probe.  ``lift`` lists the weight-free children of a stack that is not,
+    which a probe sweep reads broadcast across its probes."""
 
     parents: np.ndarray
     k: int
@@ -221,6 +226,8 @@ class _LevelEdges:
     members: np.ndarray | None = None
     edges: np.ndarray | None = None
     rows: np.ndarray | slice | None = None
+    free: bool = False
+    lift: np.ndarray | None = None
 
     # built on first use: EM never scatters a group's per-edge rows
     scatter = cached_property(lambda self: Scatter(self.child))
@@ -321,7 +328,9 @@ class Circuit:
     ``sum_node_edges``), ``level_edges``, ``single_edges``, ``edge_layer``
     (per sum edge, the fewest sum nodes between its owner and the root;
     iinfo(int64).max where no root path reaches it), ``root_scope``,
-    ``is_tree`` and the leaf indexes; :meth:`tree_index` builds a tree's
+    ``is_tree``, ``weight_free`` (per node, whether no sum edge lies below
+    it, as the stacks' ``free`` flags see it) and the leaf indexes;
+    :meth:`tree_index` builds a tree's
     DFS index on each call.
     There are no per-node parent lists or sum depths.
     """
@@ -360,6 +369,18 @@ class Circuit:
         reached = [var[depth[ids] < far] for ids, var in self._leaf_groups.values()]
         self.root_scope: tuple[int, ...] = tuple(np.unique(np.concatenate(reached)).tolist())
         self.is_tree = bool(self.in_degree[root] == 0) and int((self.in_degree == 1).sum()) == n - 1
+
+        # Weight-free nodes, leaves to root: the leaves, and the parents of
+        # product stacks that read only weight-free nodes (a product in a
+        # stack that reads any other node counts as weight-dependent).
+        free = kind == LEAF
+        for b in self._stacks:
+            read = free[b.child]
+            b.free = bool(read.all())
+            free[b.parents] = b.free and not is_sum[b.parents[0]]
+            if not b.free and read.any():
+                b.lift = np.unique(b.child[read])
+        self.weight_free = _read_only(free)
 
     @staticmethod
     def build(nodes: list[Node], root: int) -> "Circuit":

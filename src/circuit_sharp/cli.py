@@ -84,6 +84,9 @@ def _resolve_data(cfg: RunConfig) -> Dataset:
     return subsample(ds, FractionSpec(cfg.fraction, cfg.seed))
 
 
+RAT_OPTIONS = ("inputs", "sums", "reps", "depth", "leaf")  # the keys of --structure rat:key=value,...
+
+
 def _resolve_structure(cfg: RunConfig, ds: Dataset) -> tuple[Circuit, ParamSet]:
     spec = cfg.structure
     if spec == "auto":
@@ -98,6 +101,8 @@ def _resolve_structure(cfg: RunConfig, ds: Dataset) -> tuple[Circuit, ParamSet]:
         if arg:
             for kv in arg.split(","):
                 k, _, v = kv.partition("=")
+                if k not in RAT_OPTIONS:
+                    raise CircuitError(f"unknown rat option {k!r} in {spec!r}; known: {', '.join(RAT_OPTIONS)}")
                 opts[k] = v
         nv = ds.num_vars
         rat = RatConfig(

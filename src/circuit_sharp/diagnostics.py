@@ -5,8 +5,12 @@ and rescaled per sum-node block to that node's weight norm (the circuit
 analogue of per-filter normalization); perturbed logits are mapped back to
 the simplex before evaluation, so every probed point is a valid circuit.
 The grid points are evaluated in chunks of ``evaluate.probe_width``, one
-``evaluate.probe_log_likelihood`` sweep per chunk, which gives every point
-the value of its own ``log_likelihood`` bit for bit.  Hessian eigenvalues
+``evaluate.probe_log_likelihood`` sweep per chunk: the points are the
+sweep's probe axis (one softmax per chunk maps their logits to weights, and
+the stored weights, the origin, lead the first chunk), the weight-free leaf
+stage and the child side of the sum stacks over the leaves are computed
+once per chunk, and every point gets the value of its own
+``log_likelihood`` bit for bit.  Hessian eigenvalues
 come from ``curvature.top_eigenvalues`` on the exact Hessian operator, or,
 for a DAG, on the matrix it forms by one or two block products when that is
 cheaper; Lanczos stops at the residual tolerance it is checked against, so
@@ -23,7 +27,7 @@ import numpy as np
 from .circuit import Circuit, ParamSet
 from .curvature import hessian_operator, top_eigenvalues
 from .errors import ZeroTrainNLL
-from .evaluate import as_batch, log_likelihood, probe_log_likelihood, probe_width
+from .evaluate import as_batch, probe_log_likelihood, probe_width
 
 # Most block products that nll_hessian_eigenvalues spends forming a DAG's
 # Hessian as a matrix.  At k = 15, with Lanczos stopping at its residual gate,
@@ -120,15 +124,23 @@ def landscape(
     else:
         offsets = (a * u + b * dirs[1] for a in alphas for b in alphas)
     batch = as_batch(circuit, data)
-    origin = float(-log_likelihood(circuit, params, batch).mean())
-    values = np.full(alphas.size ** len(dirs), origin)
-    # the other probes in chunks of probe_width, one sweep per chunk
-    probes = ((i, offset) for i, offset in enumerate(offsets) if np.any(offset))
+    probes = ((i, offset) for i, offset in enumerate(offsets) if offset.any())
     width = probe_width(circuit, batch.shape[0])
+
+    def weights(chunk):  # [sum edges, points]: the softmax of each point's perturbed logits
+        return circuit.sum_segments.softmax(logits0[:, None] + np.stack([o for _, o in chunk], axis=1))
+
+    def nll(weights):  # mean NLL per column of weights, in one sweep
+        return -probe_log_likelihood(circuit, params, batch, weights).mean(axis=1)
+
+    # the stored weights lead the first chunk, so the origin is the unperturbed NLL exactly
+    chunk = list(islice(probes, width - 1))
+    first = nll(np.concatenate([theta[:, None], weights(chunk)], axis=1) if chunk else theta[:, None])
+    origin = float(first[0])
+    values = np.full(alphas.size ** len(dirs), origin)
+    values[[i for i, _ in chunk]] = first[1:]
     while chunk := list(islice(probes, width)):
-        weights = np.stack([circuit.sum_segments.softmax(logits0 + offset) for _, offset in chunk], axis=1)
-        for (i, _), ll in zip(chunk, probe_log_likelihood(circuit, params, batch, weights)):
-            values[i] = float(-ll.mean())
+        values[[i for i, _ in chunk]] = nll(weights(chunk))
     if mode == "1d":
         return LandscapeGrid(dirs, alphas, None, values, origin)
     return LandscapeGrid(dirs, alphas, alphas.copy(), values.reshape(len(alphas), len(alphas)), origin)

@@ -24,10 +24,14 @@ value.  :func:`forward` computes each tile in place in its columns of one
 [num_nodes, samples] buffer, the trace that backward passes read;
 :func:`log_likelihood` reuses one tile buffer, keeps only the root row and
 stores no trace, for callers that need the per-sample log-likelihoods alone.
-:func:`probe_log_likelihood` is its many-weights form: several weight probes
-(landscape points) share one sweep, each row reading its own sum weights;
-:func:`probe_width` bounds how many, and how many Hessian vectors share one
-reverse sweep, by TILE_BYTES.
+
+:func:`probe_log_likelihood` is its many-weights form: columns of sum
+weights (probes: landscape points, finite-difference steps) share one sweep
+on [num_nodes, probes, tile] tables, each probe bit for bit its own
+log_likelihood.  The nodes that no sum edge lies below, and the child side
+of the sum stacks over them, are computed once per tile for every probe.
+:func:`probe_width` bounds how many probes share one sweep, and how many
+Hessian vectors one reverse sweep, by TILE_BYTES.
 """
 
 from __future__ import annotations
@@ -114,16 +118,24 @@ def probe_width(circuit: Circuit, samples: int) -> int:
     return max(1, TILE_BYTES // (8 * max(1, samples) * max(circuit.num_nodes, circuit.num_sum_edges)))
 
 
-def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarray | None = None, theta=None):
-    """Yield (rows, lp) for each row tile of batch, lp [num_nodes, tile] the
-    log-probabilities of every node on those rows.  lp is the view out[:,
-    rows] of a [num_nodes, samples] out, or else a view of one tile buffer
-    that the next tile overwrites.  theta [sum edges, samples], when given,
-    holds each row's own sum weights in place of params.theta ([sum edges,
-    1]: one column for every row)."""
+def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarray | None = None, weights=None):
+    """Yield (rows, lp) for each row tile of batch, lp [num_nodes, probes,
+    tile] the log-probabilities of every node on those rows under each
+    column of weights [sum edges, probes] (default params.theta: one probe).
+    lp is the view out[:, None, rows] of a [num_nodes, samples] out (one
+    probe), or else a view of one tile buffer that the next tile overwrites.
+
+    Weight-free nodes (``Circuit.weight_free``) are computed once per tile
+    in lp0 [num_nodes, tile], which is lp[:, 0] for one probe: the leaf
+    stage, products over them, and the child side (gather, max-shift, exp)
+    of each free sum stack, whose weighted terms ([probes, tile, edges],
+    so that each product runs along the edges), sums and logs alone run per
+    probe.  A stack that is not free reads its weight-free children (its
+    ``lift``) broadcast across the probes."""
     xb, xg, xc = _leaf_inputs(circuit, batch)
     groups, leaf_vars = circuit.leaf_groups(), circuit.leaf_vars
-    theta = params.theta[:, None] if theta is None else theta  # [sum edges, 1 or samples]
+    weights = params.theta[:, None] if weights is None else weights
+    p = weights.shape[1]
     (mean, sd), cat_starts = params.gauss.T, circuit.cat_segments.starts[:, None]
     # divide: log 0 at indicator leaves; invalid and over: diverged (inf or
     # tiny) parameters, whose non-finite rows are the DivergedNaN signal
@@ -133,41 +145,60 @@ def _sweep(circuit: Circuit, params: ParamSet, batch: np.ndarray, out: np.ndarra
         log_g, log_c = (-np.log(sd) - 0.5 * _LOG_2PI)[:, None], np.log(params.cat)
     n = batch.shape[0]
     cells = LEVEL_CELLS * max(1, len(circuit.level_edges)) // (circuit.num_nodes + circuit.num_sum_edges)
-    tile = max(1, min(n, max(TILE_BYTES // (8 * circuit.num_nodes), cells)))
+    tile = max(1, min(n, max(TILE_BYTES // (8 * circuit.num_nodes), cells) // max(1, p)))
     if 0 < n % tile < tile / 4:  # no runt last tile: its level loop costs about a full tile's
         tile = -(-n // (n // tile))
-    buf = np.empty((circuit.num_nodes, tile)) if out is None else out
+    buf = np.empty((circuit.num_nodes, p, tile)) if out is None else out[:, None]
+    buf0 = np.empty((circuit.num_nodes, tile)) if p != 1 else None  # lp0's own tile buffer
     for lo in range(0, n, tile):
         rows = slice(lo, min(lo + tile, n))
-        lp = buf[:, rows] if out is not None else buf[:, : rows.stop - lo]
-        weights = theta if theta.shape[1] == 1 else theta[:, rows]
+        lp = buf[:, :, rows] if out is not None else buf[:, :, : rows.stop - lo]
+        lp0 = lp[:, 0] if p == 1 else buf0[:, : rows.stop - lo]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lp[groups["bern"][0]] = np.where(xb[:, rows].take(leaf_vars["bern"][1], axis=0), log_b, log_nb)
+            lp0[groups["bern"][0]] = np.where(xb[:, rows].take(leaf_vars["bern"][1], axis=0), log_b, log_nb)
             z = xg[:, rows].take(leaf_vars["gauss"][1], axis=0)
             z -= mean[:, None]
             z /= sd[:, None]
             h = 0.5 * z
             h *= z  # (0.5 * z) * z in place: a fresh [leaves, tile] array per operation doubled this stage's time
-            lp[groups["gauss"][0]] = np.subtract(log_g, h, out=h)
-            lp[groups["cat"][0]] = log_c[cat_starts + xc[:, rows].take(leaf_vars["cat"][1], axis=0)]
+            lp0[groups["gauss"][0]] = np.subtract(log_g, h, out=h)
+            lp0[groups["cat"][0]] = log_c[cat_starts + xc[:, rows].take(leaf_vars["cat"][1], axis=0)]
         # lp[idx], not take: lp of a multi-tile forward is a strided column view, which take copies whole
         for sums, prods in circuit.level_edges:
             for b in prods:
+                if b.free:
+                    lp0[b.parents] = b.sum(lp0[b.child])
+                    continue
+                if p != 1 and b.lift is not None:
+                    lp[b.lift] = lp0[b.lift, None]
                 lp[b.parents] = b.sum(lp[b.child])
             for b in sums:
-                w = lp[b.children]  # each group's children once: its max is every member's
-                wg = b.groups(w)
+                if p != 1 and b.lift is not None:
+                    lp[b.lift] = lp0[b.lift, None]
+                w = (lp0[:, None] if b.free else lp)[b.children]  # [children, 1 or probes, tile]
+                wg = b.groups(w)  # each group's children once: its max is every member's
                 m = wg.max(axis=1)
-                m_safe = np.where(np.isfinite(m), m, 0.0)
+                live = np.isfinite(m)
+                m_safe = np.where(live, m, 0.0)
                 np.subtract(wg, m_safe[:, None], out=wg)
                 np.exp(w, out=w)
-                if b.g > 1:  # [1 or tile, G, g, k] @ [tile, G, k, 1]; take: C-contiguous weights, which BLAS takes
-                    w = np.matmul(weights.T.take(b.edges, axis=1), wg.transpose(2, 0, 1)[..., None])[..., 0]
-                    w, m, m_safe, parents = w.transpose(1, 2, 0), m[:, None], m_safe[:, None], b.members
-                else:
-                    w, parents = b.sum(np.multiply(w, weights[b.index], out=w)), b.parents
+                if b.g > 1:  # [probes, 1, G, g, k] @ [1 or probes, tile, G, k, 1]; take: C-contiguous weights for BLAS
+                    w = np.matmul(weights.T.take(b.edges, axis=1)[:, None], wg.transpose(2, 3, 0, 1)[..., None])
+                    w, live, m_safe, parents = w[..., 0].transpose(2, 3, 0, 1), live[:, None], m_safe[:, None], b.members
+                elif w.shape[1] == p:  # a probe axis (or one probe): weight the children's rows in place
+                    w, parents = b.sum(np.multiply(w, weights[b.index][..., None], out=w)), b.parents
+                else:  # weight-free children: the terms as [probes, tile, edges], each product along the edges;
+                    # reduceat sums a run alike along any axis, so the layout changes no value
+                    w = np.ascontiguousarray(weights[b.index].T)[:, None] * np.ascontiguousarray(w[:, 0].T)
+                    w, parents = np.add.reduceat(w, b.starts, axis=2).transpose(2, 0, 1), b.parents
                 with np.errstate(divide="ignore"):
-                    lp[parents] = np.where(np.isfinite(m), m_safe + np.log(w), -np.inf)
+                    np.log(w, out=w)
+                w += m_safe  # log p = m + log(weighted sum), and -inf where m is not finite
+                if not live.all():
+                    np.copyto(w, -np.inf, where=~live)
+                lp[parents] = w
+        if p != 1 and circuit.weight_free[circuit.root]:
+            lp[circuit.root] = lp0[circuit.root]
         yield rows, lp
 
 
@@ -194,14 +225,12 @@ def log_likelihood(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.
 def probe_log_likelihood(circuit: Circuit, params: ParamSet, batch: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-sample log-likelihoods [probes, samples] under each column of
     weights [sum edges, probes] in place of params.theta, all in one sweep
-    over the rows repeated probe by probe, each row reading its probe's
-    column.  Row j equals log_likelihood under weights[:, j] bit for bit;
-    probe_width bounds how many probes keep the sweep's tables small."""
+    on [nodes, probes, rows] tables; the weight-free nodes are computed
+    once for every probe.  Row j equals log_likelihood under weights[:, j]
+    bit for bit; probe_width bounds how many probes keep the sweep's tables
+    small."""
     batch = as_batch(circuit, batch)
-    n, m = batch.shape[0], weights.shape[1]
-    if m > 1:  # one column per row; a lone probe's column broadcasts
-        batch, weights = np.tile(batch, (m, 1)), np.repeat(weights, n, axis=1)
-    out = np.empty(m * n)
-    for rows, lp in _sweep(circuit, params, batch, theta=weights):
-        out[rows] = lp[circuit.root]
-    return out.reshape(m, n)
+    out = np.empty((weights.shape[1], batch.shape[0]))
+    for rows, lp in _sweep(circuit, params, batch, weights=weights):
+        out[:, rows] = lp[circuit.root]
+    return out

@@ -1,10 +1,12 @@
 """Finite-difference ground truth for gradients and Hessians on small circuits.
 
 Perturbations act on raw sum weights without renormalization: that is the
-unconstrained partial derivative the flow identities express.  Second
-derivatives difference the analytic gradient (one level of truncation error),
-not the scalar twice, with a step one decade coarser than the gradient's
-(1e-4 against 1e-5).
+unconstrained partial derivative the flow identities express.  The gradient
+evaluates its +h and -h weight columns in chunks of ``probe_width``, one
+``probe_log_likelihood`` sweep per chunk, bit for bit one ``log_likelihood``
+per column.  Second derivatives difference the analytic gradient (one level
+of truncation error), not the scalar twice, with a step one decade coarser
+than the gradient's (1e-4 against 1e-5).
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ import numpy as np
 
 from .circuit import Circuit, ParamSet
 from .errors import CostGuardExceeded
-from .evaluate import forward, log_likelihood
+from .evaluate import as_batch, forward, probe_log_likelihood, probe_width
 from .flows import backward, loglik_gradient
 
 GRADIENT_EDGE_CAP = 10_000
 HESSIAN_EDGE_CAP = 500
-
-
-def batch_loglik(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> float:
-    return float(log_likelihood(circuit, params, batch).sum())
 
 
 def analytic_gradient(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> np.ndarray:
@@ -29,25 +27,24 @@ def analytic_gradient(circuit: Circuit, params: ParamSet, batch: np.ndarray) -> 
     return loglik_gradient(flows, params)
 
 
-def _weight_diff(params: ParamSet, fn, h: float) -> np.ndarray:
-    """Central differences of fn(ParamSet) along each raw sum weight."""
-    probe = params.copy()
-
-    def at(theta):
-        probe.theta = theta
-        return fn(probe)
-
-    return central_diff(at, params.theta, h)
-
-
 def fd_gradient(
     circuit: Circuit, params: ParamSet, batch: np.ndarray, h: float = 1e-5
 ) -> np.ndarray:
-    """Central difference of the batch log-likelihood per raw sum weight."""
+    """Central difference of the batch log-likelihood per raw sum weight; the
+    columns theta +- h e_i of probe_width // 2 weights share each sweep."""
     e = circuit.num_sum_edges
     if e > GRADIENT_EDGE_CAP:
         raise CostGuardExceeded(f"{e} edges exceeds FD gradient cap {GRADIENT_EDGE_CAP}")
-    return _weight_diff(params, lambda p: batch_loglik(circuit, p, batch), h)
+    batch, theta, grad = as_batch(circuit, batch), params.theta, np.empty(e)
+    width = max(1, probe_width(circuit, batch.shape[0]) // 2)
+    for lo in range(0, e, width):
+        i = np.arange(lo, min(lo + width, e))
+        col = np.arange(i.size)
+        weights = np.repeat(theta[:, None], 2 * i.size, axis=1)  # columns +h, -h per weight
+        weights[i, 2 * col], weights[i, 2 * col + 1] = theta[i] + h, theta[i] - h
+        ll = probe_log_likelihood(circuit, params, batch, weights).sum(axis=1)  # each row summed as alone
+        grad[i] = (ll[0::2] - ll[1::2]) / (2.0 * h)
+    return grad
 
 
 def fd_hessian(
@@ -65,7 +62,13 @@ def fd_hessian(
     e = circuit.num_sum_edges
     if e > HESSIAN_EDGE_CAP:
         raise CostGuardExceeded(f"{e} edges exceeds FD Hessian cap {HESSIAN_EDGE_CAP}")
-    hess = _weight_diff(params, lambda p: analytic_gradient(circuit, p, batch), h)
+    probe = params.copy()
+
+    def gradient(theta):
+        probe.theta = theta
+        return analytic_gradient(circuit, probe, batch)
+
+    hess = central_diff(gradient, params.theta, h)
     return 0.5 * (hess + hess.T) if symmetrize else hess
 
 

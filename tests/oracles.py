@@ -16,6 +16,7 @@ import numpy as np
 
 from circuit_sharp import Circuit, EvalTrace, ParamSet, forward, log_likelihood
 from circuit_sharp.errors import CircuitError, CyclicGraph, NotATree
+from circuit_sharp.fd import central_diff
 
 
 class NotAChild(CircuitError):
@@ -125,6 +126,19 @@ def landscape_values(circuit: Circuit, params: ParamSet, data, directions, alpha
 
 
 _PARENTS: "weakref.WeakKeyDictionary[Circuit, list]" = weakref.WeakKeyDictionary()
+
+
+def fd_gradient_loop(circuit: Circuit, params: ParamSet, batch, h: float = 1e-5) -> np.ndarray:
+    """``fd.fd_gradient`` as it computed it weight by weight: one
+    ``log_likelihood`` batch sum per perturbed weight column theta +- h e_i,
+    the reference that the probe-sweep chunks must equal bit for bit."""
+    probe = params.copy()
+
+    def batch_loglik(theta: np.ndarray) -> float:
+        probe.theta = theta
+        return float(log_likelihood(circuit, probe, batch).sum())
+
+    return central_diff(batch_loglik, params.theta, h)
 
 
 def parent_lists(circuit: Circuit) -> list[list[tuple[int, int]]]:

@@ -44,6 +44,16 @@ class TestTrain:
         assert code == 2
         assert "exceeds cap" in capsys.readouterr().err
 
+    def test_unknown_rat_option_is_input_error(self, tmp_path, capsys):
+        code = run_cli(
+            "train", "--manifold", "spiral", "--fraction", 0.05, "--epochs", 1,
+            "--structure", "rat:depht=3", "--out", tmp_path / "r",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'depht'" in err and "known: inputs, sums, reps, depth, leaf" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("batch_size", [-5, 0])
     @pytest.mark.parametrize("learner", ["em", "sgd"])
     def test_batch_size_below_one_is_input_error(self, tmp_path, capsys, learner, batch_size):

@@ -192,6 +192,49 @@ class TestTiling:
                 monkeypatch.setattr(evaluate, "TILE_BYTES", 8 * circuit.num_nodes * tile_rows)
                 np.testing.assert_array_equal(evaluate.probe_log_likelihood(circuit, params, batch, weights), want)
 
+    def test_probe_tables_hold_no_repeated_weights_or_rows(self):
+        """24 probes on the 2110-edge spiral RAT at 5 rows trace a peak below
+        what the repeated-rows layout held at once: the [sum edges, 24 * 5]
+        repeated weights plus one [nodes, 24 * 5] tile."""
+        import tracemalloc
+        from dataclasses import replace
+
+        from circuit_sharp import ParamSet
+        from circuit_sharp.data import gen_manifold, minmax_scale
+        from circuit_sharp.structure import RatConfig, build_rat
+
+        ds, _, _ = minmax_scale(gen_manifold("spiral", 1000, noise=0.05, seed=1))
+        circuit, _ = build_rat(RatConfig(num_vars=2, depth=1, seed=7))
+        params = ParamSet.uniform(circuit, np.random.default_rng(7))
+        logits = np.log(params.theta)
+        rng = np.random.default_rng(3)
+        weights = np.stack([circuit.sum_segments.softmax(logits + rng.normal(0, 0.5, logits.size)) for _ in range(24)], 1)
+        rows = ds.train[:5]
+        tracemalloc.start()
+        try:
+            lls = evaluate.probe_log_likelihood(circuit, params, rows, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 24 * 5 * (circuit.num_sum_edges + circuit.num_nodes)
+        assert circuit.weight_free.sum() >= 2000  # the Gaussian leaves
+        np.testing.assert_array_equal(lls[5], log_likelihood(circuit, replace(params, theta=weights[:, 5]), rows))
+
+    def test_a_weight_free_root_gives_every_probe_its_value(self):
+        """No sum edge below the root: every probe's row is the one
+        log_likelihood, in a fresh writable [probes, rows] array."""
+        from circuit_sharp import Circuit, ParamSet, leaf_node, product_node, sum_node
+
+        nodes = [leaf_node(0, "bern", [0.3]), leaf_node(1, "gauss", [0.0, 1.0]), product_node(0, 1)]
+        nodes += [leaf_node(0, "bern", [0.6]), sum_node(2, 3)]  # a sum that the root does not reach
+        circuit = Circuit.build(nodes, 2)
+        assert circuit.weight_free[circuit.root]
+        batch = np.array([[0.0, 0.5], [1.0, -2.0], [1.0, 0.0]])
+        weights = np.array([[0.5, 0.1, 0.9], [0.5, 0.9, 0.1]])
+        out = evaluate.probe_log_likelihood(circuit, ParamSet.uniform(circuit), batch, weights)
+        assert out.shape == (3, 3) and out.flags.writeable and out.flags.owndata
+        np.testing.assert_array_equal(out, np.tile(log_likelihood(circuit, ParamSet.uniform(circuit), batch), (3, 1)))
+
     def test_deep_narrow_circuit_takes_one_tile(self):
         from circuit_sharp.structure import HcltConfig, build_hclt
 
@@ -216,7 +259,7 @@ class TestTiling:
         monkeypatch.setattr(evaluate, "LEVEL_CELLS", 0)
         monkeypatch.setattr(evaluate, "TILE_BYTES", 8 * circuit.num_nodes * tile)
         tiles = evaluate._sweep(circuit, params, batch_for(circuit, rows, 0))
-        assert [lp.shape[1] for _, lp in tiles] == widths
+        assert [lp.shape[2] for _, lp in tiles] == widths  # lp is [nodes, probes, tile]
 
     def test_trace_keeps_a_copy_of_its_rows(self):
         circuit, params = random_tree(5)

@@ -5,7 +5,8 @@ from circuit_sharp import Circuit, ParamSet, leaf_node, sum_node
 from circuit_sharp.errors import CostGuardExceeded
 from circuit_sharp.fd import analytic_gradient, central_diff, fd_gradient, fd_hessian
 
-from zoo import batch_for, random_tree
+from oracles import fd_gradient_loop
+from zoo import batch_for, dag_zoo, random_tree, tree_zoo
 
 
 @pytest.fixture
@@ -35,6 +36,23 @@ class TestFdGradient:
         fd = fd_gradient(circuit, params, batch)
         an = analytic_gradient(circuit, params, batch)
         assert np.abs(fd - an).max() <= 1e-6
+
+    def test_probe_chunks_equal_the_per_weight_loop_bit_for_bit(self, monkeypatch):
+        """The +-h columns, evaluated a chunk of probe_width at a time, give
+        every entry of the one-log_likelihood-per-column loop, bit for bit:
+        on trees and DAGs of all three leaf families, in one chunk and in
+        chunks of one weight (two probes) each."""
+        from circuit_sharp import evaluate, fd as fd_module
+
+        cases = tree_zoo(3, families=("binary", "continuous", "cat3")) + dag_zoo(3, families=("binary", "cat3"))
+        for circuit, params in cases:
+            batch = batch_for(circuit, 6, 1)
+            want = fd_gradient_loop(circuit, params, batch)
+            np.testing.assert_array_equal(fd_gradient(circuit, params, batch), want)
+            with monkeypatch.context() as mp:
+                mp.setattr(fd_module, "probe_width", lambda circuit, samples: 2)
+                np.testing.assert_array_equal(fd_gradient(circuit, params, batch), want)
+            assert evaluate.probe_width(circuit, 6) // 2 >= circuit.num_sum_edges  # the default: one chunk
 
     def test_cost_guard(self):
         circuit, params = random_tree(3)
@@ -70,6 +88,23 @@ class TestFdHessian:
         batch = batch_for(circuit, 4, 3)
         raw = fd_hessian(circuit, params, batch, symmetrize=False)
         assert np.abs(raw - raw.T).max() <= 1e-6 * max(1.0, np.abs(raw).max())
+
+    def test_probe_chunks_equal_the_per_weight_loop_bit_for_bit(self, monkeypatch):
+        """The +-h columns, evaluated a chunk of probe_width at a time, give
+        every entry of the one-log_likelihood-per-column loop, bit for bit:
+        on trees and DAGs of all three leaf families, in one chunk and in
+        chunks of one weight (two probes) each."""
+        from circuit_sharp import evaluate, fd as fd_module
+
+        cases = tree_zoo(3, families=("binary", "continuous", "cat3")) + dag_zoo(3, families=("binary", "cat3"))
+        for circuit, params in cases:
+            batch = batch_for(circuit, 6, 1)
+            want = fd_gradient_loop(circuit, params, batch)
+            np.testing.assert_array_equal(fd_gradient(circuit, params, batch), want)
+            with monkeypatch.context() as mp:
+                mp.setattr(fd_module, "probe_width", lambda circuit, samples: 2)
+                np.testing.assert_array_equal(fd_gradient(circuit, params, batch), want)
+            assert evaluate.probe_width(circuit, 6) // 2 >= circuit.num_sum_edges  # the default: one chunk
 
     def test_cost_guard(self):
         circuit, params = random_tree(3)
