@@ -29,7 +29,9 @@ fills the per-edge tables that the median calls read.  Prints the median of
 REPEATS calls of each pass and, after it, the first call's time, in
 milliseconds.  The first call meets the heap and caches that the calls before
 it left, so a wide gap between the two points to allocation or cache state
-rather than arithmetic.
+rather than arithmetic.  Then the pass's peak memory: the tracemalloc peak,
+in MiB, of what one more call allocates (numpy reports its buffers to
+tracemalloc), counted from zero at the call's start.
 
 Each circuit is timed in a freshly spawned process, so that no circuit is
 timed with an allocator that another circuit's passes have warmed.
@@ -39,7 +41,8 @@ The package comes from PYTHONPATH, so the same script times any checkout:
 
 With --json, the script also writes what it prints to PATH: per report line,
 the circuit, its sum edges and rows, and each pass's median and first call in
-milliseconds (an eigenvalues pass also its Lanczos products); with them the
+milliseconds and its peak in MiB (peak_mib; an eigenvalues pass also its
+Lanczos products); with them the
 command, the machine (nproc, CPU model, L2 and L3 sizes) and the Python,
 numpy and scipy versions.
 """
@@ -52,6 +55,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -93,6 +97,17 @@ def times_ms(fn):
     return 1e3 * float(np.median(times)), 1e3 * times[0]
 
 
+def peak_mib(fn):
+    """tracemalloc's peak over one call of fn, in MiB: the most that the
+    call's allocations held at once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def lanczos_products(circuit, params, batch):
     """The matrix-vector products that Lanczos makes in one eigenvalues pass,
     not counting the residual check's block product: the eigensolver runs
@@ -117,17 +132,17 @@ def lanczos_products(circuit, params, batch):
 
 
 def report(name, circuit, batch, passes, params=None):
-    """Time passes, print one line and return it as a dict for --json.  An
-    eigenvalues pass also records its Lanczos products, counted after the
-    timings with params."""
+    """Time passes, then take each one's peak over one more call, print one
+    line and return it as a dict for --json.  An eigenvalues pass also
+    records its Lanczos products, counted after the timings with params."""
     ms = {k: times_ms(fn) for k, fn in passes.items()}
-    passes = {k: {"median_ms": med, "first_ms": first} for k, (med, first) in ms.items()}
+    passes = {k: {"median_ms": ms[k][0], "first_ms": ms[k][1], "peak_mib": peak_mib(fn)} for k, fn in passes.items()}
     if "eigenvalues" in passes:
         passes["eigenvalues"]["products"] = lanczos_products(circuit, params, batch)
     print(
         f"{name}: {circuit.num_sum_edges} sum edges x {len(batch)} rows: "
         + ", ".join(
-            f"{k} {p['median_ms']:.1f} ms (first {p['first_ms']:.1f}"
+            f"{k} {p['median_ms']:.1f} ms (first {p['first_ms']:.1f}, peak {p['peak_mib']:.2f} MiB"
             + (f", {p['products']} products)" if "products" in p else ")")
             for k, p in passes.items()
         ),

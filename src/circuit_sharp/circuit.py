@@ -324,10 +324,10 @@ class Circuit:
 
     Derived: ``topo_order`` (children first: the stable argsort of the
     levels), ``in_degree``, the sum-edge indexes (``sum_nodes``,
-    ``sum_segments``, ``sum_edge_owner``/``child``,
-    ``sum_node_edges``), ``level_edges``, ``single_edges``, ``edge_layer``
-    (per sum edge, the fewest sum nodes between its owner and the root;
-    iinfo(int64).max where no root path reaches it), ``root_scope``,
+    ``sum_segments``, ``sum_edge_owner``/``child``), ``level_edges``,
+    ``single_edges``, ``edge_layer`` (per sum edge, the fewest sum nodes
+    between its owner and the root; iinfo(int64).max where no root path
+    reaches it), ``root_scope``,
     ``is_tree``, ``weight_free`` (per node, whether no sum edge lies below
     it, as the stacks' ``free`` flags see it) and the leaf indexes;
     :meth:`tree_index` builds a tree's
@@ -395,11 +395,6 @@ class Circuit:
         seg = self.sum_segments = Segments(fan_in[sum_nodes])
         self.num_sum_edges = int(seg.ids.size)
         self.sum_edge_owner, self.sum_edge_child = owner[is_sum[owner]], child[is_sum[owner]]
-        # 0/1 [sum nodes, sum edges]: row i marks the edges of sum_nodes[i]
-        self.sum_node_edges = scipy.sparse.csr_array(
-            (np.ones(self.num_sum_edges), (seg.ids, np.arange(self.num_sum_edges))),
-            shape=(sum_nodes.size, self.num_sum_edges),
-        )
         sums = _LevelEdges.stacks(sum_nodes, seg, self.sum_edge_child, level[sum_nodes], True)
         prod_seg, prod_child = Segments(fan_in[prod_nodes]), child[is_prod[owner]]
         prods = _LevelEdges.stacks(prod_nodes, prod_seg, prod_child, level[prod_nodes], False)

@@ -130,7 +130,8 @@ def cmd_train(cfg: RunConfig) -> int:
     ds = _resolve_data(cfg)
     circuit, params = _resolve_structure(cfg, ds)
     report_cfg = _regularizer(cfg)
-    check_fit(cfg.epochs, cfg.batch_size)  # before the run directory is written
+    # before the run directory is written
+    check_fit(cfg.epochs, cfg.batch_size, cfg.lr if cfg.learner == "sgd" else None)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)

@@ -29,13 +29,15 @@ Four exact quantities, all driven by edge flows:
   stacks' weight and ratio rows are gathered once per operator.  Lanczos in
   ``top_eigenvalues`` consumes one vector at a time and stops at the
   tolerance that its residual check, one block of all k pairs, gates.
-* The gradient of the trace penalty itself, by reverse mode through both
-  passes (``pull_up``, a step over all sum edges, ``push_down``), for training.
+* The gradient of the trace penalty R = sum_x sum_e w_e g_{x,e}^2 itself,
+  for training: with g_x = F_x/theta, d g_{x,e}/d theta_e' = H_x[e, e'], so
+  it is 2 sum_x H_x (w g_x) on any circuit, the H v sweeps with one
+  direction per sample, on the samples' own axis.
 
-The penalty adjoint, Hessian-vector products and per-sample gradients read
-the per-sample edge-flow and ratio tables of a ``FlowTable``, node-major as
-they are; a flow table builds them at most once, however many passes read
-them, and none is transposed.  ``push_down`` writes no edge table of its own.
+Hessian-vector products, the penalty and per-sample gradients read the
+per-sample edge-flow and ratio tables of a ``FlowTable``, node-major as they
+are; a flow table builds them at most once, however many passes read them,
+and none is transposed.  ``push_down`` writes no edge table of its own.
 """
 
 from __future__ import annotations
@@ -221,27 +223,34 @@ def _sweep_products(circuit: Circuit, params: ParamSet, flows: FlowTable):
     theta = params.theta
     fe = flows.edge_flow
     fe_sum = fe.sum(axis=1)[:, None]
-    (nodes, n) = flows.node_flow.shape
-    width = probe_width(circuit, n)
+    width = probe_width(circuit, fe.shape[1])
     rows = stack_rows(circuit, theta, flows.ratio)
-
-    def block(u):
-        t = np.zeros((nodes, u.shape[1], n))
-        pull_up(circuit, rows, t, u[:, :, None])
-        source = u[:, :, None] + t.take(circuit.sum_edge_child, axis=0)
-        source -= t.take(circuit.sum_edge_owner, axis=0)
-        source *= fe[:, None]
-        dfe_sum = push_down(circuit, rows, np.zeros(t.shape), source)
-        return (dfe_sum - fe_sum * u) / theta[:, None]
 
     def products(v):
         u = v / theta[:, None]
         out = np.empty(u.shape)
         for lo in range(0, u.shape[1], width):
-            out[:, lo : lo + width] = block(u[:, lo : lo + width])
+            block = u[:, lo : lo + width]
+            dfe_sum = _flow_tangent_sums(circuit, rows, fe, block[:, :, None])
+            out[:, lo : lo + width] = (dfe_sum - fe_sum * block) / theta[:, None]
         return out
 
     return products
+
+
+def _flow_tangent_sums(circuit: Circuit, rows: list, fe: np.ndarray, u: np.ndarray, out=None) -> np.ndarray:
+    """Batch sums [sum edges, m] of the edge-flow tangents dF along u = v /
+    theta, [sum edges, m, 1] (m directions) or [sum edges, 1, samples] (one
+    per sample): ``pull_up`` gives t = d log p, then ``push_down`` carries dF
+    with the edge source F_e (u + t_c - t_n), fe the edge flows, written to
+    out (a new table by default; u itself may take it)."""
+    t = np.zeros((circuit.num_nodes, u.shape[1], fe.shape[1]))
+    pull_up(circuit, rows, t, u)
+    source = np.add(u, t.take(circuit.sum_edge_child, axis=0), out=out)
+    source -= t.take(circuit.sum_edge_owner, axis=0)
+    source *= fe[:, None]
+    del t  # push_down's own table takes its place
+    return push_down(circuit, rows, source)
 
 
 def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: float = 1e-8) -> np.ndarray:
@@ -297,10 +306,11 @@ def trace_penalty_gradient(
 ) -> np.ndarray:
     """Exact d/d theta of R = sum_x sum_e w_e (F_e(x)/theta_e)^2, per sum edge.
 
-    Reverse-mode sweep through the flow recursion and then the forward
-    evaluation: flow adjoints propagate leaves-to-root (reverse of the
-    backward pass), log-probability adjoints root-to-leaves (reverse of the
-    forward pass, a push_down that returns the edge adjoints' batch sums).
+    With g_x = F_x/theta the gradient of log p on row x and H_x its Hessian,
+    dR/d theta = 2 sum_x H_x (w g_x): the Hessian-vector product of
+    ``hessian_operator``'s sweeps, with one direction per sample, u = w g_x /
+    theta as a [sum edges, 1, samples] edge source, so that the direct term
+    sum_x F_e u_e is (w / theta^2) times the flows' batch sums of squares.
     Raw partial derivatives, no simplex projection.
     edge_weights defaults to all ones (the plain trace penalty).  flows
     alone brings its own trace.  Raises StaleTrace when trace belongs to
@@ -323,24 +333,8 @@ def trace_penalty_gradient(
     if not np.array_equal(trace.batch, as_batch(circuit, batch)):
         raise StaleTrace("trace was evaluated on other rows than batch")
     _check_roots(trace)
-    ratio, fedge = flows.ratio, flows.edge_flow
-    fe_bar = (2.0 * w / (theta * theta))[:, None] * fedge
-    theta_bar = -np.einsum("es,es->e", fe_bar, fedge) / theta
-
-    # Adjoint of the flow recursion F_e = F_n theta_e ratio_e: f_bar, then
-    # rbar_e, the adjoint of log ratio_e = lp_c - lp_n.
-    f_bar = np.zeros(flows.node_flow.shape)
-    rows = stack_rows(circuit, theta, ratio)
-    pull_up(circuit, rows, f_bar[:, None], fe_bar[:, None])
-    rbar = fe_bar  # built in fe_bar's storage: fe_bar's last use is as rbar's first term
-    rbar += f_bar.take(circuit.sum_edge_child, axis=0)
-    rbar *= flows.node_flow.take(circuit.sum_edge_owner, axis=0)
-    rbar *= theta[:, None]
-    rbar *= ratio
-
-    # Adjoint of the forward pass: push_down seeded with the -lp_n side of
-    # rbar; its per-edge source adds the lp_c side and rbar's theta term.
-    lp_bar = np.zeros_like(f_bar)
-    lp_bar[circuit.sum_nodes] = -(circuit.sum_node_edges @ rbar)
-    theta_bar += push_down(circuit, rows, lp_bar[:, None], rbar[:, None])[:, 0] / theta
-    return theta_bar
+    scale = w / (theta * theta)
+    # u = w g_x / theta, one direction per sample; its source is built in its storage
+    u = scale[:, None, None] * flows.edge_flow[:, None]
+    dfe_sum = _flow_tangent_sums(circuit, stack_rows(circuit, theta, flows.ratio), flows.edge_flow, u, out=u)
+    return 2.0 * (dfe_sum[:, 0] - scale * flows.edge_flow_sq_sum) / theta

@@ -11,12 +11,14 @@ the batch sums of edge flows and of their squares are theta * (a s^T) and
 theta^2 * ((a a) (s s)^T).  A group of one (every sum node of a tree) writes
 its clipped ratios and edge flows as rows during the sweep instead.  The
 per-sample [sum edges, samples] tables are completed once, for the readers
-that need them: the penalty adjoint, Hessian-vector products and per-sample
-gradients.  The first two sweep per edge over each stack's weight and ratio
-rows (:func:`stack_rows`), gathering rows with take: :func:`push_down`
-root-to-leaves, returning its edge shares' batch sums (no table), and
-:func:`pull_up` leaves-to-root, both on [nodes, m, samples] tables that
-carry m probes (Hessian vectors) side by side.  Every table is node-major,
+that need them: Hessian-vector products, the trace penalty (a Hessian-vector
+product with one direction per sample) and per-sample gradients.  The first
+two sweep per edge over each stack's weight and ratio rows
+(:func:`stack_rows`), gathering rows with take: :func:`pull_up`
+leaves-to-root, then :func:`push_down` root-to-leaves from zero, returning
+its edge shares' batch sums (no table), both on [nodes, m, samples] tables
+that carry m directions (Hessian vectors) side by side, or one direction
+per sample for the penalty (m = 1).  Every table is node-major,
 [nodes or sum edges, samples].  Flows keep their trace, and a trace its
 weights, so stale pairings raise StaleTrace.
 """
@@ -134,21 +136,21 @@ def pull_up(circuit: Circuit, rows: list, acc: np.ndarray, edge_src: np.ndarray)
             acc[b.parents] = b.sum(acc.take(b.child, axis=0))
 
 
-def push_down(circuit: Circuit, rows: list, adj: np.ndarray, source: np.ndarray | None = None) -> np.ndarray:
-    """Propagate adj [nodes, m, samples], m tables side by side, root-to-leaves
-    in place: a sum edge adds its share adj_n * theta_nc * ratio_nc (rows from
-    stack_rows), plus source [sum edges, m, samples] when given, to its child;
+def push_down(circuit: Circuit, rows: list, source: np.ndarray) -> np.ndarray:
+    """Propagate a table adj [nodes, m, samples], m side by side, from zero
+    root-to-leaves: a sum edge adds to its child its share adj_n * theta_nc *
+    ratio_nc (rows from stack_rows) plus its source [sum edges, m, samples];
     a product edge adds adj_n.  Returns the shares' batch sums [sum edges, m],
     each summed as a row of a [sum edges, samples] table would be; no such
     table is written."""
-    out = np.empty((circuit.num_sum_edges, adj.shape[1]))
+    adj = np.zeros((circuit.num_nodes, *source.shape[1:]))
+    out = np.empty(source.shape[:2])
     for (sums, prods), level in zip(reversed(circuit.level_edges), reversed(rows)):
         for b, (theta, ratio) in zip(sums, level):
             share = np.repeat(adj.take(b.parents, axis=0), b.k, axis=0)
             share *= theta[:, None, None]
             share *= ratio
-            if source is not None:
-                share += b.at(source)
+            share += b.at(source)
             out[b.index] = share.sum(axis=2)
             b.scatter.add_into(adj, share)
         for b in prods:

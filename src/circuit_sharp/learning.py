@@ -257,13 +257,16 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
 
 
-def check_fit(epochs: int, batch_size: int) -> None:
+def check_fit(epochs: int, batch_size: int, lr: float | None = None) -> None:
     """Raise ValueError unless the epoch loop (``_fit``) gets at least 0
-    epochs and a batch_size, the rows of a minibatch, of at least 1."""
+    epochs and a batch_size, the rows of a minibatch, of at least 1, and,
+    when given (``sgd_train``'s step size), an lr that is finite and > 0."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if lr is not None and not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
 
 
 def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) -> tuple[ParamSet, TrainReport]:
@@ -420,11 +423,13 @@ def sgd_train(
 ) -> tuple[ParamSet, TrainReport]:
     """Adam on unconstrained logits for NLL + mu * trace penalty.
 
-    The penalty gradient is the exact reverse-mode derivative of
-    sum_x sum_e (F_e/theta_e)^2 through both evaluation passes.  Raises
-    DivergedNaN (carrying the last finite parameters) if the objective leaves
-    the reals.
+    The penalty gradient is exact: that of sum_x sum_e (F_e/theta_e)^2 is
+    2 sum_x H_x g_x, a Hessian-vector product per sample along its gradient
+    g_x = F_x/theta (``trace_penalty_gradient``).  Raises ValueError for an
+    lr that is not finite and > 0, and DivergedNaN (carrying the last finite
+    parameters) if the objective leaves the reals.
     """
+    check_fit(epochs, batch_size, lr)
     config = config or RegularizerConfig()
     mapper = _Unconstrained(circuit, update_leaf_params)
     vec = mapper.flatten(params)

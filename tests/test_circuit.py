@@ -412,12 +412,6 @@ class TestLevelBuckets:
             assert sorted(single.tolist()) == single.tolist()
         assert grouped >= 8
 
-    def test_sum_node_edges_sums_each_sum_nodes_edges(self):
-        for circuit, _ in tree_zoo(4) + dag_zoo(4) + [_random_tree_hclt()]:
-            x = np.random.default_rng(0).uniform(-1.0, 1.0, (circuit.num_sum_edges, 3))
-            want = [x[circuit.sum_edge_owner == n].sum(axis=0) for n in circuit.sum_nodes]
-            np.testing.assert_allclose(circuit.sum_node_edges @ x, want, rtol=1e-14, atol=1e-15)
-
 
 def _deep_chain(depth: int = 1500) -> Circuit:
     """A root-to-leaf chain of depth sum-over-product pairs."""

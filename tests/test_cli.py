@@ -66,11 +66,12 @@ class TestTrain:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
-        "flag,value,message",
-        [("--mu", "nan", "mu must be finite"), ("--mu", "inf", "mu must be finite"),
-         ("--lam", "nan", "lambda must be finite"), ("--epochs", -3, "epochs must be >= 0, got -3")],
+        "learner,flag,value,message",
+        [(learner, *case) for learner in ("em", "sgd") for case in (
+            ("--mu", "nan", "mu must be finite"), ("--mu", "inf", "mu must be finite"),
+            ("--lam", "nan", "lambda must be finite"), ("--epochs", -3, "epochs must be >= 0, got -3"))]
+        + [("sgd", "--lr", value, "lr must be finite and > 0") for value in (-1, 0, "nan")],
     )
-    @pytest.mark.parametrize("learner", ["em", "sgd"])
     def test_bad_training_values_are_input_errors(self, tmp_path, capsys, learner, flag, value, message):
         code = run_cli(
             "train", "--manifold", "spiral", "--fraction", 0.05, "--learner", learner, "--epochs", 1,

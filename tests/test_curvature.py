@@ -26,6 +26,7 @@ from zoo import (
     indicator_groups_dag,
     random_dag,
     random_tree,
+    shared_child_dag,
     tree_zoo,
 )
 
@@ -460,6 +461,23 @@ class TestPenaltyGradient:
 
         fd = central_diff(penalty, theta0, 1e-5)
         assert np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()) <= 1e-6
+
+    def test_is_the_per_sample_hessian_along_the_weighted_gradient(self):
+        """dR/dtheta = 2 sum_x H_x (w g_x), g_x = F_x/theta the per-sample
+        gradient: on trees with H_x the per-sample dense Hessian (within 1e-10
+        relative), on DAGs with H_x a finite-difference Hessian of the row."""
+        rng = np.random.default_rng(96)
+        binary = np.array([[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)])
+        trees = [(c, p, batch_for(c, 4, c.num_sum_edges)) for c, p in tree_zoo(6, max_edges=300)] + [dead_pair_case()]
+        dags = [(c, p, batch_for(c, 3, c.num_sum_edges)) for c, p in dag_zoo(4, max_edges=150)]
+        dags += [(*shared_child_dag(), binary)]
+        for cases, hessian, tol in ((trees, per_sample_tree_hessian, 1e-10), (dags, fd_hessian, 1e-4)):
+            for circuit, params, batch in cases:
+                w = rng.uniform(0.0, 2.0, circuit.num_sum_edges)
+                g, _ = edge_gradients(circuit, params, batch)
+                want = 2.0 * sum(hessian(circuit, params, batch[i : i + 1]) @ (w * g[:, i]) for i in range(len(batch)))
+                got = trace_penalty_gradient(circuit, params, batch, edge_weights=w)
+                assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
     def test_rejects_trace_or_flows_of_another_circuit(self):
         circuit, params = random_tree(94)

@@ -287,10 +287,15 @@ class TestEmTrain:
 
 
 class TestSgdTrain:
-    def test_zero_learning_rate_keeps_params(self):
+    def test_learning_rate_outside_its_domain_is_rejected(self):
+        """lr must be finite and > 0: at 0 the run would train nothing, below
+        0 ascend the NLL.  A run of no steps keeps the weights."""
         circuit, params = random_tree(150)
         data = batch_for(circuit, 16, 0)
-        out, _ = sgd_train(circuit, params, data, epochs=2, batch_size=8, lr=0.0, seed=0)
+        for lr in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^lr must be finite and > 0"):
+                sgd_train(circuit, params, data, epochs=2, batch_size=8, lr=lr, seed=0)
+        out, _ = sgd_train(circuit, params, data, epochs=0, batch_size=8, seed=0)
         for n in circuit.sum_nodes:
             np.testing.assert_allclose(out.sum_weights[n], params.sum_weights[n], atol=1e-12)
 
