@@ -14,6 +14,7 @@ import os
 import sys
 import timeit
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -29,15 +30,15 @@ from .data import (
     subsample,
 )
 from .diagnostics import dof, landscape, nll_hessian_eigenvalues, write_diag_csv, write_eigenvalues_csv
+from .domains import check
 from .errors import CircuitError, CostGuardExceeded, DivergedNaN, MalformedFile
-from .evaluate import log_likelihood
+from .evaluate import _leaf_inputs, as_batch, log_likelihood
 from .fd import fd_gradient, analytic_gradient
 from .learning import (
     ADAPTIVE_DOF,
     FIXED,
     LAYER_MEAN_FLOW,
     RegularizerConfig,
-    check_fit,
     em_train,
     sgd_train,
 )
@@ -84,7 +85,17 @@ def _resolve_data(cfg: RunConfig) -> Dataset:
     return subsample(ds, FractionSpec(cfg.fraction, cfg.seed))
 
 
-RAT_OPTIONS = ("inputs", "sums", "reps", "depth", "leaf")  # the keys of --structure rat:key=value,...
+# the keys of --structure rat:key=value,..., and the RatConfig field each sets
+RAT_OPTIONS = {"inputs": "num_input_distributions", "sums": "num_sums", "reps": "num_repetitions", "depth": "depth",
+               "leaf": "leaf_family"}
+
+
+def _parse(text: str, kind=int):
+    """text as a kind (int or float), or unchanged when it is not one, for the domain check to quote."""
+    try:
+        return kind(text)
+    except ValueError:
+        return text
 
 
 def _resolve_structure(cfg: RunConfig, ds: Dataset) -> tuple[Circuit, ParamSet]:
@@ -93,61 +104,44 @@ def _resolve_structure(cfg: RunConfig, ds: Dataset) -> tuple[Circuit, ParamSet]:
         spec = "rat" if cfg.manifold else "hclt"
     kind, _, arg = spec.partition(":")
     if kind == "hclt":
-        latents = int(arg) if arg else 100
-        tree = chow_liu_tree(ds.train, pseudo_count=0.1)
-        return build_hclt(tree, HcltConfig(latents, seed=cfg.seed), data=ds.train)
+        config = HcltConfig(_parse(arg) if arg else 100, seed=cfg.seed)
+        return build_hclt(chow_liu_tree(ds.train, pseudo_count=0.1), config, data=ds.train)
     if kind == "rat":
-        opts = {}
-        if arg:
-            for kv in arg.split(","):
-                k, _, v = kv.partition("=")
-                if k not in RAT_OPTIONS:
-                    raise CircuitError(f"unknown rat option {k!r} in {spec!r}; known: {', '.join(RAT_OPTIONS)}")
-                opts[k] = v
-        nv = ds.num_vars
-        rat = RatConfig(
-            num_vars=nv,
-            num_input_distributions=int(opts.get("inputs", 10)),
-            num_sums=int(opts.get("sums", 10)),
-            num_repetitions=int(opts.get("reps", 10)),
-            depth=int(opts.get("depth", min(1, max(0, int(np.floor(np.log2(nv))))))),
-            leaf_family=opts.get("leaf", "bern" if cfg.dataset else "gauss"),
-            seed=cfg.seed,
-        )
-        return build_rat(rat)
+        opts = dict(num_input_distributions=10, num_sums=10, num_repetitions=10, depth=int(ds.num_vars > 1),
+                    leaf_family="bern" if cfg.dataset else "gauss")
+        for kv in arg.split(",") if arg else ():
+            k, _, v = kv.partition("=")
+            if k not in RAT_OPTIONS:
+                raise CircuitError(f"unknown rat option {k!r} in {spec!r}; known: {', '.join(RAT_OPTIONS)}")
+            opts[RAT_OPTIONS[k]] = _parse(v)
+        return build_rat(RatConfig(num_vars=ds.num_vars, seed=cfg.seed, **opts))
     raise CircuitError(f"unknown structure spec {cfg.structure!r}")
 
 
 def _regularizer(cfg: RunConfig) -> RegularizerConfig:
-    if cfg.mu == "adaptive":
-        return RegularizerConfig(0.0, cfg.lam, cfg.alpha, ADAPTIVE_DOF)
-    if cfg.mu == "layerflow":
-        return RegularizerConfig(0.0, cfg.lam, cfg.alpha, LAYER_MEAN_FLOW)
-    return RegularizerConfig(float(cfg.mu), cfg.lam, cfg.alpha, FIXED)
+    schedule = {"adaptive": ADAPTIVE_DOF, "layerflow": LAYER_MEAN_FLOW}.get(cfg.mu, FIXED)  # else mu is a number
+    return RegularizerConfig(_parse(cfg.mu, float) if schedule == FIXED else 0.0, cfg.lam, cfg.alpha, schedule)
+
+
+def _write_manifest(cfg: RunConfig) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
 
 
 def cmd_train(cfg: RunConfig) -> int:
     ds = _resolve_data(cfg)
     circuit, params = _resolve_structure(cfg, ds)
-    report_cfg = _regularizer(cfg)
-    # before the run directory is written
-    check_fit(cfg.epochs, cfg.batch_size, cfg.lr if cfg.learner == "sgd" else None)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-
-    trainer = em_train if cfg.learner == "em" else sgd_train
-    kwargs = dict(
-        config=report_cfg,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
-    if cfg.learner == "sgd":
-        kwargs["lr"] = cfg.lr
-    elif cfg.learner != "em":
-        raise CircuitError(f"unknown learner {cfg.learner!r}")
-    params, report = trainer(circuit, params, ds.train, ds.valid, **kwargs)
+    for rows in (ds.train, ds.valid, ds.test):  # the leaf domains forward checks
+        _leaf_inputs(circuit, as_batch(circuit, rows))
+    trainer = em_train if cfg.learner == "em" else partial(sgd_train, lr=cfg.lr)
+    try:  # the trainer checks its arguments first: a run it rejects writes nothing
+        params, report = trainer(circuit, params, ds.train, ds.valid, config=_regularizer(cfg), epochs=cfg.epochs,
+                                 batch_size=cfg.batch_size, seed=cfg.seed)
+    except DivergedNaN:
+        _write_manifest(cfg)
+        raise
+    _write_manifest(cfg)
 
     report.write_csv(os.path.join(cfg.out_dir, "train_log.csv"))
     with open(os.path.join(cfg.out_dir, "model.pc"), "wb") as fh:
@@ -226,12 +220,15 @@ def cmd_landscape(args) -> int:
     return 0
 
 
-BENCH_REPEATS = 3  # timed calls per size: their median keeps one slow call under load out of the fit
+BENCH_REPEATS = 3  # timed calls per size: interference only adds time, so their minimum is the size's cost
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if args.samples <= 0:
+    sizes = [_parse(s) for s in args.sizes.split(",") if s]
+    for size in sizes:
+        check(sizes=size)
+    check(samples=args.samples, r2_threshold=args.r2_threshold)
+    if args.samples == 0:
         print("zero samples requested: nothing to time")
         return 0
     rng = np.random.default_rng(args.seed)
@@ -242,7 +239,7 @@ def cmd_bench(args) -> int:
         batch = rng.integers(0, 2, size=(args.samples, args.num_vars)).astype(float)
         hessian_trace(circuit, params, batch)  # warm-up outside the clock
         seconds = timeit.repeat(lambda: hessian_trace(circuit, params, batch), repeat=BENCH_REPEATS, number=1)
-        rows.append((circuit.num_sum_edges, float(np.median(seconds))))
+        rows.append((circuit.num_sum_edges, min(seconds)))
         print(f"edges={rows[-1][0]} seconds={rows[-1][1]:.4f}")
     with open(args.out, "w") as fh:
         fh.write("edges,seconds\n")
@@ -265,21 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a circuit and write run artifacts")
-    t.add_argument("--dataset")
-    t.add_argument("--manifold")
-    t.add_argument("--data-root")
-    t.add_argument("--fraction", type=float, default=1.0)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--structure", default="auto")
-    t.add_argument("--learner", choices=("em", "sgd"), default="em")
-    t.add_argument("--mu", default="0")
-    t.add_argument("--lam", type=float, default=1.0)
-    t.add_argument("--alpha", type=float, default=1.0)
-    t.add_argument("--epochs", type=int, default=100)
-    t.add_argument("--batch-size", type=int, default=200)
-    t.add_argument("--lr", type=float, default=0.1)
-    t.add_argument("--noise", type=float, default=0.05)
-    t.add_argument("--out", dest="out_dir", default="run")
+    for f in fields(RunConfig):  # one flag per field, with the field's default and type
+        t.add_argument("--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-"), dest=f.name,
+                       default=f.default, type={"float": float, "int": int}.get(f.type),
+                       choices=("em", "sgd") if f.name == "learner" else None)
 
     tr = sub.add_parser("trace", help="print the Hessian trace of a saved model")
     tr.add_argument("model")

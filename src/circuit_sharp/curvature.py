@@ -47,6 +47,7 @@ import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .circuit import Circuit, ParamSet
+from .domains import check
 from .errors import CostGuardExceeded, NotATree, NotConverged, StaleTrace
 from .evaluate import TILE_BYTES, EvalTrace, as_batch, forward, probe_width
 from .flows import FlowTable, _check_roots, backward, pull_up, push_down, stack_rows
@@ -266,10 +267,9 @@ def top_eigenvalues(matrix: np.ndarray | LinearOperator, k: int, tol_scale: floa
     pairs are then residual-checked together, with one product H V, against
     ||H v - lambda v|| <= tol_scale * ||H||, with ||H|| the spectral norm,
     the largest returned |lambda|; a pair past the check raises NotConverged,
-    and a k below 1 ValueError.
+    and a k below 1 InvalidOption.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check(k=k)
     h = matrix if isinstance(matrix, LinearOperator) else np.asarray(matrix, dtype=float)
     if len(h.shape) != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .domains import check
 from .errors import MissingFile, ParseError, ShapeMismatch, UnknownManifold
 
 # name -> (num_vars, train rows, valid rows, test rows)
@@ -66,8 +67,7 @@ class FractionSpec:
     seed: int  # trial number by convention
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must lie in (0, 1]")
+        check(fraction=self.fraction)
 
 
 def _parse_binary_file(path: str) -> np.ndarray:
@@ -206,6 +206,7 @@ def gen_manifold(
 ) -> Dataset:
     """Sample train/valid/test splits from a parametric manifold plus
     isotropic Gaussian noise.  Pure function of (name, n, noise, seed)."""
+    check(noise=noise)
     if name not in _GENERATORS:
         raise UnknownManifold(f"{name!r}; known: {', '.join(MANIFOLDS)}")
     rng = np.random.default_rng(seed)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .circuit import Circuit, ParamSet
 from .curvature import hessian_operator, top_eigenvalues
+from .domains import check
 from .errors import ZeroTrainNLL
 from .evaluate import as_batch, probe_log_likelihood, probe_width
 
@@ -95,16 +96,11 @@ def landscape(
     """Mean train NLL over a grid of filter-normalized logit perturbations.
 
     The zero offset is evaluated with the stored parameters themselves, so
-    the origin reproduces the unperturbed NLL exactly.  Raises ValueError
+    the origin reproduces the unperturbed NLL exactly.  Raises InvalidOption
     for another mode, a grid_points below 1 or a grid_radius that is not
     finite.
     """
-    if mode not in ("1d", "2d"):
-        raise ValueError("mode must be '1d' or '2d'")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
-    if not np.isfinite(grid_radius):
-        raise ValueError(f"grid_radius must be finite, got {grid_radius!r}")
+    check(mode=mode, grid_points=grid_points, grid_radius=grid_radius)
     rng = np.random.default_rng(seed)
     theta = params.theta
     logits0 = np.log(theta)

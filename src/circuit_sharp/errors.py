@@ -29,6 +29,10 @@ class ZeroLikelihood(CircuitError):
     """A row has probability 0 (root log p = -inf), where log p has no derivatives."""
 
 
+class InvalidOption(CircuitError, ValueError):
+    """A setting lies outside its domain in ``domains.DOMAINS``."""
+
+
 class InvalidParameters(CircuitError, ValueError):
     """Sum weights off the simplex, or leaf parameters outside their domain."""
 

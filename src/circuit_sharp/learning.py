@@ -22,6 +22,7 @@ import scipy.special
 
 from .circuit import Circuit, ParamSet
 from .curvature import trace_penalty_gradient
+from .domains import check
 from .errors import DivergedNaN
 from .evaluate import EvalTrace, forward
 from .flows import FlowTable, backward, loglik_gradient
@@ -49,14 +50,7 @@ class RegularizerConfig:
     schedule: str = FIXED
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lambda must be finite and > 0, got {self.lam!r}")
-        if not 0.0 <= self.smoothing_alpha <= 1.0:
-            raise ValueError("smoothing alpha must lie in [0, 1]")
-        if self.schedule not in (FIXED, ADAPTIVE_DOF, LAYER_MEAN_FLOW):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        check(mu=self.mu, lam=self.lam, smoothing_alpha=self.smoothing_alpha, schedule=self.schedule)
 
 
 @dataclass
@@ -257,18 +251,6 @@ def _epoch_row(circuit, params, train, valid, epoch, mu, t0) -> tuple[EpochRow, 
     return EpochRow(epoch, train_nll, valid_nll, sharp, dof, mu_scalar, time.perf_counter() - t0), trace, flows
 
 
-def check_fit(epochs: int, batch_size: int, lr: float | None = None) -> None:
-    """Raise ValueError unless the epoch loop (``_fit``) gets at least 0
-    epochs and a batch_size, the rows of a minibatch, of at least 1, and,
-    when given (``sgd_train``'s step size), an lr that is finite and > 0."""
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if lr is not None and not (np.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
-
-
 def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) -> tuple[ParamSet, TrainReport]:
     """The epoch loop of both learners.  Per minibatch one forward and one
     backward, then step(params, batch, trace, flows, mu) -> params, the
@@ -276,8 +258,8 @@ def _fit(circuit, params, train, valid, config, epochs, batch_size, seed, step) 
 
     A DivergedNaN raised by step, or an epoch whose train NLL is not finite,
     leaves with the parameters that epoch started from and the report so far.
-    Raises ValueError for epochs below 0 or a batch_size below 1."""
-    check_fit(epochs, batch_size)
+    Raises InvalidOption for epochs or a batch_size outside their domains."""
+    check(epochs=epochs, batch_size=batch_size)
     rng = np.random.default_rng(seed)
     report = TrainReport()
     t0 = time.perf_counter()
@@ -425,11 +407,11 @@ def sgd_train(
 
     The penalty gradient is exact: that of sum_x sum_e (F_e/theta_e)^2 is
     2 sum_x H_x g_x, a Hessian-vector product per sample along its gradient
-    g_x = F_x/theta (``trace_penalty_gradient``).  Raises ValueError for an
+    g_x = F_x/theta (``trace_penalty_gradient``).  Raises InvalidOption for an
     lr that is not finite and > 0, and DivergedNaN (carrying the last finite
     parameters) if the objective leaves the reals.
     """
-    check_fit(epochs, batch_size, lr)
+    check(lr=lr)
     config = config or RegularizerConfig()
     mapper = _Unconstrained(circuit, update_leaf_params)
     vec = mapper.flatten(params)

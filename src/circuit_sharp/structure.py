@@ -13,7 +13,8 @@ from functools import cache
 import numpy as np
 
 from .circuit import Circuit, ParamSet, leaf_node, product_node, sum_node
-from .errors import CostGuardExceeded, DepthTooLarge
+from .domains import check
+from .errors import CostGuardExceeded, DepthTooLarge, OutOfDomain
 
 # Most nodes a RatConfig may ask build_rat for.  A build peaks at about 850
 # bytes per node (1.8M nodes: 1.5 GiB and 51 s on a 2-core machine), so the
@@ -38,10 +39,9 @@ class RatConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_vars", "num_input_distributions", "num_sums", "num_repetitions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        max_depth = max(0, int(np.floor(np.log2(self.num_vars)))) if self.num_vars else 0
+        check(num_vars=self.num_vars, num_input_distributions=self.num_input_distributions, num_sums=self.num_sums,
+              num_repetitions=self.num_repetitions, depth=self.depth, leaf_family=self.leaf_family)
+        max_depth = int(np.floor(np.log2(self.num_vars)))
         if self.depth > max_depth:
             raise DepthTooLarge(
                 f"depth {self.depth} exceeds floor(log2({self.num_vars})) = {max_depth}"
@@ -78,8 +78,7 @@ class HcltConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_latents < 1:
-            raise ValueError("num_latents must be >= 1")
+        check(num_latents=self.num_latents)
 
 
 def _split_tree(scope: tuple[int, ...], depth: int, rng) -> tuple | int:
@@ -172,12 +171,17 @@ def chow_liu_tree(data: np.ndarray, pseudo_count: float = 0.1) -> list[tuple[int
 
     Deterministic: edges are taken greedily by (-MI, min index, lexicographic)
     with union-find cycle rejection.  Returns sorted undirected edges (u, v),
-    u < v.
+    u < v.  Raises OutOfDomain, naming the first row and its lowest variable,
+    for a value other than 0 or 1.
     """
     data = np.atleast_2d(np.asarray(data))
     v = data.shape[1]
     if v < 2:
         raise ValueError("need at least 2 variables")
+    bad = np.argwhere((data != 0) & (data != 1))
+    if bad.size:
+        row, var = bad[0]
+        raise OutOfDomain(f"row {row}, variable {var}: {data[row, var]!r} is outside the binary domain")
     mi = pairwise_mutual_information(data, pseudo_count)
     candidates = sorted(
         ((u, w) for u in range(v) for w in range(u + 1, v)),
@@ -284,15 +288,13 @@ def build_layered_dag(
     num_vars: int,
     width: int,
     seed: int = 0,
-    leaf_family: str = "bern",
 ) -> tuple[Circuit, ParamSet]:
     """Balanced pairwise merge of per-variable node pools; sums connect to all
     of a merge's products, so sum-edge count grows as (num_vars-1) * width^2
     while the level count stays ~log2(num_vars).  Shared children make it a
-    genuine DAG for width >= 2.  Raises ValueError unless num_vars and width
-    are at least 1."""
-    if num_vars < 1 or width < 1:
-        raise ValueError(f"num_vars and width must be >= 1, got {num_vars} and {width}")
+    genuine DAG for width >= 2, over Bernoulli leaves.  Raises InvalidOption
+    unless num_vars and width are at least 1."""
+    check(num_vars=num_vars, width=width)
     rng = np.random.default_rng(seed)
     nodes = []
 
@@ -300,12 +302,7 @@ def build_layered_dag(
         nodes.append(n)
         return len(nodes) - 1
 
-    def make_leaf(v):
-        if leaf_family == "bern":
-            return add(leaf_node(v, "bern", [rng.uniform(0.2, 0.8)]))
-        return add(leaf_node(v, "gauss", [rng.uniform(-1, 1), rng.uniform(0.5, 1.5)]))
-
-    pools = [[make_leaf(v) for _ in range(width)] for v in range(num_vars)]
+    pools = [[add(leaf_node(v, "bern", [rng.uniform(0.2, 0.8)])) for _ in range(width)] for v in range(num_vars)]
     while len(pools) > 1:
         merged = []
         for i in range(0, len(pools) - 1, 2):
@@ -331,5 +328,8 @@ def build_layered_dag(
 
 
 def layered_width_for_edges(target_edges: int, num_vars: int = 17) -> int:
-    """Width whose layered DAG lands near the requested sum-edge count."""
-    return max(2, int(round(np.sqrt(target_edges / max(1, num_vars - 1)))))
+    """Width whose layered DAG lands near the requested sum-edge count: about
+    (num_vars - 1) * width^2 edges, or width for one variable, whose DAG is
+    one sum over width products."""
+    check(target_edges=target_edges, num_vars=num_vars)
+    return max(2, target_edges if num_vars == 1 else int(round(np.sqrt(target_edges / (num_vars - 1)))))

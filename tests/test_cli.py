@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from circuit_sharp.cli import main
+from circuit_sharp.cli import _parse, main
+from circuit_sharp.domains import DOMAINS
 
 
 def run_cli(*argv):
@@ -69,7 +70,7 @@ class TestTrain:
         "learner,flag,value,message",
         [(learner, *case) for learner in ("em", "sgd") for case in (
             ("--mu", "nan", "mu must be finite"), ("--mu", "inf", "mu must be finite"),
-            ("--lam", "nan", "lambda must be finite"), ("--epochs", -3, "epochs must be >= 0, got -3"))]
+            ("--lam", "nan", "lam must be finite"), ("--epochs", -3, "epochs must be >= 0, got -3"))]
         + [("sgd", "--lr", value, "lr must be finite and > 0") for value in (-1, 0, "nan")],
     )
     def test_bad_training_values_are_input_errors(self, tmp_path, capsys, learner, flag, value, message):
@@ -297,8 +298,16 @@ class TestBench:
     def test_no_variables_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         assert run_cli("bench", "--sizes", "1000", "--num-vars", 0, "--out", out) == 2
-        assert "num_vars and width must be >= 1" in capsys.readouterr().err
+        assert "num_vars must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_variable_lands_on_its_sizes(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run_cli("bench", "--num-vars", 1, "--sizes", "1000,2000", "--samples", 2, "--r2-threshold", 0,
+                       "--out", out)
+        capsys.readouterr()
+        assert code == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["1000", "2000"]
 
     def test_zero_samples_guarded(self, tmp_path, capsys):
         assert run_cli("bench", "--sizes", "2000", "--samples", 0,
@@ -320,3 +329,108 @@ class TestMetrics:
         for split in ("train", "valid", "test"):
             rows = getattr(ds, split)
             assert metrics[f"{split}_nll"] == float(-forward(circuit, params, rows).root_log_p.mean())
+
+
+class TestOptionDomains:
+    """Every numeric option and --structure key against the domain table:
+    a value outside its name's domain exits 2, with an error line naming the
+    option, before anything is written or trained."""
+
+    TRAIN = ("train", "--manifold", "spiral", "--fraction", 0.05, "--learner", "sgd", "--epochs", 1,
+             "--structure", "rat:inputs=2,sums=2,reps=1")
+    # (subcommand, flag or --structure form, the table's name, how the CLI parses the value:
+    # argparse's type, or _parse for a --structure value or a --sizes entry); a name of None
+    # is a seed, which numpy's own check rejects below 0
+    OPTIONS = [
+        ("train", "--fraction", "fraction", float),
+        ("train", "--seed", None, int),
+        ("train", "--mu", "mu", float),
+        ("train", "--lam", "lam", float),
+        ("train", "--alpha", "smoothing_alpha", float),
+        ("train", "--epochs", "epochs", int),
+        ("train", "--batch-size", "batch_size", int),
+        ("train", "--lr", "lr", float),
+        ("train", "--noise", "noise", float),
+        ("train", "hclt:{}", "num_latents", _parse),
+        ("train", "rat:inputs={}", "num_input_distributions", _parse),
+        ("train", "rat:sums={}", "num_sums", _parse),
+        ("train", "rat:reps={}", "num_repetitions", _parse),
+        ("train", "rat:depth={}", "depth", _parse),
+        ("train", "rat:leaf={}", "leaf_family", _parse),
+        ("landscape", "--grid-radius", "grid_radius", float),
+        ("landscape", "--grid-points", "grid_points", int),
+        ("landscape", "--seed", None, int),
+        ("landscape", "--top-k", "k", int),
+        ("bench", "--sizes", "sizes", _parse),
+        ("bench", "--samples", "samples", int),
+        ("bench", "--num-vars", "num_vars", int),
+        ("bench", "--seed", None, int),
+        ("bench", "--r2-threshold", "r2_threshold", float),
+    ]
+
+    @staticmethod
+    def in_domain(name, parse, text) -> bool:
+        try:
+            value = parse(text)
+        except ValueError:  # argparse's type rejects it
+            return False
+        return value >= 0 if name is None else DOMAINS[name][1](value)
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:  # argparse rejects a value its type cannot parse
+            code = exc.code
+        return code, capsys.readouterr().err
+
+    def prefixes(self, tmp_path):
+        from circuit_sharp.circuit import serialize
+        from circuit_sharp.structure import build_layered_dag
+
+        circuit, params = build_layered_dag(2, 2, seed=0)
+        (tmp_path / "m.pc").write_bytes(serialize(circuit, params))
+        (tmp_path / "d.csv").write_text("0,1\n1,1\n0,0\n1,0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        return out, {
+            "train": (*self.TRAIN, "--out", out / "r"),
+            "landscape": ("landscape", tmp_path / "m.pc", tmp_path / "d.csv", "--grid-points", 3,
+                          "--out", out / "l.csv", "--eig-out", out / "e.csv"),
+            "bench": ("bench", "--sizes", 1000, "--samples", 1, "--out", out / "b.csv"),
+        }
+
+    def test_values_outside_the_table_exit_2_and_write_nothing(self, tmp_path, capsys):
+        out, prefixes = self.prefixes(tmp_path)
+        tried = 0
+        for command, option, name, parse in self.OPTIONS:
+            for text in ("nan", "inf", "-1", "0") + (("cat",) if name == "leaf_family" else ()):
+                if self.in_domain(name, parse, text):
+                    continue
+                args = ("--structure", option.format(text)) if "{}" in option else (option, text)
+                code, err = self.run((*prefixes[command], *args), capsys)
+                assert code == 2, (command, *args)
+                assert "error:" in err and (name is None or name in err or option in err), (args, err)
+                assert not any(out.iterdir()), (args, list(out.iterdir()))
+                tried += 1
+        assert tried == 85
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--structure", "rat:leaf=cat"), "leaf_family must be one of gauss, bern, got 'cat'"),
+            (("--structure", "rat:depth=-1"), "depth must be >= 0, got -1"),
+            (("--noise", -1), "noise must be finite and >= 0, got -1.0"),
+            (("--mu", "foo"), "mu must be finite and >= 0, got 'foo'"),
+            (("--structure", "hclt:2"), "outside the binary domain"),
+            (("bench", "--samples", -2), "samples must be >= 0, got -2"),
+            (("bench", "--r2-threshold", "nan"), "r2_threshold must be in [0, 1], got nan"),
+            (("bench", "--sizes", -5), "sizes must be >= 1, got -5"),
+        ],
+    )
+    def test_probed_inputs_are_input_errors(self, tmp_path, capsys, argv, message):
+        out, prefixes = self.prefixes(tmp_path)
+        argv = (*prefixes["bench"], *argv[1:]) if argv[0] == "bench" else (*prefixes["train"], *argv)
+        code, err = self.run(argv, capsys)
+        assert code == 2 and message in err
+        assert not any(out.iterdir())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circuit_sharp import ParamSet, forward, validate
-from circuit_sharp.errors import CostGuardExceeded, DepthTooLarge
+from circuit_sharp.errors import CostGuardExceeded, DepthTooLarge, OutOfDomain
 from circuit_sharp.structure import (
     HcltConfig,
     RatConfig,
@@ -112,6 +112,12 @@ class TestChowLiu:
             x[:, v] = np.where(flip, 1 - x[:, v - 1], x[:, v - 1])
         assert chow_liu_tree(x, 0.1) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_non_binary_data_is_out_of_domain(self, value):
+        data = np.array([[0, 1, 1], [1, 0, value], [1, 1, 0]])
+        with pytest.raises(OutOfDomain, match=r"^row 1, variable 2: .* is outside the binary domain$"):
+            chow_liu_tree(data)
+
 
 class TestHclt:
     def test_pair_chain_matches_direct_mixture(self):
@@ -187,9 +193,9 @@ class TestLayeredDag:
         assert abs(enumerate_total_probability(circuit, params) - 1.0) < 1e-9
 
     def test_width_targets_edge_count(self):
-        for target in (1000, 30_000):
-            width = layered_width_for_edges(target)
-            circuit, _ = build_layered_dag(17, width, seed=0)
+        for num_vars, target in ((17, 1000), (17, 30_000), (1, 1000), (1, 30_000)):
+            width = layered_width_for_edges(target, num_vars)
+            circuit, _ = build_layered_dag(num_vars, width, seed=0)
             assert 0.5 * target < circuit.num_sum_edges < 2.0 * target
 
     @pytest.mark.parametrize("num_vars,width", [(0, 3), (3, 0), (-1, 3)])
